@@ -26,7 +26,9 @@ struct FileDeviceOptions {
   bool sync_on_barrier = true;
   /// Read-ahead cache capacity in pages. 0 disables prefetching.
   size_t readahead_pages = 64;
-  /// Worker threads for the I/O scheduler (0 = hardware concurrency).
+  /// Worker threads for the I/O scheduler (0 = hardware concurrency). They
+  /// serve multi-page batches; a single-page transfer runs on the calling
+  /// thread.
   int io_threads = 0;
   /// Preferred scheduler backend (degrades to the thread pool when
   /// io_uring is unavailable).

@@ -126,67 +126,63 @@ IoScheduler::~IoScheduler() {
 
 void IoScheduler::SubmitWrite(int fd, uint64_t offset,
                               std::span<const std::byte> data) {
-  std::unique_lock<std::mutex> lock(mutex_);
   Job job;
   job.fd = fd;
   job.offset = offset;
   job.is_write = true;
   job.write_data = data;
-  jobs_.push_back(job);
-  if (backend_ == IoBackend::kThreadPool) {
-    lock.unlock();
-    work_available_.notify_one();
-  }
+  Enqueue(job);
 }
 
 void IoScheduler::SubmitRead(int fd, uint64_t offset,
                              std::span<std::byte> out) {
-  std::unique_lock<std::mutex> lock(mutex_);
   Job job;
   job.fd = fd;
   job.offset = offset;
   job.is_write = false;
   job.read_data = out;
-  jobs_.push_back(job);
-  if (backend_ == IoBackend::kThreadPool) {
-    lock.unlock();
-    work_available_.notify_one();
-  }
+  Enqueue(job);
 }
 
-Status IoScheduler::Execute(Job& job) {
+void IoScheduler::Enqueue(const Job& job) {
+  std::unique_lock<std::mutex> lock(mutex_);
+  jobs_.push_back(job);
+  // The draining thread runs every job no worker has claimed, so a
+  // batch's first job wakes no worker: a one-page transfer normally costs
+  // no thread hand-off.
+  const bool wake = backend_ == IoBackend::kThreadPool && jobs_.size() > 1;
+  lock.unlock();
+  if (wake) work_available_.notify_one();
+}
+
+Status IoScheduler::Execute(const Job& job) {
   if (job.is_write) return WriteFully(job.fd, job.offset, job.write_data);
   return ReadFully(job.fd, job.offset, job.read_data);
 }
 
+void IoScheduler::RunNextJob(std::unique_lock<std::mutex>& lock) {
+  const size_t index = next_job_++;
+  // Copy the descriptor: a producer may push_back (and reallocate jobs_)
+  // while this job executes. The spans still point at caller buffers,
+  // which stay valid until Drain returns.
+  const Job claimed = jobs_[index];
+  lock.unlock();
+  // Execute outside the lock: jobs cover disjoint file ranges, so the
+  // threads running them never contend on data.
+  Status status = Execute(claimed);
+  lock.lock();
+  jobs_[index].status = std::move(status);
+  ++jobs_done_;
+}
+
 void IoScheduler::WorkerLoop() {
+  std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
-    size_t index = 0;
-    Job claimed;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      work_available_.wait(
-          lock, [this] { return shutdown_ || next_job_ < jobs_.size(); });
-      if (shutdown_) return;
-      index = next_job_++;
-      // Copy the descriptor: the producer may push_back (and reallocate
-      // jobs_) while this job executes. The spans still point at caller
-      // buffers, which stay valid until Drain returns.
-      claimed = jobs_[index];
-    }
-    // Execute outside the lock: jobs cover disjoint file ranges, so
-    // workers never contend on data.
-    Status status = Execute(claimed);
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      jobs_[index].status = std::move(status);
-      jobs_[index].done = true;
-      ++jobs_done_;
-      if (draining_ && jobs_done_ == jobs_.size()) {
-        lock.unlock();
-        batch_done_.notify_all();
-      }
-    }
+    work_available_.wait(
+        lock, [this] { return shutdown_ || next_job_ < jobs_.size(); });
+    if (shutdown_) return;
+    RunNextJob(lock);
+    if (jobs_done_ == jobs_.size()) batch_done_.notify_all();
   }
 }
 
@@ -236,7 +232,6 @@ Status IoScheduler::DrainUring() {
               ReadFully(job.fd, job.offset + n, job.read_data.subspan(n));
         }
       }
-      job.done = true;
     }
   }
   return Status::Ok();
@@ -266,25 +261,24 @@ Status IoScheduler::Drain() {
     return first_error;
   }
 #endif
+  std::unique_lock<std::mutex> lock(mutex_);
+  // Caller-runs: this thread executes every job no worker has claimed,
+  // then waits only for the ones workers are still running.
+  while (next_job_ < jobs_.size()) RunNextJob(lock);
+  batch_done_.wait(lock, [this] { return jobs_done_ == jobs_.size(); });
+  // Completion order is arbitrary; report the first failure in
+  // submission order so the surfaced error is deterministic.
   Status first_error = Status::Ok();
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    draining_ = true;
-    batch_done_.wait(lock, [this] { return jobs_done_ == jobs_.size(); });
-    // Completion order is arbitrary; report the first failure in
-    // submission order so the surfaced error is deterministic.
-    for (const Job& job : jobs_) {
-      if (!job.status.ok()) {
-        first_error = job.status;
-        break;
-      }
+  for (const Job& job : jobs_) {
+    if (!job.status.ok()) {
+      first_error = job.status;
+      break;
     }
-    jobs_completed_ += jobs_.size();
-    jobs_.clear();
-    next_job_ = 0;
-    jobs_done_ = 0;
-    draining_ = false;
   }
+  jobs_completed_ += jobs_.size();
+  jobs_.clear();
+  next_job_ = 0;
+  jobs_done_ = 0;
   return first_error;
 }
 

@@ -50,12 +50,18 @@ IoBackend DetectIoBackend();
 /// deduplicating pages per batch — which is what makes the resulting file
 /// bytes independent of worker count and completion order.
 ///
-/// Thread safety: one producer thread submits and drains; workers only
-/// execute jobs. (The submit/drain surface itself is not reentrant.)
-/// Multiple producers — e.g. a parallel experiment grid's file devices
-/// sharing one scheduler — serialize whole submit+Drain batches through
-/// AcquireProducerLock, which restores the single-producer contract one
-/// batch at a time.
+/// Thread-pool execution is caller-runs: Drain executes, on the calling
+/// thread, every job no worker has claimed, and submissions wake a worker
+/// only for a batch's second and later jobs. A one-job batch (FileDevice's
+/// single-page ReadPage/WritePage) therefore normally runs on the producer
+/// thread, while prefetch and multi-page write batches still fan out.
+///
+/// Thread safety: one producer thread submits and drains; while it drains,
+/// it and the workers execute jobs of the same batch side by side. (The
+/// submit/drain surface itself is not reentrant.) Multiple producers —
+/// e.g. a parallel experiment grid's file devices sharing one scheduler —
+/// serialize whole submit+Drain batches through AcquireProducerLock, which
+/// restores the single-producer contract one batch at a time.
 class IoScheduler {
  public:
   explicit IoScheduler(const IoSchedulerOptions& options = {});
@@ -98,11 +104,16 @@ class IoScheduler {
     std::span<const std::byte> write_data;
     std::span<std::byte> read_data;
     Status status;
-    bool done = false;
   };
 
+  // Appends `job` to the open batch, waking a worker unless it is the
+  // batch's first job.
+  void Enqueue(const Job& job);
+  // Claims the next unclaimed job, executes it with `lock` released, and
+  // records its status. Requires `lock` held on mutex_ and an unclaimed job.
+  void RunNextJob(std::unique_lock<std::mutex>& lock);
   void WorkerLoop();
-  static Status Execute(Job& job);
+  static Status Execute(const Job& job);
 
 #if defined(ODBGC_HAVE_LIBURING)
   Status DrainUring();
@@ -115,15 +126,15 @@ class IoScheduler {
   // never touched on the single-producer path.
   std::mutex producer_mutex_;
 
-  // Thread-pool backend state. Jobs accumulate in `jobs_`; workers claim
-  // them by index through `next_job_`. Drain waits until done == jobs size.
+  // Thread-pool backend state. Jobs accumulate in `jobs_`; workers and the
+  // draining thread claim them by index through `next_job_`. Drain returns
+  // once jobs_done_ == jobs_.size().
   std::vector<Job> jobs_;
   std::mutex mutex_;
   std::condition_variable work_available_;
   std::condition_variable batch_done_;
   size_t next_job_ = 0;
   size_t jobs_done_ = 0;
-  bool draining_ = false;
   bool shutdown_ = false;
   std::vector<std::thread> workers_;
 

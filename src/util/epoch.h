@@ -14,7 +14,7 @@ namespace odbgc {
 /// per-thread slots. A thread that wants to access epoch-protected state
 /// *pins* its slot (publishing the global epoch it entered under), works,
 /// and *unpins*. Resources retired under epoch E may be reclaimed once
-/// every pinned thread has observed an epoch strictly greater than E —
+/// the global epoch and every pinned thread have moved past E —
 /// equivalently once `SafeEpoch() >= E` — because from then on no thread
 /// can still hold a reference obtained in E or earlier.
 ///
@@ -68,11 +68,19 @@ class EpochManager {
   /// slot. While pinned, nothing retired under an epoch >= the published
   /// one will be reclaimed.
   void Pin(ThreadSlot* slot) {
-    // seq_cst on the store orders the publication against the subsequent
-    // reads of protected state; a reclaimer's SafeEpoch scan then either
-    // sees the pin or the pin sees the newer epoch.
-    slot->local_epoch_.store(epoch_.load(std::memory_order_seq_cst),
-                             std::memory_order_seq_cst);
+    // Publish, then re-read the global epoch and republish until the two
+    // agree. seq_cst orders the publication against the subsequent reads
+    // of protected state, and the re-check means the epoch that stays
+    // published was current after the store: a SafeEpoch scan that missed
+    // the store read an epoch no newer than it, so the pin cannot pull the
+    // bound below what that scan returned.
+    uint64_t epoch = epoch_.load(std::memory_order_seq_cst);
+    for (;;) {
+      slot->local_epoch_.store(epoch, std::memory_order_seq_cst);
+      const uint64_t now = epoch_.load(std::memory_order_seq_cst);
+      if (now == epoch) return;
+      epoch = now;
+    }
   }
 
   /// Leaves the critical section.
@@ -94,24 +102,28 @@ class EpochManager {
   /// fetch_add; callers advance at their own cadence (the concurrent
   /// simulator ticks once per event batch).
   uint64_t BumpEpoch() {
-    return epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;
+    return epoch_.fetch_add(1, std::memory_order_seq_cst) + 1;
   }
 
   /// The newest epoch whose retirees are safe to reclaim: one less than
-  /// the minimum epoch any pinned thread entered under, or the current
-  /// epoch when no thread is pinned. Monotonic under the pin/unpin
-  /// contract in the sense that a resource safe at one call stays safe.
+  /// the minimum of the current epoch and every pinned thread's epoch.
+  /// The current epoch counts even when no thread is pinned, because a
+  /// thread may pin it, and retire under it, right after the scan. Never
+  /// decreases: a resource safe at one call stays safe.
   uint64_t SafeEpoch() const;
 
   /// True when every registered thread is quiescent (no pins). The
-  /// stop-the-world condition: everything retired so far is reclaimable.
-  bool AllQuiescent() const { return SafeEpoch() == current_epoch(); }
+  /// stop-the-world condition: a caller that also keeps threads from
+  /// pinning may drain everything retired so far.
+  bool AllQuiescent() const;
 
   /// Registered thread count (diagnostics/tests).
   size_t registered_threads() const;
 
  private:
   std::atomic<uint64_t> epoch_{1};
+  // Largest bound SafeEpoch has returned.
+  mutable std::atomic<uint64_t> max_safe_{0};
   ThreadSlot slots_[kMaxThreads];
 };
 

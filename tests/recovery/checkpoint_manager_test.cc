@@ -246,13 +246,17 @@ TEST(CheckpointManagerTest, GarbageCollectWithoutSnapshotsKeepsWalZero) {
 // mid-run must restore to a state that re-serializes to the exact same
 // bytes, and must continue to the same bytes afterwards — the layout
 // change is invisible to the checkpoint format.
+//
+// gtest prints this struct's raw bytes into each case's test name. The
+// enums lead so that those names start with fixed bytes; the padding and
+// the string pointers after them change from run to run (ASLR).
 struct DenseLayoutParams {
-  const char* name;
-  const char* policy_name;
   // LoadSnapshot validates the checkpoint's resolved kind against the
   // config enum, so both identity surfaces must agree here.
   PolicyKind policy;
   ReplacementPolicyKind replacement;
+  const char* name;
+  const char* policy_name;
 };
 
 class DenseLayoutRoundTrip
@@ -289,24 +293,24 @@ TEST_P(DenseLayoutRoundTrip, SnapshotRestoresBitIdentical) {
 INSTANTIATE_TEST_SUITE_P(
     DensePaths, DenseLayoutRoundTrip,
     ::testing::Values(
-        DenseLayoutParams{"weighted", "WeightedPointer",
-                          PolicyKind::kWeightedPointer,
-                          ReplacementPolicyKind::kLru},
-        DenseLayoutParams{"mutated", "MutatedPartition",
-                          PolicyKind::kMutatedPartition,
-                          ReplacementPolicyKind::kLru},
-        DenseLayoutParams{"lrc", "LeastRecentlyCollected",
-                          PolicyKind::kUpdatedPointer,
-                          ReplacementPolicyKind::kLru},
-        DenseLayoutParams{"costbenefit", "CostBenefit",
-                          PolicyKind::kUpdatedPointer,
-                          ReplacementPolicyKind::kLru},
-        DenseLayoutParams{"clock", "UpdatedPointer",
-                          PolicyKind::kUpdatedPointer,
-                          ReplacementPolicyKind::kClock},
-        DenseLayoutParams{"twoq", "UpdatedPointer",
-                          PolicyKind::kUpdatedPointer,
-                          ReplacementPolicyKind::kTwoQ}),
+        DenseLayoutParams{PolicyKind::kWeightedPointer,
+                          ReplacementPolicyKind::kLru, "weighted",
+                          "WeightedPointer"},
+        DenseLayoutParams{PolicyKind::kMutatedPartition,
+                          ReplacementPolicyKind::kLru, "mutated",
+                          "MutatedPartition"},
+        DenseLayoutParams{PolicyKind::kUpdatedPointer,
+                          ReplacementPolicyKind::kLru, "lrc",
+                          "LeastRecentlyCollected"},
+        DenseLayoutParams{PolicyKind::kUpdatedPointer,
+                          ReplacementPolicyKind::kLru, "costbenefit",
+                          "CostBenefit"},
+        DenseLayoutParams{PolicyKind::kUpdatedPointer,
+                          ReplacementPolicyKind::kClock, "clock",
+                          "UpdatedPointer"},
+        DenseLayoutParams{PolicyKind::kUpdatedPointer,
+                          ReplacementPolicyKind::kTwoQ, "twoq",
+                          "UpdatedPointer"}),
     [](const ::testing::TestParamInfo<DenseLayoutParams>& info) {
       return std::string(info.param.name);
     });

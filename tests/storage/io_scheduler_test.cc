@@ -5,9 +5,11 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace odbgc {
@@ -121,7 +123,8 @@ TEST(IoSchedulerTest, FileBytesIndependentOfThreadCount) {
 }
 
 // Drain reports the FIRST failure in submission order, not whichever
-// worker happened to fail first on the clock.
+// thread happened to fail first on the clock. A one-job batch runs on the
+// draining thread itself; its failure must surface the same way.
 TEST(IoSchedulerTest, DrainReportsFirstErrorInSubmissionOrder) {
   const std::string path = TempPath("errors");
   const int fd = OpenRw(path);
@@ -132,19 +135,121 @@ TEST(IoSchedulerTest, DrainReportsFirstErrorInSubmissionOrder) {
   IoScheduler scheduler(options);
 
   auto good = Block(1);
-  // Two bad jobs (invalid fd); the earlier submission must win.
+  auto sink = Block(0);
+  // Two bad jobs (invalid fd): a read, then a write. The earlier
+  // submission must win, so the error names pread.
   scheduler.SubmitWrite(fd, 0, good);
-  scheduler.SubmitWrite(-2, kBlock, good);
+  scheduler.SubmitRead(-2, kBlock, sink);
   scheduler.SubmitWrite(-3, 2 * kBlock, good);
-  const Status status = scheduler.Drain();
+  Status status = scheduler.Drain();
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kIoError);
+  EXPECT_NE(status.message().find("pread"), std::string::npos)
+      << status.ToString();
 
   // The batch is cleared: the scheduler is reusable after a failure.
   scheduler.SubmitWrite(fd, 0, good);
   EXPECT_TRUE(scheduler.Drain().ok());
+
+  // A one-job failing batch.
+  scheduler.SubmitWrite(-4, 0, good);
+  status = scheduler.Drain();
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kIoError);
+  EXPECT_NE(status.message().find("pwrite"), std::string::npos)
+      << status.ToString();
+
+  scheduler.SubmitWrite(fd, kBlock, good);
+  EXPECT_TRUE(scheduler.Drain().ok());
+  EXPECT_EQ(scheduler.jobs_completed(), 6u);
   ::close(fd);
   ::unlink(path.c_str());
+}
+
+// Several producers share one scheduler, each serializing its batches
+// through AcquireProducerLock: while one producer drains, it runs the
+// jobs no worker has claimed as both workers run others. One-job and
+// sixteen-job batches alternate, so batches that stay on the producer
+// thread interleave with batches that fan out. Every file must end up
+// byte-equal to its expected image.
+TEST(IoSchedulerTest, SharedSchedulerServesConcurrentProducers) {
+  constexpr int kProducers = 4;
+  constexpr int kBlocksPerFile = 64;
+  constexpr int kRounds = 8;
+
+  IoSchedulerOptions options;
+  options.threads = 2;
+  IoScheduler scheduler(options);
+
+  // The fill of `slot` in producer `p`'s file after round `r`: distinct
+  // across slots of one file, and across producers and rounds.
+  const auto fill = [](int p, int slot, int r) {
+    return static_cast<uint8_t>(p * 67 + slot * 13 + r * 29 + 5);
+  };
+  const auto batch_size = [](int batch) { return batch % 2 == 0 ? 1 : 16; };
+
+  std::vector<std::string> paths;
+  std::vector<std::string> failures(kProducers);
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    paths.push_back(TempPath("shared" + std::to_string(p)));
+  }
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      std::string& failure = failures[p];
+      const int fd = OpenRw(paths[p]);
+      if (fd < 0) {
+        failure = "open failed";
+        return;
+      }
+      std::vector<std::vector<std::byte>> blocks(kBlocksPerFile);
+      for (int r = 0; r < kRounds && failure.empty(); ++r) {
+        // Write the round's image in alternating 1- and 16-job batches.
+        for (int slot = 0, batch = 0; slot < kBlocksPerFile; ++batch) {
+          const int end = std::min(kBlocksPerFile, slot + batch_size(batch));
+          auto lock = scheduler.AcquireProducerLock();
+          for (; slot < end; ++slot) {
+            blocks[slot] = Block(fill(p, slot, r));
+            scheduler.SubmitWrite(fd, static_cast<uint64_t>(slot) * kBlock,
+                                  blocks[slot]);
+          }
+          if (!scheduler.Drain().ok()) failure = "write batch failed";
+        }
+        // Read it back the same way, the 16-job batches first, checking
+        // each batch as soon as Drain returns: every job of it, whichever
+        // thread ran it, must have finished by then.
+        std::vector<std::vector<std::byte>> read(kBlocksPerFile, Block(0));
+        for (int slot = 0, batch = 1; slot < kBlocksPerFile; ++batch) {
+          const int first = slot;
+          const int end = std::min(kBlocksPerFile, slot + batch_size(batch));
+          auto lock = scheduler.AcquireProducerLock();
+          for (; slot < end; ++slot) {
+            scheduler.SubmitRead(fd, static_cast<uint64_t>(slot) * kBlock,
+                                 read[slot]);
+          }
+          if (!scheduler.Drain().ok()) failure = "read batch failed";
+          for (int i = first; i < end; ++i) {
+            if (read[i] != blocks[i]) failure = "read back wrong bytes";
+          }
+        }
+      }
+      ::close(fd);
+    });
+  }
+  for (std::thread& producer : producers) producer.join();
+
+  for (int p = 0; p < kProducers; ++p) {
+    EXPECT_EQ(failures[p], "") << "producer " << p;
+    std::vector<std::byte> expected;
+    for (int slot = 0; slot < kBlocksPerFile; ++slot) {
+      const auto block = Block(fill(p, slot, kRounds - 1));
+      expected.insert(expected.end(), block.begin(), block.end());
+    }
+    EXPECT_EQ(ReadWholeFile(paths[p]), expected) << "producer " << p;
+    ::unlink(paths[p].c_str());
+  }
+  EXPECT_EQ(scheduler.jobs_completed(),
+            uint64_t{2} * kProducers * kRounds * kBlocksPerFile);
 }
 
 TEST(IoSchedulerTest, DrainOnEmptyQueueIsOk) {

@@ -18,7 +18,8 @@ TEST(EpochManagerTest, StartsAtEpochOneAllQuiescent) {
   EXPECT_EQ(manager.current_epoch(), 1u);
   EXPECT_EQ(manager.registered_threads(), 0u);
   EXPECT_TRUE(manager.AllQuiescent());
-  EXPECT_EQ(manager.SafeEpoch(), 1u);
+  // A thread may still pin epoch 1, so nothing retired in it is safe yet.
+  EXPECT_EQ(manager.SafeEpoch(), 0u);
 }
 
 TEST(EpochManagerTest, PinPublishesCurrentEpoch) {
@@ -42,7 +43,8 @@ TEST(EpochManagerTest, PinPublishesCurrentEpoch) {
 
   manager.Unpin(slot);
   EXPECT_FALSE(manager.IsPinned(slot));
-  EXPECT_EQ(manager.SafeEpoch(), 3u);
+  // No pins: everything before the current epoch 3 is safe.
+  EXPECT_EQ(manager.SafeEpoch(), 2u);
   EXPECT_TRUE(manager.AllQuiescent());
 
   manager.UnregisterThread(slot);
@@ -66,6 +68,8 @@ TEST(EpochManagerTest, SafeEpochIsMinOverPinnedThreads) {
   EXPECT_EQ(manager.SafeEpoch(), 1u);  // min pinned = b @ 2 → safe 1.
 
   manager.Unpin(b);
+  EXPECT_EQ(manager.SafeEpoch(), 1u);  // No pins: current epoch 2 → safe 1.
+  manager.BumpEpoch();
   EXPECT_EQ(manager.SafeEpoch(), 2u);
 
   manager.UnregisterThread(a);
@@ -99,11 +103,16 @@ struct SerialEpochModel {
   std::vector<uint64_t> pinned;  // kQuiescent (0) when not pinned.
 
   uint64_t SafeEpoch() const {
-    uint64_t safe = epoch;
+    uint64_t safe = epoch - 1;
     for (uint64_t local : pinned) {
       if (local != 0) safe = std::min(safe, local - 1);
     }
     return safe;
+  }
+
+  bool AllQuiescent() const {
+    return std::all_of(pinned.begin(), pinned.end(),
+                       [](uint64_t local) { return local == 0; });
   }
 };
 
@@ -142,8 +151,7 @@ TEST_P(EpochModelTest, RandomScheduleMatchesSerialModel) {
 
     ASSERT_EQ(manager.current_epoch(), model.epoch) << "step " << step;
     ASSERT_EQ(manager.SafeEpoch(), model.SafeEpoch()) << "step " << step;
-    ASSERT_EQ(manager.AllQuiescent(), model.SafeEpoch() == model.epoch)
-        << "step " << step;
+    ASSERT_EQ(manager.AllQuiescent(), model.AllQuiescent()) << "step " << step;
     for (size_t t = 0; t < kThreads; ++t) {
       ASSERT_EQ(manager.IsPinned(slots[t]), model.pinned[t] != 0)
           << "step " << step << " thread " << t;
@@ -207,10 +215,11 @@ TEST_P(EpochStressTest, SafeEpochMonotonicUnderConcurrentPins) {
   stop.store(true, std::memory_order_release);
   for (std::thread& thread : mutators) thread.join();
 
-  // All threads unregistered: everything retired so far is reclaimable.
+  // All threads unregistered: everything retired before the current epoch
+  // is reclaimable.
   EXPECT_EQ(manager.registered_threads(), 0u);
   EXPECT_TRUE(manager.AllQuiescent());
-  EXPECT_EQ(manager.SafeEpoch(), manager.current_epoch());
+  EXPECT_EQ(manager.SafeEpoch(), manager.current_epoch() - 1);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EpochStressTest,
