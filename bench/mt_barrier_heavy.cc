@@ -1,65 +1,39 @@
 // Concurrency scaling probes (DESIGN.md §14/§15), two experiments in one
-// binary:
+// binary. Every number is measured: each row runs kRepeats times and
+// reports the median with the min and max, and the rows of one repeat run
+// back to back, so drift on the host spreads over every row alike.
 //
 // 1. Uniform scaling: the hotpath suite's barrier-heavy workload replayed
-//    through the ConcurrentSimulator at 1, 2, 4 and 8 mutator threads over
-//    a fixed set of 8 equal trace shards. Fixing the shard count while
+//    through the ConcurrentSimulator at 1, 2, 4 and 8 threads over a
+//    fixed set of 8 equal trace shards. Fixing the shard count while
 //    varying threads isolates the parallelism axis: every row executes the
 //    identical shard set, so the aggregate result must be bitwise
-//    identical across rows (checked here — a scaling probe that silently
-//    changed the answer would be worthless), and events/sec measures pure
-//    scheduling/epoch overhead plus parallel speedup. Each row also
-//    reports scheduler efficiency — mean busy/wall across workers — and
-//    the steal count, straight from the TaskPool's diagnostics.
+//    identical across rows and repeats (checked here — a scaling probe
+//    that silently changed the answer would be worthless), and
+//    events/sec measures the worker handoff cost plus parallel speedup.
 //
-// 2. Skewed shards: the same workload with one shard carrying 8x the
-//    volume of the other seven, under the census-heavy MostGarbage policy,
-//    run twice at 4 threads — once on the PR 7 pull-queue scheduler (a
-//    worker claims a whole shard and keeps it) and once on the
-//    work-stealing scheduler with parallel marking on the same pool. The
-//    pull queue pins the giant shard to one worker and serializes its
-//    censuses; stealing lets the workers that finished the small shards
-//    execute the giant shard's marking strips. The headline number is
-//    steal wall-clock speedup over pull (the skew-resistance claim), with
-//    the aggregate checked identical between the two engines.
+// 2. Skewed shards: the same shard count with one shard carrying 8x the
+//    volume of the other seven, under the census-heavy MostGarbage
+//    policy, at 1 and at 4 threads. The giant shard is 8/15 of the work
+//    and runs on one worker, so the 4-thread wall cannot fall below its
+//    serial time; the headline is the measured 1-thread median wall over
+//    the 4-thread median wall. Parallel marking stays off, so each run's
+//    thread count is its count of executing threads.
 //
-//    The direct wall comparison only resolves the schedulers when the
-//    host grants the probe its 4 cores; on a smaller machine (CI
-//    containers here expose one) both engines degenerate to the same
-//    serialized work and the ratio reads ~1.0 no matter how good the
-//    scheduler is. So the probe also derives a machine-independent
-//    critical-path speedup from per-shard measurements: each shard is
-//    run serially to get its wall time T_i and its census (marking)
-//    share C_i, then
-//      pull makespan  = FIFO schedule of whole shards over 4 workers
-//                       (exactly the pull queue's claim discipline), and
-//      steal makespan = max(sum(T_i)/4, T_giant - C_giant * 3/4)
-//                       (event batches keep every worker fed until the
-//                       giant shard's tail, whose census strips the pool
-//                       shares 4-wide; its non-marking spine stays the
-//                       serial floor).
-//    Both models consume only measured times from this machine. The JSON
-//    records the measured ratio, the modeled ratio, and which one the
-//    headline `speedup_steal_vs_pull` used (`speedup_basis`).
-//
-// The 1-thread row doubles as the concurrency tax measurement: it runs the
-// same epoch pinning, barrier-event buffering, and deferred reclamation as
-// the parallel rows, serially. Speedup figures are informational — they
-// depend on the machine's core count (reported in the JSON).
+// Speedups depend on the machine's core count, reported in the JSON.
 //
 // Usage: mt_barrier_heavy [output.json]
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <fstream>
-#include <string>
+#include <optional>
 #include <thread>
 #include <vector>
 
 #include "bench/bench_common.h"
 #include "sim/concurrent_simulator.h"
-#include "sim/simulator.h"
 
 namespace odbgc {
 namespace {
@@ -68,6 +42,7 @@ using Clock = std::chrono::steady_clock;
 
 constexpr uint32_t kShards = 8;
 constexpr uint32_t kSkewThreads = 4;
+constexpr int kRepeats = 5;
 
 SimulationConfig BarrierHeavyConfig() {
   SimulationConfig c = bench::BaseConfig();
@@ -80,40 +55,43 @@ SimulationConfig BarrierHeavyConfig() {
   return c;
 }
 
-// One shard 8x the rest, census-heavy policy: the load shape the
-// work-stealing scheduler exists for. The giant shard is last so a greedy
-// whole-shard claimer starts it after the small ones — the pull queue's
-// worst case and a perfectly legal arrival order.
+// One shard 8x the rest, census-heavy policy. The giant shard is last, so
+// it is the last shard a worker picks up.
 SimulationConfig SkewedConfig() {
   SimulationConfig c = bench::BaseConfig();
   c.heap.policy = PolicyKind::kMostGarbage;
-  // Collect (and hence census) aggressively, over small partitions: the
-  // probe stresses the scheduler's handling of a shard whose time is
-  // dominated by divisible marking work (the full-database census), not
-  // the barrier hot path or per-partition copying.
+  // Collect (and hence census) aggressively, over small partitions, so
+  // the giant shard's time is dominated by full-database censuses.
   c.heap.overwrite_trigger = 10;
   c.heap.store.pages_per_partition = 24;
   c.heap.buffer_pages = 24;
   c.trace_shards = kShards;
   c.shard_weights = {1, 1, 1, 1, 1, 1, 1, 8};
-  c.mutator_threads = kSkewThreads;
-  c.heap.parallel_marking_threads = kSkewThreads;
   return c;
 }
 
-struct Row {
-  uint32_t threads = 0;
-  uint64_t events = 0;
+struct Run {
   double wall_seconds = 0;
-  double events_per_sec = 0;
-  double efficiency = 0;  // mean busy/wall across pool workers
-  uint64_t steals = 0;
   SimulationResult result;
 };
 
-/// The deterministic surface two rows must share (the full field set is
-/// enforced by the equivalence test suite; the bench spot-checks the
-/// headline counters so a divergence aborts the run loudly).
+Run RunOnce(const SimulationConfig& config) {
+  ConcurrentSimulator sim(config);
+  const auto start = Clock::now();
+  if (Status status = sim.Run(); !status.ok()) {
+    bench::Fail(status, "mt_barrier_heavy");
+  }
+  Run run;
+  run.result = sim.Finish();
+  run.wall_seconds =
+      std::chrono::duration<double>(Clock::now() - start).count();
+  return run;
+}
+
+/// The deterministic surface every run of one shard set must share (the
+/// full field set is enforced by the equivalence test suite; the bench
+/// spot-checks the headline counters so a divergence aborts the run
+/// loudly).
 bool SameAggregate(const SimulationResult& a, const SimulationResult& b) {
   return a.app_events == b.app_events && a.app_io == b.app_io &&
          a.gc_io == b.gc_io && a.collections == b.collections &&
@@ -123,96 +101,36 @@ bool SameAggregate(const SimulationResult& a, const SimulationResult& b) {
          a.max_storage_bytes == b.max_storage_bytes;
 }
 
-struct ShardCost {
-  double wall_seconds = 0;    // T_i: serial wall of the shard
-  double census_seconds = 0;  // C_i: census/marking share of T_i
+struct Spread {
+  double median = 0;
+  double min = 0;
+  double max = 0;
 };
 
-// Serial per-shard ground truth for the critical-path models: each shard
-// replayed alone (serial marking, hot-path profiling on) — the same
-// decomposition the equivalence suite's serial oracle uses.
-std::vector<ShardCost> MeasureShardCosts(const SimulationConfig& config) {
-  ConcurrentSimulator shape(config);
-  std::vector<ShardCost> costs;
-  for (uint32_t s = 0; s < shape.shard_count(); ++s) {
-    SimulationConfig shard = shape.ShardConfig(s);
-    shard.heap.parallel_marking_threads = 0;
-    shard.heap.profile_hot_paths = true;
-    Simulator sim(shard);
-    const auto start = Clock::now();
-    if (Status status = sim.Run(); !status.ok()) {
-      bench::Fail(status, "mt_barrier_heavy (shard probe)");
-    }
-    ShardCost cost;
-    cost.wall_seconds =
-        std::chrono::duration<double>(Clock::now() - start).count();
-    // Wall-phase counters live in their own registry, beside the
-    // deterministic result surface.
-    for (const MetricSample& sample : sim.heap().wall_metrics()->Snapshot()) {
-      if (sample.name == "wall.census_ns") {
-        cost.census_seconds = static_cast<double>(sample.total()) / 1e9;
-      }
-    }
-    costs.push_back(cost);
-  }
-  return costs;
+Spread SpreadOf(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  Spread s;
+  s.min = values.front();
+  s.max = values.back();
+  const size_t mid = values.size() / 2;
+  s.median = values.size() % 2 == 1
+                 ? values[mid]
+                 : (values[mid - 1] + values[mid]) / 2.0;
+  return s;
 }
 
-// The pull queue's actual discipline: shards claimed FIFO by whichever of
-// the `workers` frees first, each held to completion.
-double PullMakespan(const std::vector<ShardCost>& costs, uint32_t workers) {
-  std::vector<double> free_at(workers, 0.0);
-  double makespan = 0;
-  for (const ShardCost& cost : costs) {
-    auto next = std::min_element(free_at.begin(), free_at.end());
-    *next += cost.wall_seconds;
-    makespan = std::max(makespan, *next);
-  }
-  return makespan;
-}
+/// Every run of one thread count.
+struct Row {
+  explicit Row(uint32_t thread_count) : threads(thread_count) {}
+  uint32_t threads = 0;
+  uint64_t events = 0;
+  std::vector<double> walls;
+  std::vector<double> rates;  // events/sec (uniform rows only)
+};
 
-// Work-stealing bound: batches keep all workers busy until only the giant
-// shard remains; its census strips are shared pool-wide, its non-marking
-// spine is the serial floor. Lower-bounded by perfect division of the
-// total work.
-double StealMakespan(const std::vector<ShardCost>& costs, uint32_t workers) {
-  double total = 0;
-  double longest_spine = 0;
-  for (const ShardCost& cost : costs) {
-    total += cost.wall_seconds;
-    const double spine =
-        cost.wall_seconds -
-        cost.census_seconds * (workers - 1) / static_cast<double>(workers);
-    longest_spine = std::max(longest_spine, spine);
-  }
-  return std::max(total / workers, longest_spine);
-}
-
-Row RunOnce(const SimulationConfig& config) {
-  ConcurrentSimulator sim(config);
-  const auto start = Clock::now();
-  if (Status status = sim.Run(); !status.ok()) {
-    bench::Fail(status, "mt_barrier_heavy");
-  }
-  Row row;
-  row.result = sim.Finish();
-  row.wall_seconds =
-      std::chrono::duration<double>(Clock::now() - start).count();
-  row.threads = config.mutator_threads;
-  row.events = row.result.app_events;
-  row.events_per_sec =
-      row.wall_seconds > 0
-          ? static_cast<double>(row.events) / row.wall_seconds
-          : 0;
-  const std::vector<double>& busy = sim.worker_busy_seconds();
-  if (!busy.empty() && row.wall_seconds > 0) {
-    double total = 0;
-    for (double b : busy) total += b;
-    row.efficiency =
-        total / (static_cast<double>(busy.size()) * row.wall_seconds);
-  }
-  row.steals = sim.scheduler_steals();
-  return row;
+void WriteSpread(std::ofstream& json, const char* name, const Spread& s) {
+  json << "\"" << name << "\": {\"median\": " << s.median
+       << ", \"min\": " << s.min << ", \"max\": " << s.max << "}";
 }
 
 }  // namespace
@@ -228,103 +146,89 @@ int main(int argc, char** argv) {
                      "concurrency engineering (no paper table)");
 
   const unsigned cores = std::thread::hardware_concurrency();
-  std::printf("hardware threads: %u, trace shards: %u\n\n", cores, kShards);
+  std::printf("hardware threads: %u, trace shards: %u, repeats: %d\n\n",
+              cores, kShards, kRepeats);
+
+  // A probe's first run sets the aggregate every later run must match.
+  std::optional<SimulationResult> uniform_reference;
+  std::optional<SimulationResult> skew_reference;
+  const auto check = [](const SimulationResult& result,
+                        std::optional<SimulationResult>* reference,
+                        const char* probe, uint32_t threads) {
+    if (!reference->has_value()) {
+      *reference = result;
+    } else if (!SameAggregate(**reference, result)) {
+      std::fprintf(stderr,
+                   "%s: aggregate result diverged at %u threads — the "
+                   "sharded mode is broken\n",
+                   probe, threads);
+      std::exit(1);
+    }
+  };
 
   std::vector<Row> rows;
-  for (uint32_t threads : {1u, 2u, 4u, 8u}) {
-    SimulationConfig config = BarrierHeavyConfig();
-    config.mutator_threads = threads;
-    Row row = RunOnce(config);
+  for (uint32_t threads : {1u, 2u, 4u, 8u}) rows.emplace_back(threads);
+  Row skew_serial(1);
+  Row skew_parallel(kSkewThreads);
 
-    std::printf(
-        "threads=%u  events=%-10llu wall=%8.3fs  events/sec=%12.0f"
-        "  speedup=%.2fx  busy/wall=%.2f  steals=%llu\n",
-        threads, static_cast<unsigned long long>(row.events),
-        row.wall_seconds, row.events_per_sec,
-        rows.empty() ? 1.0
-                     : row.events_per_sec / rows.front().events_per_sec,
-        row.efficiency, static_cast<unsigned long long>(row.steals));
-
-    if (!rows.empty() && !SameAggregate(rows.front().result, row.result)) {
-      std::fprintf(stderr,
-                   "aggregate result diverged between 1 and %u threads — "
-                   "the concurrent mode is broken\n",
-                   threads);
-      return 1;
+  for (int rep = 0; rep < kRepeats; ++rep) {
+    for (Row& row : rows) {
+      SimulationConfig config = BarrierHeavyConfig();
+      config.mutator_threads = row.threads;
+      const Run run = RunOnce(config);
+      check(run.result, &uniform_reference, "uniform", row.threads);
+      row.events = run.result.app_events;
+      row.walls.push_back(run.wall_seconds);
+      row.rates.push_back(static_cast<double>(row.events) /
+                          run.wall_seconds);
     }
-    rows.push_back(std::move(row));
+    for (Row* row : {&skew_serial, &skew_parallel}) {
+      SimulationConfig config = SkewedConfig();
+      config.mutator_threads = row->threads;
+      const Run run = RunOnce(config);
+      check(run.result, &skew_reference, "skewed", row->threads);
+      row->events = run.result.app_events;
+      row->walls.push_back(run.wall_seconds);
+    }
   }
 
-  std::printf("\nskewed shards (weights 1,1,1,1,1,1,1,8; MostGarbage; "
-              "%u threads):\n", kSkewThreads);
-  SimulationConfig skew_pull = SkewedConfig();
-  skew_pull.shard_scheduler = ShardSchedulerKind::kPullQueue;
-  const Row pull = RunOnce(skew_pull);
-  std::printf("  pull-queue     wall=%8.3fs  events/sec=%12.0f\n",
-              pull.wall_seconds, pull.events_per_sec);
-
-  SimulationConfig skew_steal = SkewedConfig();
-  skew_steal.shard_scheduler = ShardSchedulerKind::kWorkStealing;
-  const Row steal = RunOnce(skew_steal);
-  const double measured_speedup =
-      steal.wall_seconds > 0 ? pull.wall_seconds / steal.wall_seconds : 0;
-  std::printf("  work-stealing  wall=%8.3fs  events/sec=%12.0f"
-              "  busy/wall=%.2f  steals=%llu  speedup=%.2fx\n",
-              steal.wall_seconds, steal.events_per_sec, steal.efficiency,
-              static_cast<unsigned long long>(steal.steals),
-              measured_speedup);
-  if (!SameAggregate(pull.result, steal.result)) {
-    std::fprintf(stderr,
-                 "aggregate result diverged between the pull-queue and "
-                 "work-stealing schedulers — the scheduler is broken\n");
-    return 1;
+  const Spread base_rate = SpreadOf(rows.front().rates);
+  for (const Row& row : rows) {
+    const Spread rate = SpreadOf(row.rates);
+    std::printf(
+        "threads=%u  events=%-10llu events/sec median=%12.0f "
+        "[%12.0f, %12.0f]  speedup=%.2fx\n",
+        row.threads, static_cast<unsigned long long>(row.events),
+        rate.median, rate.min, rate.max, rate.median / base_rate.median);
   }
 
-  // Machine-independent critical-path view (see file comment): measured
-  // per-shard serial costs driven through each scheduler's discipline.
-  const std::vector<ShardCost> costs = MeasureShardCosts(SkewedConfig());
-  const double pull_makespan = PullMakespan(costs, kSkewThreads);
-  const double steal_makespan = StealMakespan(costs, kSkewThreads);
-  const double modeled_speedup =
-      steal_makespan > 0 ? pull_makespan / steal_makespan : 0;
-  double census_share = 0, total_serial = 0;
-  for (const ShardCost& c : costs) {
-    census_share += c.census_seconds;
-    total_serial += c.wall_seconds;
-  }
-  std::printf(
-      "  critical path  pull=%8.3fs  steal=%8.3fs  speedup=%.2fx"
-      "  (census %.0f%% of serial work)\n",
-      pull_makespan, steal_makespan, modeled_speedup,
-      total_serial > 0 ? 100.0 * census_share / total_serial : 0);
-
-  // The wall comparison needs the probe's cores to mean anything; on a
-  // smaller host the critical-path model carries the headline.
-  const bool measured_basis = cores >= kSkewThreads;
-  const double skew_speedup =
-      measured_basis ? measured_speedup : modeled_speedup;
-  std::printf("  headline speedup (%s): %.2fx\n",
-              measured_basis ? "measured" : "critical-path model",
-              skew_speedup);
+  const Spread serial_wall = SpreadOf(skew_serial.walls);
+  const Spread parallel_wall = SpreadOf(skew_parallel.walls);
+  const double skew_speedup = serial_wall.median / parallel_wall.median;
+  std::printf("\nskewed shards (weights 1,1,1,1,1,1,1,8; MostGarbage):\n");
+  std::printf("  1 thread   wall median=%8.3fs [%8.3f, %8.3f]\n",
+              serial_wall.median, serial_wall.min, serial_wall.max);
+  std::printf("  %u threads  wall median=%8.3fs [%8.3f, %8.3f]"
+              "  speedup=%.2fx\n",
+              kSkewThreads, parallel_wall.median, parallel_wall.min,
+              parallel_wall.max, skew_speedup);
 
   std::ofstream json(json_path);
   json << "{\n  \"bench\": \"mt_barrier_heavy\",\n";
   json << "  \"fast_mode\": " << (bench::FastMode() ? "true" : "false")
        << ",\n";
   json << "  \"hardware_threads\": " << cores << ",\n";
-  json << "  \"trace_shards\": " << kShards << ",\n  \"rows\": [\n";
+  json << "  \"trace_shards\": " << kShards << ",\n";
+  json << "  \"repeats\": " << kRepeats << ",\n  \"rows\": [\n";
   for (size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
+    const Spread rate = SpreadOf(r.rates);
     json << "    {\n      \"threads\": " << r.threads << ",\n";
-    json << "      \"events\": " << r.events << ",\n";
-    json << "      \"wall_seconds\": " << r.wall_seconds << ",\n";
-    json << "      \"events_per_sec\": " << r.events_per_sec << ",\n";
-    json << "      \"busy_over_wall\": " << r.efficiency << ",\n";
-    json << "      \"steals\": " << r.steals << ",\n";
-    json << "      \"speedup_vs_1\": "
-         << (rows.front().events_per_sec > 0
-                 ? r.events_per_sec / rows.front().events_per_sec
-                 : 0)
+    json << "      \"events\": " << r.events << ",\n      ";
+    WriteSpread(json, "wall_seconds", SpreadOf(r.walls));
+    json << ",\n      ";
+    WriteSpread(json, "events_per_sec", rate);
+    json << ",\n      \"speedup_vs_1\": " << rate.median / base_rate.median
          << "\n    }" << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   json << "  ],\n";
@@ -332,32 +236,11 @@ int main(int argc, char** argv) {
   json << "    \"threads\": " << kSkewThreads << ",\n";
   json << "    \"shard_weights\": [1, 1, 1, 1, 1, 1, 1, 8],\n";
   json << "    \"policy\": \"MostGarbage\",\n";
-  json << "    \"pull_queue_wall_seconds\": " << pull.wall_seconds << ",\n";
-  json << "    \"work_stealing_wall_seconds\": " << steal.wall_seconds
-       << ",\n";
-  json << "    \"work_stealing_busy_over_wall\": " << steal.efficiency
-       << ",\n";
-  json << "    \"work_stealing_steals\": " << steal.steals << ",\n";
-  json << "    \"measured_speedup_steal_vs_pull\": " << measured_speedup
-       << ",\n";
-  json << "    \"critical_path\": {\n";
-  json << "      \"shard_serial_seconds\": [";
-  for (size_t i = 0; i < costs.size(); ++i) {
-    json << (i ? ", " : "") << costs[i].wall_seconds;
-  }
-  json << "],\n      \"shard_census_seconds\": [";
-  for (size_t i = 0; i < costs.size(); ++i) {
-    json << (i ? ", " : "") << costs[i].census_seconds;
-  }
-  json << "],\n      \"pull_queue_makespan_seconds\": " << pull_makespan
-       << ",\n";
-  json << "      \"work_stealing_makespan_seconds\": " << steal_makespan
-       << ",\n";
-  json << "      \"modeled_speedup_steal_vs_pull\": " << modeled_speedup
-       << "\n    },\n";
-  json << "    \"speedup_basis\": \""
-       << (measured_basis ? "measured" : "critical_path_model") << "\",\n";
-  json << "    \"speedup_steal_vs_pull\": " << skew_speedup << "\n";
+  json << "    \"events\": " << skew_parallel.events << ",\n    ";
+  WriteSpread(json, "wall_seconds_1_thread", serial_wall);
+  json << ",\n    ";
+  WriteSpread(json, "wall_seconds_4_threads", parallel_wall);
+  json << ",\n    \"speedup_vs_1_thread\": " << skew_speedup << "\n";
   json << "  },\n  \"aggregate_invariant\": true\n}\n";
   json.close();
   std::printf("\nWrote %s\n", json_path);

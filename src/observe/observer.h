@@ -22,8 +22,8 @@ namespace odbgc {
 struct RunStartedEvent {
   std::string policy;
   uint64_t seed = 0;
-  /// Mutator-thread tag: 0 in serial runs; in concurrent runs the
-  /// SynchronizedObserver stamps the publishing worker's index.
+  /// Shard or tenant index + 1 in a sharded run or service fleet
+  /// (stamped by SynchronizedObserver); 0 in a standalone run.
   uint32_t thread = 0;
 };
 
@@ -36,8 +36,8 @@ struct RunFinishedEvent {
   uint64_t app_io = 0;
   uint64_t gc_io = 0;
   uint64_t garbage_reclaimed_bytes = 0;
-  /// Mutator-thread tag: 0 in serial runs; in concurrent runs the
-  /// SynchronizedObserver stamps the publishing worker's index.
+  /// Shard or tenant index + 1 in a sharded run or service fleet
+  /// (stamped by SynchronizedObserver); 0 in a standalone run.
   uint32_t thread = 0;
 };
 
@@ -52,16 +52,16 @@ struct CollectionEvent {
   uint64_t live_bytes_copied = 0;
   uint64_t page_reads = 0;
   uint64_t page_writes = 0;
-  /// Mutator-thread tag: 0 in serial runs; in concurrent runs the
-  /// SynchronizedObserver stamps the publishing worker's index.
+  /// Shard or tenant index + 1 in a sharded run or service fleet
+  /// (stamped by SynchronizedObserver); 0 in a standalone run.
   uint32_t thread = 0;
 };
 
 /// The durable engine wrote a snapshot and rotated the WAL.
 struct CheckpointEvent {
   uint64_t round = 0;
-  /// Mutator-thread tag: 0 in serial runs; in concurrent runs the
-  /// SynchronizedObserver stamps the publishing worker's index.
+  /// Shard or tenant index + 1 in a sharded run or service fleet
+  /// (stamped by SynchronizedObserver); 0 in a standalone run.
   uint32_t thread = 0;
 };
 
@@ -70,8 +70,8 @@ struct FaultEvent {
   bool is_write = false;
   /// 1-based count of faults fired by the device so far.
   uint64_t ordinal = 0;
-  /// Mutator-thread tag: 0 in serial runs; in concurrent runs the
-  /// SynchronizedObserver stamps the publishing worker's index.
+  /// Shard or tenant index + 1 in a sharded run or service fleet
+  /// (stamped by SynchronizedObserver); 0 in a standalone run.
   uint32_t thread = 0;
 };
 
@@ -89,8 +89,8 @@ struct DeviceBatchEvent {
   uint64_t ordinal = 0;
   /// Submit-to-drain wall time (completion events only).
   uint64_t wall_ns = 0;
-  /// Mutator-thread tag: 0 in serial runs; in concurrent runs the
-  /// SynchronizedObserver stamps the publishing worker's index.
+  /// Shard or tenant index + 1 in a sharded run or service fleet
+  /// (stamped by SynchronizedObserver); 0 in a standalone run.
   uint32_t thread = 0;
 };
 
@@ -99,8 +99,8 @@ struct DeviceSyncEvent {
   /// 1-based fsync count on this device.
   uint64_t ordinal = 0;
   uint64_t wall_ns = 0;
-  /// Mutator-thread tag: 0 in serial runs; in concurrent runs the
-  /// SynchronizedObserver stamps the publishing worker's index.
+  /// Shard or tenant index + 1 in a sharded run or service fleet
+  /// (stamped by SynchronizedObserver); 0 in a standalone run.
   uint32_t thread = 0;
 };
 
@@ -115,8 +115,8 @@ struct ReadAheadEvent {
   /// Cumulative ReadPage outcomes against the cache so far.
   uint64_t total_hits = 0;
   uint64_t total_misses = 0;
-  /// Mutator-thread tag: 0 in serial runs; in concurrent runs the
-  /// SynchronizedObserver stamps the publishing worker's index.
+  /// Shard or tenant index + 1 in a sharded run or service fleet
+  /// (stamped by SynchronizedObserver); 0 in a standalone run.
   uint32_t thread = 0;
 };
 
@@ -127,8 +127,8 @@ struct PhaseEvent {
   /// Static phase name ("census", "collection", "full_collection").
   const char* phase = "";
   uint64_t wall_ns = 0;
-  /// Mutator-thread tag: 0 in serial runs; in concurrent runs the
-  /// SynchronizedObserver stamps the publishing worker's index.
+  /// Shard or tenant index + 1 in a sharded run or service fleet
+  /// (stamped by SynchronizedObserver); 0 in a standalone run.
   uint32_t thread = 0;
 };
 
@@ -155,16 +155,17 @@ class SimObserver {
 };
 
 /// Adapter that lets one user observer watch a multi-threaded run: each
-/// worker thread publishes through its own SynchronizedObserver, which
-/// stamps the event's `thread` tag and serializes delivery to the shared
-/// inner sink under a shared mutex. The inner observer therefore keeps
-/// the single-threaded contract (one event at a time) while still seeing
-/// every thread's stream, attributably.
+/// shard or tenant heap publishes through its own SynchronizedObserver,
+/// which stamps the event's `thread` tag with that heap's index + 1 and
+/// serializes delivery to the shared inner sink under a shared mutex. The
+/// inner observer therefore keeps the single-threaded contract (one event
+/// at a time) while still seeing every heap's stream, attributably — the
+/// tag names the heap, not the worker thread that happened to run it.
 class SynchronizedObserver : public SimObserver {
  public:
   /// `inner` and `mutex` are shared across the run's wrappers and must
-  /// outlive them; `thread` is this wrapper's worker index (1-based in
-  /// the concurrent simulator so 0 stays "serial").
+  /// outlive them; `thread` is the tag this wrapper stamps (the shard or
+  /// tenant index + 1, so 0 stays "standalone").
   SynchronizedObserver(SimObserver* inner, std::mutex* mutex, uint32_t thread)
       : inner_(inner), mutex_(mutex), thread_(thread) {}
 

@@ -23,8 +23,7 @@ namespace odbgc {
 
 namespace {
 
-// Buffers generated events for the service's batch loop (the concurrent
-// simulator's refill idiom).
+// Buffers generated events for the service's batch loop.
 class VectorSink : public TraceSink {
  public:
   explicit VectorSink(std::vector<TraceEvent>* out) : out_(out) {}

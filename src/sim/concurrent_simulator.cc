@@ -1,87 +1,18 @@
 #include "sim/concurrent_simulator.h"
 
 #include <cassert>
-#include <functional>
-#include <memory>
-#include <mutex>
-#include <optional>
+#include <limits>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
-#include "sim/simulator.h"
+#include "service/heap_service.h"
+#include "sim/spec.h"
 #include "storage/device_registry.h"
-#include "util/task_pool.h"
-#include "util/thread_safe_queue.h"
-#include "workload/generator.h"
 
 namespace odbgc {
 
 namespace {
-
-// Application events a mutator applies per epoch pin: long enough that
-// pin/unpin and the epoch-tick maintenance (barrier flush, deferred-slot
-// reclaim) stay off the per-event path, short enough that grace periods
-// expire promptly and no shard hoards the safety bound.
-constexpr uint64_t kEventsPerEpoch = 256;
-
-// A TraceSink that paces a shard's replay through the shared epoch
-// manager: events apply under an epoch pin, and every kEventsPerEpoch the
-// shard unpins, advances the epoch, and runs the heap's epoch-boundary
-// maintenance. The pacing changes nothing observable (the flush points it
-// inserts are result-neutral by the HeapCore contract); it exists to make
-// the grace-period machinery load-bearing and cross-thread.
-class EpochPacer : public TraceSink {
- public:
-  EpochPacer(Simulator* sim, HeapCore* core, EpochManager* epochs,
-             EpochManager::ThreadSlot* slot)
-      : sim_(sim), core_(core), epochs_(epochs), slot_(slot) {}
-
-  ~EpochPacer() override { EndBatch(); }
-
-  Status Append(const TraceEvent& event) override {
-    if (!pinned_) {
-      epochs_->Pin(slot_);
-      pinned_ = true;
-    }
-    const Status status = sim_->Append(event);
-    if (++events_in_batch_ >= kEventsPerEpoch) EndBatch();
-    return status;
-  }
-
-  /// Unpins and runs the epoch-boundary maintenance. Idempotent.
-  void EndBatch() {
-    if (!pinned_) return;
-    epochs_->Unpin(slot_);
-    pinned_ = false;
-    events_in_batch_ = 0;
-    epochs_->BumpEpoch();
-    core_->OnEpochTick();
-  }
-
- private:
-  Simulator* const sim_;
-  HeapCore* const core_;
-  EpochManager* const epochs_;
-  EpochManager::ThreadSlot* const slot_;
-  bool pinned_ = false;
-  uint64_t events_in_batch_ = 0;
-};
-
-// Buffers generated events for the work-stealing scheduler's batch
-// continuations.
-class VectorSink : public TraceSink {
- public:
-  explicit VectorSink(std::vector<TraceEvent>* out) : out_(out) {}
-  Status Append(const TraceEvent& event) override {
-    out_->push_back(event);
-    return Status::Ok();
-  }
-
- private:
-  std::vector<TraceEvent>* const out_;
-};
 
 uint64_t SplitMix64(uint64_t x) {
   x += 0x9e3779b97f4a7c15ull;
@@ -156,11 +87,6 @@ Status ConcurrentSimulator::ValidateConcurrency() const {
   if (threads == 0) {
     return Status::InvalidArgument("mutator_threads must be >= 1");
   }
-  if (threads > EpochManager::kMaxThreads) {
-    return Status::InvalidArgument(
-        "mutator_threads exceeds EpochManager::kMaxThreads (" +
-        std::to_string(EpochManager::kMaxThreads) + ")");
-  }
   if (threads > shard_count()) {
     // A thread with no shard to own would idle the whole run; this is a
     // mis-specified experiment, not a degraded one.
@@ -194,265 +120,27 @@ Status ConcurrentSimulator::ValidateConcurrency() const {
 
 Status ConcurrentSimulator::Run() {
   ODBGC_RETURN_IF_ERROR(ValidateConcurrency());
-  const uint32_t shards = shard_count();
-  shard_results_.assign(shards, SimulationResult{});
-  shard_wall_metrics_.assign(shards, std::vector<MetricSample>{});
-  worker_busy_seconds_.clear();
-  scheduler_steals_ = 0;
-
-  const Status status = config_.shard_scheduler == ShardSchedulerKind::kPullQueue
-                            ? RunPullQueue()
-                            : RunWorkStealing();
-  ODBGC_RETURN_IF_ERROR(status);
+  std::vector<TenantSpec> tenants;
+  for (uint32_t i = 0; i < shard_count(); ++i) {
+    tenants.push_back(
+        TenantSpec::Base(ShardConfig(i)).Named("shard" + std::to_string(i)));
+  }
+  // Shards share nothing, so the fleet shares nothing either: no
+  // admission control, one private buffer pool per shard (the shared
+  // arena's striped locks would tax every page access for frames no
+  // other shard touches), and one round that runs every shard to
+  // completion (a barrier per batch would idle the workers at each step).
+  // The service observer tags each shard's events with its index + 1.
+  HeapService service(
+      ServiceSpec::Hosting(std::move(tenants))
+          .WithThreads(config_.mutator_threads)
+          .WithWatermark(0.0)
+          .WithSharedPool(false)
+          .WithStepsPerRound(std::numeric_limits<uint64_t>::max())
+          .WithObserver(config_.heap.observer));
+  ODBGC_RETURN_IF_ERROR(service.Run());
+  shard_results_ = service.Finish().tenants;
   ran_ = true;
-  return Status::Ok();
-}
-
-Status ConcurrentSimulator::RunPullQueue() {
-  const uint32_t shards = shard_count();
-  std::vector<Status> shard_status(shards, Status::Ok());
-
-  ThreadSafeQueue<uint32_t> queue;
-  for (uint32_t i = 0; i < shards; ++i) queue.Push(i);
-  queue.Close();  // Workers drain the remaining shards, then exit.
-
-  std::mutex observer_mutex;
-  SimObserver* const user_observer = config_.heap.observer;
-
-  auto run_shard = [&](uint32_t shard, uint32_t thread_index,
-                       EpochManager::ThreadSlot* slot) {
-    SimulationConfig shard_config = ShardConfig(shard);
-    // The pull-queue scheduler is preserved as the PR 7 baseline for A/B
-    // scheduler benchmarking: whole-shard execution, serial marking.
-    shard_config.heap.parallel_marking_threads = 0;
-    // The user's observer keeps its single-threaded contract: every
-    // worker publishes through a serializing, thread-tagging wrapper.
-    std::unique_ptr<SynchronizedObserver> tagged;
-    if (user_observer != nullptr) {
-      tagged = std::make_unique<SynchronizedObserver>(
-          user_observer, &observer_mutex, thread_index);
-      shard_config.heap.observer = tagged.get();
-    }
-
-    Simulator sim(shard_config);
-    HeapCore& core = sim.heap().core();
-    core.EnableConcurrentMode(&epochs_);
-
-    // Replicates Simulator::Run() with the pacer interposed.
-    WorkloadGenerator generator(shard_config.workload, shard_config.seed);
-    Status status;
-    {
-      EpochPacer pacer(&sim, &core, &epochs_, slot);
-      if (shard_config.warm_start) {
-        status = generator.BuildInitialDatabase(&pacer);
-        if (status.ok()) sim.ResetMeasurementForWarmStart();
-      }
-      if (status.ok()) status = generator.Generate(&pacer);
-    }
-    // Join point for this shard's store: its only writer is this thread,
-    // so everything still parked may drain regardless of epoch.
-    core.OnEpochTick();
-    sim.heap().mutable_store().DrainDeferredSlots();
-
-    if (!status.ok()) {
-      shard_status[shard] = status;
-      return;
-    }
-    shard_results_[shard] = sim.Finish();
-    shard_wall_metrics_[shard] = sim.heap().wall_metrics()->Snapshot();
-  };
-
-  auto worker = [&](uint32_t thread_index) {
-    EpochManager::ThreadSlot* slot = epochs_.RegisterThread();
-    // Cannot fail: mutator_threads <= kMaxThreads was validated and this
-    // manager is private to the run.
-    while (std::optional<uint32_t> shard = queue.WaitPop()) {
-      run_shard(*shard, thread_index, slot);
-    }
-    epochs_.UnregisterThread(slot);
-  };
-
-  if (config_.mutator_threads == 1) {
-    worker(1);
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(config_.mutator_threads);
-    for (uint32_t t = 0; t < config_.mutator_threads; ++t) {
-      pool.emplace_back(worker, t + 1);
-    }
-    for (std::thread& thread : pool) thread.join();
-  }
-
-  // First error in shard order — deterministic regardless of which worker
-  // hit it first.
-  for (const Status& status : shard_status) {
-    ODBGC_RETURN_IF_ERROR(status);
-  }
-  return Status::Ok();
-}
-
-Status ConcurrentSimulator::RunWorkStealing() {
-  const uint32_t shards = shard_count();
-  const uint32_t threads = config_.mutator_threads;
-  std::vector<Status> shard_status(shards, Status::Ok());
-  std::mutex observer_mutex;
-  SimObserver* const user_observer = config_.heap.observer;
-
-  // One epoch slot per pool worker, registered up front and indexed by
-  // worker_index — each slot is only ever pinned by its one worker
-  // thread, honouring the slot contract even though registration happens
-  // here. (threads <= kMaxThreads was validated; the manager is private
-  // to the run, so registration cannot fail.)
-  std::vector<EpochManager::ThreadSlot*> slots(threads, nullptr);
-  for (uint32_t t = 0; t < threads; ++t) slots[t] = epochs_.RegisterThread();
-
-  {
-    TaskPool pool(threads);
-
-    // Per-shard execution state. A shard advances via a chain of batch
-    // continuations — exactly one in flight per shard, so its event
-    // stream applies strictly in order no matter which workers run the
-    // batches. Declared after `pool` so the simulators (whose heaps may
-    // hold the pool as their marking pool) are destroyed first.
-    struct ShardRun {
-      uint32_t shard = 0;
-      SimulationConfig config;
-      std::unique_ptr<SynchronizedObserver> tagged;
-      std::unique_ptr<Simulator> sim;
-      std::unique_ptr<WorkloadGenerator> generator;
-      // The buffered slice of the shard's event stream (one build phase
-      // or one generator round at a time), applied in epoch batches.
-      std::vector<TraceEvent> buffer;
-      size_t next_event = 0;
-      bool built = false;
-      bool pending_reset = false;  // Warm start: reset once build applies.
-    };
-    std::vector<ShardRun> runs(shards);
-
-    TaskPool::TaskGroup group;
-    std::function<void(ShardRun*, TaskPool::Context&)> step;
-    step = [&](ShardRun* run, TaskPool::Context& ctx) {
-      // First batch of the shard: materialize its simulator here, on a
-      // worker, so construction parallelizes too.
-      if (run->sim == nullptr) {
-        run->config = ShardConfig(run->shard);
-        if (user_observer != nullptr) {
-          // The user's observer keeps its single-threaded contract via
-          // the serializing wrapper; tagged by shard (stable across
-          // scheduling) rather than by worker.
-          run->tagged = std::make_unique<SynchronizedObserver>(
-              user_observer, &observer_mutex, run->shard + 1);
-          run->config.heap.observer = run->tagged.get();
-        }
-        if (run->config.heap.parallel_marking_threads >= 2) {
-          // All shard heaps mark on the scheduler's own pool: a worker
-          // stuck behind a census-heavy shard exports marking strips to
-          // whoever is idle.
-          run->config.heap.marking_pool = &pool;
-        }
-        const Status valid = run->config.workload.Validate();
-        if (!valid.ok()) {
-          shard_status[run->shard] = valid;
-          return;
-        }
-        run->sim = std::make_unique<Simulator>(run->config);
-        run->sim->heap().core().EnableConcurrentMode(&epochs_);
-        run->generator = std::make_unique<WorkloadGenerator>(
-            run->config.workload, run->config.seed);
-      }
-
-      Simulator& sim = *run->sim;
-      HeapCore& core = sim.heap().core();
-
-      // Refill the buffer when drained: the build phase first, then one
-      // generator round per refill, then shard finalization.
-      if (run->next_event >= run->buffer.size()) {
-        run->buffer.clear();
-        run->next_event = 0;
-        VectorSink sink(&run->buffer);
-        Status refill;
-        if (!run->built) {
-          refill = run->generator->BuildInitialDatabase(&sink);
-          run->built = true;
-          if (run->config.warm_start) run->pending_reset = true;
-        } else if (!run->generator->Done()) {
-          refill = run->generator->RunRound(&sink);
-        } else {
-          // Stream exhausted: join point for this shard's store (its
-          // batches are fully applied), then record results.
-          core.OnEpochTick();
-          sim.heap().mutable_store().DrainDeferredSlots();
-          shard_results_[run->shard] = sim.Finish();
-          shard_wall_metrics_[run->shard] =
-              sim.heap().wall_metrics()->Snapshot();
-          return;  // Chain ends; no re-submit.
-        }
-        if (!refill.ok()) {
-          core.OnEpochTick();
-          sim.heap().mutable_store().DrainDeferredSlots();
-          shard_status[run->shard] = refill;
-          return;
-        }
-      }
-
-      // Apply one epoch batch under this worker's pin. `nested` guards
-      // re-entry: a worker whose census Wait helps with another shard's
-      // batch is already pinned by the outer batch, and re-pinning at a
-      // newer epoch would weaken the outer batch's grace protection — the
-      // inner batch just rides the outer pin (safe: pins are global to
-      // the shared manager, and strictly conservative).
-      EpochManager::ThreadSlot* slot = slots[ctx.worker_index];
-      const bool nested = epochs_.IsPinned(slot);
-      if (!nested) epochs_.Pin(slot);
-      Status applied = Status::Ok();
-      uint64_t in_batch = 0;
-      while (in_batch < kEventsPerEpoch &&
-             run->next_event < run->buffer.size()) {
-        applied = sim.Append(run->buffer[run->next_event]);
-        ++run->next_event;
-        ++in_batch;
-        if (!applied.ok()) break;
-      }
-      if (!nested) {
-        epochs_.Unpin(slot);
-        epochs_.BumpEpoch();
-      }
-      core.OnEpochTick();
-      if (!applied.ok()) {
-        sim.heap().mutable_store().DrainDeferredSlots();
-        shard_status[run->shard] = applied;
-        return;
-      }
-      // Warm start: measurements reset the moment the build stream has
-      // fully applied, before any round event.
-      if (run->pending_reset && run->next_event >= run->buffer.size()) {
-        sim.ResetMeasurementForWarmStart();
-        run->pending_reset = false;
-      }
-      ctx.pool->Submit(&group, [run, &step](TaskPool::Context& c) {
-        step(run, c);
-      });
-    };
-
-    for (uint32_t i = 0; i < shards; ++i) {
-      runs[i].shard = i;
-      ShardRun* run = &runs[i];
-      pool.Submit(&group, [run, &step](TaskPool::Context& c) {
-        step(run, c);
-      });
-    }
-    pool.Wait(&group);
-
-    worker_busy_seconds_ = pool.BusySeconds();
-    scheduler_steals_ = pool.steals();
-  }
-
-  for (uint32_t t = 0; t < threads; ++t) epochs_.UnregisterThread(slots[t]);
-
-  // First error in shard order, as in the pull-queue scheduler.
-  for (const Status& status : shard_status) {
-    ODBGC_RETURN_IF_ERROR(status);
-  }
   return Status::Ok();
 }
 

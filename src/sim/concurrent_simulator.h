@@ -2,40 +2,32 @@
 #define ODBGC_SIM_CONCURRENT_SIMULATOR_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "sim/config.h"
 #include "sim/metrics.h"
-#include "util/epoch.h"
-#include "util/metrics_registry.h"
 #include "util/status.h"
 
 namespace odbgc {
 
-/// The sharded multi-threaded mutator/collector mode (DESIGN.md §14).
+/// The sharded multi-threaded mode (DESIGN.md §14).
 ///
 /// The run's workload is split into `trace_shards` deterministic shards —
 /// each an independently seeded generator stream over a proportional
 /// slice of the allocation volume, driving its own heap. Shards are the
 /// determinism unit: a shard's event stream and heap are a pure function
 /// of (config, shard index), never of thread scheduling. Threads are the
-/// parallelism unit: `mutator_threads` workers pull shard indices from a
-/// shared queue, so any thread may run any shard, and a 1-thread
-/// concurrent run performs the identical shard sequence serially.
-///
-/// Every shard heap runs in concurrent mode under one shared
-/// EpochManager: mutators pin the epoch around event batches, table-slot
-/// reclamation is grace-period-gated across ALL threads' pins, and
-/// write-barrier events buffer between epoch ticks. All of it is
-/// result-neutral, which is the mode's verification story:
+/// parallelism unit: Run hosts the shards as the tenants of a HeapService
+/// on `mutator_threads` workers, so any worker may run any shard, and a
+/// 1-thread run performs the identical shard sequence serially. Hence:
 ///
 ///   ConcurrentSimulator(config with N threads).Run+Finish
 ///     == aggregate of each shard replayed through the serial Simulator
 ///
 /// bitwise, for every field except wall-clock/measured ones. The
-/// equivalence suite (tests/sim/concurrent_equivalence_test.cc) holds
-/// all six paper policies to this.
+/// equivalence suites (tests/sim/concurrent_equivalence_test.cc and
+/// tests/sim/work_stealing_equivalence_test.cc) hold all six paper
+/// policies to this at several thread counts.
 ///
 /// Aggregation over shard results is per-field summation (I/O, events,
 /// allocation, reclamation, remembered-set entries, estimated device
@@ -44,21 +36,9 @@ namespace odbgc {
 /// merge through MergeMetricSamples. Time series are a per-shard notion
 /// and stay empty in the aggregate.
 ///
-/// Scheduling (DESIGN.md §15): `config.shard_scheduler` picks how shards
-/// meet threads. The default work-stealing scheduler cuts every shard's
-/// event stream into epoch-sized batches executed as tasks on a shared
-/// TaskPool — one in-flight batch per shard (so each shard's stream still
-/// applies strictly in order on one thread at a time), with idle workers
-/// stealing other shards' batches and, when parallel marking is enabled,
-/// marking strips of a busy shard's census. The pull-queue scheduler is
-/// the PR 7 baseline (threads run whole shards to completion), kept
-/// selectable for the A/B scheduler bench. Either way the aggregate is
-/// bitwise identical — scheduling is unobservable in results
-/// (tests/sim/work_stealing_equivalence_test.cc).
-///
 /// Not supported (rejected by Run): durability (wal_dir /
 /// checkpoint_every_rounds — checkpointing a multi-heap run is future
-/// work), and mutator_threads > shard count or > EpochManager::kMaxThreads.
+/// work), and mutator_threads > shard count.
 class ConcurrentSimulator {
  public:
   explicit ConcurrentSimulator(const SimulationConfig& config);
@@ -79,32 +59,6 @@ class ConcurrentSimulator {
     return shard_results_;
   }
 
-  /// Per-shard wall-clock profile ("wall.*_ns" from each shard heap's
-  /// self-profiling registry), in shard order — per-thread phase timing
-  /// attribution for the profiling harness (valid after Run).
-  const std::vector<std::vector<MetricSample>>& shard_wall_metrics() const {
-    return shard_wall_metrics_;
-  }
-
-  /// The epoch manager the run's heaps share (tests/diagnostics).
-  const EpochManager& epochs() const { return epochs_; }
-
-  /// Per-worker wall time spent executing scheduler tasks, in seconds
-  /// (work-stealing runs only; empty after a pull-queue run). busy/wall
-  /// per worker is the scheduler-efficiency number the concurrency bench
-  /// reports. Nested helping (a worker executing other tasks while it
-  /// waits on a marking wave) double-counts the nested span in its outer
-  /// task, so treat values as an upper bound.
-  const std::vector<double>& worker_busy_seconds() const {
-    return worker_busy_seconds_;
-  }
-
-  /// Batches that executed on a different worker than the one that
-  /// enqueued them (work-stealing runs only) — the load-balancing
-  /// diagnostic: zero on a balanced run means stealing never needed to
-  /// kick in; large on a skewed run means it did its job.
-  uint64_t scheduler_steals() const { return scheduler_steals_; }
-
   /// The configuration of shard `index`: the derived seed and the
   /// workload slice. Exposed so the serial oracle in the equivalence
   /// suite replays exactly the shards a concurrent run executes.
@@ -115,26 +69,17 @@ class ConcurrentSimulator {
   static uint64_t ShardSeed(uint64_t base_seed, uint32_t shard);
 
   /// Sums `parts` into one result under the aggregation rule above —
-  /// shared by Finish and by the serial oracle. `parts` must be nonempty;
+  /// shared by Finish, HeapService::Finish and the serial oracle. `parts` must be nonempty;
   /// identity fields (policy, seed, device) come from the first part.
   static SimulationResult AggregateResults(
       const std::vector<SimulationResult>& parts);
 
  private:
   Status ValidateConcurrency() const;
-  // The PR 7 scheduler: whole shards pulled from a shared queue.
-  Status RunPullQueue();
-  // The work-stealing scheduler: per-shard batch continuations on a
-  // TaskPool, with the pool doubling as the shards' parallel-marking pool.
-  Status RunWorkStealing();
 
   SimulationConfig config_;
-  EpochManager epochs_;
   bool ran_ = false;
   std::vector<SimulationResult> shard_results_;
-  std::vector<std::vector<MetricSample>> shard_wall_metrics_;
-  std::vector<double> worker_busy_seconds_;
-  uint64_t scheduler_steals_ = 0;
 };
 
 }  // namespace odbgc

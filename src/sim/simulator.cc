@@ -46,7 +46,7 @@ Simulator::Simulator(const SimulationConfig& config) : config_(config) {
   if (heap_options.parallel_marking_threads >= 2) {
     // The snapshot census engine marks on the same pool as the heap's
     // oracle census — one set of marking workers per heap.
-    census_engine_.EnableParallelMarking(heap_->core().marking_pool(),
+    census_engine_.EnableParallelMarking(heap_->marking_pool(),
                                          heap_options.parallel_marking_threads);
   }
   if (SimObserver* observer = heap_->options().observer) {

@@ -16,23 +16,24 @@
 namespace odbgc {
 
 /// A reusable work-stealing thread pool (DESIGN.md §15): the execution
-/// engine behind the concurrent simulator's shard scheduler, the parallel
-/// marking inside ReachabilityAnalyzer, and the experiment grid.
+/// engine behind the heap service's tenant rounds (and so behind sharded
+/// runs), the parallel marking inside ReachabilityAnalyzer, and the
+/// experiment grid.
 ///
 /// Structure: N workers, each with a private Chase–Lev deque, plus one
 /// mutex-protected injector queue for submissions from outside the pool.
 /// A worker acquires work in the order local-pop → injector → randomized
 /// steal sweep, and parks on a condition variable only after a full sweep
 /// finds nothing — so an idle pool burns no CPU, and a skewed load (one
-/// giant producer, the exact shape the paper's mixed-size forests give
-/// the shard scheduler) drains through stealing instead of idling cores.
+/// giant producer, the exact shape the paper's mixed-size forests give a
+/// sharded run) drains through stealing instead of idling cores.
 ///
 /// Tasks are grouped: every Submit names a TaskGroup, and Wait(group)
 /// returns when all of the group's tasks (including tasks they spawned
 /// into the group) have finished. Wait called *on a worker thread* helps:
 /// it executes available tasks — any tasks, not just the group's — while
-/// it waits, which is what lets a shard task block on a parallel-marking
-/// wave without idling its core or deadlocking the pool. Wait called on
+/// it waits, so a task may wait on work it submitted to its own pool
+/// without idling its core or deadlocking the pool. Wait called on
 /// an external thread blocks on a condition variable, deliberately NOT
 /// executing tasks: the pool's worker count is the experiment's
 /// parallelism knob, and a helping caller would add a hidden extra
@@ -48,7 +49,7 @@ class TaskPool {
  public:
   /// Worker identity passed to every task. `worker_index` is stable for
   /// the life of the pool and < worker_count() — clients key per-thread
-  /// state (epoch slots, scratch) off it.
+  /// scratch off it.
   struct Context {
     TaskPool* pool = nullptr;
     uint32_t worker_index = 0;
@@ -91,9 +92,8 @@ class TaskPool {
   /// on the same group are allowed.
   void Wait(TaskGroup* group);
 
-  /// Per-worker wall time spent executing task bodies, in seconds —
-  /// busy/wall per thread is the scheduler-efficiency number
-  /// bench/mt_barrier_heavy reports.
+  /// Per-worker wall time spent executing task bodies, in seconds
+  /// (diagnostics: busy/wall per thread is the pool's efficiency).
   std::vector<double> BusySeconds() const;
 
   /// Tasks that migrated off their submitter via a steal (diagnostics).

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "core/selection_policy.h"
+#include "observe/observer.h"
 #include "sim/runner.h"
 #include "sim/simulator.h"
 
@@ -158,15 +159,45 @@ TEST(ConcurrentSimulatorTest, ShardSlicesCoverTheAllocationVolume) {
   EXPECT_EQ(total, config.workload.total_alloc_bytes);
 }
 
-TEST(ConcurrentSimulatorTest, EpochMachineryIsExercised) {
-  const SimulationConfig config = SmallConcurrent("UpdatedPointer");
-  ConcurrentSimulator sim(config);
-  ASSERT_TRUE(sim.Run().ok());
-  // The pacer ticked the epoch at least once per batch, and every worker
-  // unpinned and unregistered on exit.
-  EXPECT_GT(sim.epochs().current_epoch(), 1u);
-  EXPECT_TRUE(sim.epochs().AllQuiescent());
-  EXPECT_EQ(sim.epochs().registered_threads(), 0u);
+// Records the run-finished events a sharded run publishes (the service
+// serializes delivery, so no locking here).
+class RunFinishedRecorder : public SimObserver {
+ public:
+  void OnRunFinished(const RunFinishedEvent& event) override {
+    events.push_back(event);
+  }
+  std::vector<RunFinishedEvent> events;
+};
+
+TEST(ConcurrentSimulatorTest, ObserverSeesOneTaggedRunFinishedPerShard) {
+  for (uint32_t threads : {1u, 3u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    RunFinishedRecorder recorder;
+    SimulationConfig config = SmallConcurrent("UpdatedPointer");
+    config.mutator_threads = threads;  // trace_shards stays 4.
+    config.heap.observer = &recorder;
+    ConcurrentSimulator sim(config);
+    ASSERT_TRUE(sim.Run().ok());
+    const std::vector<SimulationResult>& shards = sim.shard_results();
+    ASSERT_EQ(shards.size(), 4u);
+    ASSERT_EQ(recorder.events.size(), 4u);
+    std::vector<bool> seen(shards.size(), false);
+    for (const RunFinishedEvent& event : recorder.events) {
+      // The tag is the shard index + 1.
+      ASSERT_GE(event.thread, 1u);
+      ASSERT_LE(event.thread, 4u);
+      EXPECT_FALSE(seen[event.thread - 1]) << "tag " << event.thread;
+      seen[event.thread - 1] = true;
+      const SimulationResult& shard = shards[event.thread - 1];
+      EXPECT_GT(event.app_events, 0u);
+      EXPECT_EQ(event.policy, shard.policy_name);
+      EXPECT_EQ(event.seed, shard.seed);
+      EXPECT_EQ(event.app_events, shard.app_events);
+      EXPECT_EQ(event.app_io, shard.app_io);
+      EXPECT_EQ(event.gc_io, shard.gc_io);
+      EXPECT_EQ(event.garbage_reclaimed_bytes, shard.garbage_reclaimed_bytes);
+    }
+  }
 }
 
 TEST(ConcurrentSimulatorTest, RunnerRoutesMutatorThreadsInvariantly) {

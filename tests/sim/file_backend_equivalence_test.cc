@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "observe/manifest.h"
+#include "sim/concurrent_simulator.h"
 #include "sim/runner.h"
 #include "sim/simulator.h"
 #include "storage/device_registry.h"
@@ -152,6 +153,38 @@ TEST(FileBackendEquivalenceTest, ReadAheadAndThreadsDoNotPerturbResults) {
     config.heap.file_device.direct_io = k.direct_io;
     ExpectPolicyFieldsIdentical(RunOne(config), reference);
   }
+  std::filesystem::remove_all(dir);
+}
+
+// A sharded run hosts its shards as one fleet: on file devices it must
+// still match the simulated disk, with every shard on its own file.
+TEST(FileBackendEquivalenceTest, ShardedRunMatchesInMemoryRun) {
+  const std::string dir = FreshDir("sharded");
+  SimulationConfig mem_config = TinyConfig(/*seed=*/3);
+  mem_config.heap.policy_name = "UpdatedPointer";
+  mem_config.mutator_threads = 2;
+  mem_config.trace_shards = 4;
+  ConcurrentSimulator mem_run(mem_config);
+  ASSERT_TRUE(mem_run.Run().ok());
+  const SimulationResult mem = mem_run.Finish();
+
+  SimulationConfig file_config = mem_config;
+  file_config.heap.device_spec = "file:" + dir + "/sharded.odb";
+  ConcurrentSimulator file_run(file_config);
+  ASSERT_TRUE(file_run.Run().ok());
+  const SimulationResult file = file_run.Finish();
+
+  EXPECT_EQ(file.device, DeviceKind::kFile);
+  EXPECT_GT(file.app_events, 0u);
+  ExpectPolicyFieldsIdentical(file, mem);
+  EXPECT_TRUE(file.measured.measured);
+  EXPECT_GT(file.measured.writes, 0u);
+
+  size_t files = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.is_regular_file()) ++files;
+  }
+  EXPECT_EQ(files, 4u);
   std::filesystem::remove_all(dir);
 }
 

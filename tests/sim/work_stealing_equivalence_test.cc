@@ -1,9 +1,8 @@
 // The work-stealing scheduler's verification contract (DESIGN.md §15):
 // scheduling is unobservable. Under skewed shard sizes — the load shape
 // stealing exists for — the aggregate result must equal the serial
-// oracle, the PR 7 pull-queue scheduler, and itself across 1/2/4/8
-// threads, bitwise, for all six paper policies, with parallel marking
-// riding on the same pool.
+// oracle and itself across 1/2/4/8 threads, bitwise, for all six paper
+// policies, with parallel marking on in every shard heap.
 #include "sim/concurrent_simulator.h"
 
 #include <gtest/gtest.h>
@@ -28,7 +27,7 @@ SimulationConfig SkewedConcurrent(const std::string& policy_name,
   config.heap.buffer_pages = 16;
   config.heap.overwrite_trigger = 25;
   config.heap.policy_name = policy_name;
-  config.heap.parallel_marking_threads = 2;  // Marks on the scheduler pool.
+  config.heap.parallel_marking_threads = 2;  // Each shard heap's own pool.
   config.workload.target_live_bytes = 96ull << 10;
   config.workload.total_alloc_bytes = 240ull << 10;
   config.workload.tree_nodes_min = 50;
@@ -38,7 +37,6 @@ SimulationConfig SkewedConcurrent(const std::string& policy_name,
   config.mutator_threads = threads;
   config.trace_shards = 8;
   config.shard_weights = {1, 1, 1, 1, 1, 1, 1, 8};
-  config.shard_scheduler = ShardSchedulerKind::kWorkStealing;
   return config;
 }
 
@@ -132,18 +130,6 @@ TEST_P(WorkStealingEquivalenceTest, ResultIsThreadCountInvariant) {
   }
 }
 
-TEST_P(WorkStealingEquivalenceTest, MatchesPullQueueScheduler) {
-  SimulationConfig ws = SkewedConcurrent(GetParam(), 4);
-  SimulationConfig pull = ws;
-  pull.shard_scheduler = ShardSchedulerKind::kPullQueue;
-
-  ConcurrentSimulator ws_sim(ws);
-  ASSERT_TRUE(ws_sim.Run().ok());
-  ConcurrentSimulator pull_sim(pull);
-  ASSERT_TRUE(pull_sim.Run().ok());
-  ExpectResultsIdentical(ws_sim.Finish(), pull_sim.Finish());
-}
-
 INSTANTIATE_TEST_SUITE_P(Policies, WorkStealingEquivalenceTest,
                          ::testing::ValuesIn(PaperPolicyNames()));
 
@@ -189,40 +175,6 @@ TEST(WorkStealingSchedulerTest, RejectsNonPositiveWeights) {
   config.shard_weights = {1, 1, 1, 1, 1, 1, 1, 0};
   ConcurrentSimulator sim(config);
   EXPECT_EQ(sim.Run().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(WorkStealingSchedulerTest, ReportsSchedulerDiagnostics) {
-  const SimulationConfig config = SkewedConcurrent("MostGarbage", 4);
-  ConcurrentSimulator sim(config);
-  ASSERT_TRUE(sim.Run().ok());
-  const std::vector<double>& busy = sim.worker_busy_seconds();
-  ASSERT_EQ(busy.size(), 4u);
-  double total_busy = 0;
-  for (double b : busy) {
-    EXPECT_GE(b, 0.0);
-    total_busy += b;
-  }
-  EXPECT_GT(total_busy, 0.0);
-}
-
-TEST(WorkStealingSchedulerTest, PullQueueRunLeavesDiagnosticsEmpty) {
-  SimulationConfig config = SkewedConcurrent("UpdatedPointer", 2);
-  config.shard_scheduler = ShardSchedulerKind::kPullQueue;
-  ConcurrentSimulator sim(config);
-  ASSERT_TRUE(sim.Run().ok());
-  EXPECT_TRUE(sim.worker_busy_seconds().empty());
-  EXPECT_EQ(sim.scheduler_steals(), 0u);
-}
-
-// The epoch machinery stays load-bearing under the batch scheduler: the
-// epoch advanced (batches bump it) and the run left no pins or
-// registered slots behind.
-TEST(WorkStealingSchedulerTest, EpochMachineryIsExercised) {
-  ConcurrentSimulator sim(SkewedConcurrent("UpdatedPointer", 4));
-  ASSERT_TRUE(sim.Run().ok());
-  EXPECT_GT(sim.epochs().current_epoch(), 1u);
-  EXPECT_TRUE(sim.epochs().AllQuiescent());
-  EXPECT_EQ(sim.epochs().registered_threads(), 0u);
 }
 
 }  // namespace
