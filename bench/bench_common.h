@@ -10,10 +10,13 @@
 //   ODBGC_FAST=1      quarter-size workloads, 2 seeds — finishes in
 //                     seconds, shapes only roughly preserved
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <ostream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "sim/config.h"
 #include "sim/runner.h"
@@ -69,6 +72,34 @@ inline void PrintHeader(const char* experiment, const char* paper_ref) {
   std::printf("  (Cook, Wolf & Zorn, \"Partition Selection Policies in Object\n");
   std::printf("   Database Garbage Collection\", CU-CS-653-93 / SIGMOD 1994)\n");
   std::printf("================================================================\n\n");
+}
+
+/// Median with min and max of repeated measurements — how the scaling
+/// benches report every measured figure.
+struct Spread {
+  double median = 0;
+  double min = 0;
+  double max = 0;
+};
+
+/// The spread of `values` (at least one).
+inline Spread SpreadOf(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  Spread s;
+  s.min = values.front();
+  s.max = values.back();
+  const size_t mid = values.size() / 2;
+  s.median = values.size() % 2 == 1
+                 ? values[mid]
+                 : (values[mid - 1] + values[mid]) / 2.0;
+  return s;
+}
+
+/// Writes `"name": {"median": .., "min": .., "max": ..}`.
+inline void WriteSpread(std::ostream& json, const char* name,
+                        const Spread& s) {
+  json << "\"" << name << "\": {\"median\": " << s.median
+       << ", \"min\": " << s.min << ", \"max\": " << s.max << "}";
 }
 
 inline void Fail(const Status& status, const char* what) {

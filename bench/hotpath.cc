@@ -1,4 +1,4 @@
-// Self-profiling harness for the simulator's hot paths. Runs three probe
+// Self-profiling harness for the simulator's hot paths. Runs six probe
 // configurations that stress different subsystems:
 //
 //   census_heavy   kMostGarbage + census at every 1000-event snapshot —
@@ -15,6 +15,12 @@
 //   buffer_churn   kUpdatedPointer with a buffer pool far smaller than
 //                  the live set — nearly every page touch misses, so the
 //                  frame table and eviction bookkeeping dominate
+//   collection_heavy  kUpdatedPointer over 192-page partitions of small
+//                  objects only (~15K residents each) with a low
+//                  overwrite trigger — frequent collections that each
+//                  evacuate thousands of objects, so the collector's
+//                  per-object cost dominates; a roster removal that is
+//                  not O(log n) makes each collection quadratic
 //
 // Each probe reports events/sec, the process heap high-water mark after
 // the probe (ru_maxrss — monotonic across the run, so the last probe's
@@ -164,6 +170,15 @@ int main(int argc, char** argv) {
     c.heap.policy = PolicyKind::kUpdatedPointer;
     c.heap.buffer_pages = 8;
     probes.push_back(RunProbe("buffer_churn", c));
+  }
+  {
+    SimulationConfig c = bench::BaseConfig();
+    c.heap.policy = PolicyKind::kUpdatedPointer;
+    c.heap.store.pages_per_partition = 192;
+    c.heap.buffer_pages = 192;
+    c.heap.overwrite_trigger = 25;
+    c.workload.large_space_fraction = 0.0;
+    probes.push_back(RunProbe("collection_heavy", c));
   }
 
   std::ofstream json(json_path);

@@ -23,7 +23,6 @@
 // Speedups depend on the machine's core count, reported in the JSON.
 //
 // Usage: mt_barrier_heavy [output.json]
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -101,24 +100,6 @@ bool SameAggregate(const SimulationResult& a, const SimulationResult& b) {
          a.max_storage_bytes == b.max_storage_bytes;
 }
 
-struct Spread {
-  double median = 0;
-  double min = 0;
-  double max = 0;
-};
-
-Spread SpreadOf(std::vector<double> values) {
-  std::sort(values.begin(), values.end());
-  Spread s;
-  s.min = values.front();
-  s.max = values.back();
-  const size_t mid = values.size() / 2;
-  s.median = values.size() % 2 == 1
-                 ? values[mid]
-                 : (values[mid - 1] + values[mid]) / 2.0;
-  return s;
-}
-
 /// Every run of one thread count.
 struct Row {
   explicit Row(uint32_t thread_count) : threads(thread_count) {}
@@ -127,11 +108,6 @@ struct Row {
   std::vector<double> walls;
   std::vector<double> rates;  // events/sec (uniform rows only)
 };
-
-void WriteSpread(std::ofstream& json, const char* name, const Spread& s) {
-  json << "\"" << name << "\": {\"median\": " << s.median
-       << ", \"min\": " << s.min << ", \"max\": " << s.max << "}";
-}
 
 }  // namespace
 }  // namespace odbgc
@@ -192,9 +168,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  const Spread base_rate = SpreadOf(rows.front().rates);
+  const bench::Spread base_rate = bench::SpreadOf(rows.front().rates);
   for (const Row& row : rows) {
-    const Spread rate = SpreadOf(row.rates);
+    const bench::Spread rate = bench::SpreadOf(row.rates);
     std::printf(
         "threads=%u  events=%-10llu events/sec median=%12.0f "
         "[%12.0f, %12.0f]  speedup=%.2fx\n",
@@ -202,8 +178,8 @@ int main(int argc, char** argv) {
         rate.median, rate.min, rate.max, rate.median / base_rate.median);
   }
 
-  const Spread serial_wall = SpreadOf(skew_serial.walls);
-  const Spread parallel_wall = SpreadOf(skew_parallel.walls);
+  const bench::Spread serial_wall = bench::SpreadOf(skew_serial.walls);
+  const bench::Spread parallel_wall = bench::SpreadOf(skew_parallel.walls);
   const double skew_speedup = serial_wall.median / parallel_wall.median;
   std::printf("\nskewed shards (weights 1,1,1,1,1,1,1,8; MostGarbage):\n");
   std::printf("  1 thread   wall median=%8.3fs [%8.3f, %8.3f]\n",
@@ -222,12 +198,12 @@ int main(int argc, char** argv) {
   json << "  \"repeats\": " << kRepeats << ",\n  \"rows\": [\n";
   for (size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
-    const Spread rate = SpreadOf(r.rates);
+    const bench::Spread rate = bench::SpreadOf(r.rates);
     json << "    {\n      \"threads\": " << r.threads << ",\n";
     json << "      \"events\": " << r.events << ",\n      ";
-    WriteSpread(json, "wall_seconds", SpreadOf(r.walls));
+    bench::WriteSpread(json, "wall_seconds", bench::SpreadOf(r.walls));
     json << ",\n      ";
-    WriteSpread(json, "events_per_sec", rate);
+    bench::WriteSpread(json, "events_per_sec", rate);
     json << ",\n      \"speedup_vs_1\": " << rate.median / base_rate.median
          << "\n    }" << (i + 1 < rows.size() ? "," : "") << "\n";
   }
@@ -237,9 +213,9 @@ int main(int argc, char** argv) {
   json << "    \"shard_weights\": [1, 1, 1, 1, 1, 1, 1, 8],\n";
   json << "    \"policy\": \"MostGarbage\",\n";
   json << "    \"events\": " << skew_parallel.events << ",\n    ";
-  WriteSpread(json, "wall_seconds_1_thread", serial_wall);
+  bench::WriteSpread(json, "wall_seconds_1_thread", serial_wall);
   json << ",\n    ";
-  WriteSpread(json, "wall_seconds_4_threads", parallel_wall);
+  bench::WriteSpread(json, "wall_seconds_4_threads", parallel_wall);
   json << ",\n    \"speedup_vs_1_thread\": " << skew_speedup << "\n";
   json << "  },\n  \"aggregate_invariant\": true\n}\n";
   json.close();

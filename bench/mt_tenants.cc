@@ -3,9 +3,11 @@
 //
 // 1. Shared-vs-private identity: each fleet size run at one thread over
 //    the physically shared frame arena and again over private per-tenant
-//    pools. The aggregates must match exactly (the §17 byte-identity
-//    contract); the two events/sec figures price the arena's residency
-//    table against private pools.
+//    pools, five times each, the two sides interleaved. The aggregates
+//    must match exactly (the §17 byte-identity contract); each side's
+//    median events/sec with its min and max shows what sharing the
+//    frames costs against private pools. Residency is per pool in both
+//    modes, so the only difference left is the arena's frame allocator.
 //
 // 2. Fleet scaling: fleets of 4/8/16 tenants (policies cycled across the
 //    registry, one seed per tenant) hosted unpressured at 1, 2 and 4
@@ -16,6 +18,9 @@
 //    here — a scaling probe that changed the answer would be worthless).
 //    Small fleets ride the service's inline-round path instead of paying
 //    TaskPool churn, so the 4-tenant rows must no longer lose to serial.
+//    The headline big-fleet speedup is the measured 4-thread wall against
+//    the 1-thread wall; a critical-path model of it is kept beside it as
+//    big_fleet_speedup_modeled, never as the headline.
 //
 // 3. Pressure saturation: a fixed 8-tenant fleet with the admission
 //    watermark armed at 0.5, swept across shared budgets from the full
@@ -229,35 +234,45 @@ int main(int argc, char** argv) {
   constexpr uint64_t kStepsPerRound = 8;
 
   // -- 1. Shared arena vs private pools (1 thread, identity-checked) --------
-  std::printf("shared arena vs private pools (1 thread; aggregates must be "
-              "identical):\n");
-  std::vector<Row> shared_rows, private_rows;
-  for (uint32_t tenants : fleets) {
-    Row shared = RunOnce(
-        FleetSpec(tenants, 1, 0.0, 0.0).WithStepsPerRound(kStepsPerRound));
-    Row isolated = RunOnce(FleetSpec(tenants, 1, 0.0, 0.0)
-                               .WithStepsPerRound(kStepsPerRound)
-                               .WithSharedPool(false));
-    std::printf("  tenants=%-4u shared=%11.0f ev/s  private=%11.0f ev/s"
-                "  overhead=%+5.1f%%  identical=%s\n",
-                tenants, shared.events_per_sec, isolated.events_per_sec,
-                isolated.events_per_sec > 0
-                    ? (isolated.events_per_sec / shared.events_per_sec - 1.0) *
-                          100.0
-                    : 0.0,
-                SameAggregate(shared.result.aggregate,
-                              isolated.result.aggregate)
-                    ? "yes"
-                    : "NO");
-    if (!SameAggregate(shared.result.aggregate, isolated.result.aggregate)) {
-      std::fprintf(stderr,
-                   "shared-arena aggregate diverged from private pools at "
-                   "%u tenants — the §17 identity contract is broken\n",
-                   tenants);
-      return 1;
+  // Every repeat runs each fleet once per side, alternating which side
+  // goes first, so a slow spell on the host falls on both sides.
+  constexpr int kRepeats = 5;
+  std::printf("shared arena vs private pools (1 thread, %d runs per side, "
+              "interleaved; aggregates must be identical):\n", kRepeats);
+  struct IdentityRow {
+    uint32_t tenants = 0;
+    std::vector<double> shared, isolated;  // events/sec per run
+  };
+  std::vector<IdentityRow> identity_rows;
+  for (uint32_t tenants : fleets) identity_rows.push_back({tenants, {}, {}});
+  for (int rep = 0; rep < kRepeats; ++rep) {
+    for (IdentityRow& row : identity_rows) {
+      Row shared, isolated;
+      for (const bool shared_side : {rep % 2 == 0, rep % 2 != 0}) {
+        Row run = RunOnce(FleetSpec(row.tenants, 1, 0.0, 0.0)
+                              .WithStepsPerRound(kStepsPerRound)
+                              .WithSharedPool(shared_side));
+        (shared_side ? shared : isolated) = std::move(run);
+      }
+      if (!SameAggregate(shared.result.aggregate,
+                         isolated.result.aggregate)) {
+        std::fprintf(stderr,
+                     "shared-arena aggregate diverged from private pools at "
+                     "%u tenants — the §17 identity contract is broken\n",
+                     row.tenants);
+        return 1;
+      }
+      row.shared.push_back(shared.events_per_sec);
+      row.isolated.push_back(isolated.events_per_sec);
     }
-    shared_rows.push_back(std::move(shared));
-    private_rows.push_back(std::move(isolated));
+  }
+  for (const IdentityRow& row : identity_rows) {
+    const bench::Spread shared = bench::SpreadOf(row.shared);
+    const bench::Spread isolated = bench::SpreadOf(row.isolated);
+    std::printf("  tenants=%-4u shared=%11.0f [%11.0f, %11.0f] ev/s"
+                "  private=%11.0f [%11.0f, %11.0f] ev/s  identical=yes\n",
+                row.tenants, shared.median, shared.min, shared.max,
+                isolated.median, isolated.min, isolated.max);
   }
 
   // -- 2. Fleet scaling (shared arena, invariance-checked) ------------------
@@ -270,7 +285,7 @@ int main(int argc, char** argv) {
   double big_fleet_speedup = 0;     // 4 threads vs 1, largest fleet.
   double big_fleet_events_per_sec = 0;
   std::vector<uint64_t> big_fleet_tenant_events;  // 1-thread run, for the
-                                                  // critical-path model.
+                                                  // modeled speedup.
   for (uint32_t tenants : fleets) {
     // Copies, not pointers into `scaling` — push_back reallocation would
     // dangle them.
@@ -320,12 +335,12 @@ int main(int argc, char** argv) {
               " (inline rounds + batching — must not lose to serial)\n",
               fleets.front(), small_fleet_speedup);
 
-  // Machine-independent critical-path view (mt_barrier_heavy's pattern):
-  // each round is a barrier over the runnable tenants, so the best a
-  // T-thread round can do is the largest bin of an LPT packing of the
-  // per-tenant work into T bins. Per-tenant app_events from the 1-thread
-  // run stand in for work; for the fleet's near-equal tenants the model
-  // collapses to tenants / ceil(tenants / threads).
+  // Secondary, machine-independent critical-path model: each round is a
+  // barrier over the runnable tenants, so the best a T-thread round can
+  // do is the largest bin of an LPT packing of the per-tenant work into T
+  // bins. Per-tenant app_events from the 1-thread run stand in for work;
+  // for the fleet's near-equal tenants the model collapses to tenants /
+  // ceil(tenants / threads). It bounds the measured figure from above.
   const unsigned cores = std::thread::hardware_concurrency();
   double big_fleet_speedup_modeled = 0;
   {
@@ -341,18 +356,10 @@ int main(int argc, char** argv) {
     big_fleet_speedup_modeled =
         makespan > 0 ? static_cast<double>(total) / makespan : 0;
   }
-  // The wall comparison needs the probe's cores to mean anything; on a
-  // smaller host the critical-path model carries the headline.
-  const bool measured_basis = cores >= thread_counts.back();
-  const double big_fleet_speedup_headline =
-      measured_basis ? big_fleet_speedup : big_fleet_speedup_modeled;
-  std::printf("  big fleet (%u tenants, %u threads) speedup: measured %.2fx,"
-              " critical-path model %.2fx — headline (%s, %u hardware"
-              " threads): %.2fx\n",
-              fleets.back(), thread_counts.back(), big_fleet_speedup,
-              big_fleet_speedup_modeled,
-              measured_basis ? "measured" : "critical-path model", cores,
-              big_fleet_speedup_headline);
+  std::printf("  big fleet (%u tenants, %u threads, %u hardware threads) "
+              "speedup: measured %.2fx (critical-path model %.2fx)\n",
+              fleets.back(), thread_counts.back(), cores, big_fleet_speedup,
+              big_fleet_speedup_modeled);
 
   // -- 3. Pressure saturation (admission-bound probe) -----------------------
   const uint32_t pressure_fleet = bench::FastMode() ? 4 : 8;
@@ -463,13 +470,18 @@ int main(int argc, char** argv) {
   std::ofstream json(json_path);
   json << "{\n  \"bench\": \"mt_tenants\",\n";
   json << "  \"fast_mode\": " << (bench::FastMode() ? "true" : "false")
+       << ",\n  \"shared_vs_private_repeats\": " << kRepeats
        << ",\n  \"shared_vs_private\": [\n";
-  for (size_t i = 0; i < shared_rows.size(); ++i) {
-    json << "    {\"tenants\": " << shared_rows[i].tenants
-         << ", \"shared_events_per_sec\": " << shared_rows[i].events_per_sec
-         << ", \"private_events_per_sec\": " << private_rows[i].events_per_sec
-         << ", \"identical\": true}"
-         << (i + 1 < shared_rows.size() ? "," : "") << "\n";
+  for (size_t i = 0; i < identity_rows.size(); ++i) {
+    const IdentityRow& row = identity_rows[i];
+    json << "    {\"tenants\": " << row.tenants << ", ";
+    bench::WriteSpread(json, "shared_events_per_sec",
+                       bench::SpreadOf(row.shared));
+    json << ", ";
+    bench::WriteSpread(json, "private_events_per_sec",
+                       bench::SpreadOf(row.isolated));
+    json << ", \"identical\": true}"
+         << (i + 1 < identity_rows.size() ? "," : "") << "\n";
   }
   json << "  ],\n  \"scaling\": [\n";
   for (size_t i = 0; i < scaling.size(); ++i) {
@@ -487,11 +499,9 @@ int main(int argc, char** argv) {
        << ",\n  \"small_fleet_speedup\": " << small_fleet_speedup
        << ",\n  \"big_fleet_tenants\": " << fleets.back()
        << ",\n  \"hardware_threads\": " << cores
-       << ",\n  \"big_fleet_speedup_measured\": " << big_fleet_speedup
+       << ",\n  \"speedup_basis\": \"measured\""
+       << ",\n  \"big_fleet_speedup\": " << big_fleet_speedup
        << ",\n  \"big_fleet_speedup_modeled\": " << big_fleet_speedup_modeled
-       << ",\n  \"speedup_basis\": \""
-       << (measured_basis ? "measured" : "critical-path model")
-       << "\",\n  \"big_fleet_speedup\": " << big_fleet_speedup_headline
        << ",\n";
   json << "  \"pressure\": {\n    \"tenants\": " << pressure_fleet
        << ",\n    \"watermark\": " << kWatermark << ",\n    \"rows\": [\n";

@@ -24,16 +24,14 @@ IoPhase FromMetricPhase(MetricPhase phase) {
 }  // namespace
 
 BufferPool::BufferPool(PageDevice* device, size_t frame_count,
-                       ReplacementPolicyKind policy, SharedFrameArena* arena,
-                       uint32_t arena_tenant)
+                       ReplacementPolicyKind policy, SharedFrameArena* arena)
     : device_(device),
       registry_(device ? device->metrics() : nullptr),
       frame_count_(frame_count),
       policy_(MakeReplacementPolicy(policy, frame_count)),
       frames_(frame_count),
-      page_to_frame_(arena != nullptr ? 0 : frame_count),
+      page_to_frame_(frame_count),
       arena_(arena),
-      arena_tenant_(arena_tenant),
       hits_(registry_->Register("buffer.hits")),
       misses_(registry_->Register("buffer.misses")),
       reads_(registry_->Register("buffer.disk_reads")),
@@ -63,13 +61,10 @@ uint32_t BufferPool::AllocFrame() {
 Result<std::span<std::byte>> BufferPool::GetPage(PageId page,
                                                  AccessMode mode) {
   ODBGC_DCHECK_EXCLUSIVE(&access_check_, "BufferPool::GetPage");
-  // Shared-arena residency lives in the arena's striped table under the
-  // (tenant, page) composite key; everything else — counters, policy
-  // calls, quota math — is identical in both modes, which is the
-  // byte-identity contract (DESIGN.md §17).
-  const uint32_t resident = arena_ != nullptr
-                                ? arena_->FindSlot(arena_tenant_, page)
-                                : page_to_frame_.Find(page);
+  // The hit path — residency, counters, policy calls — is identical in
+  // both modes, which is the byte-identity contract (DESIGN.md §17); only
+  // where a miss finds its frame differs.
+  const uint32_t resident = page_to_frame_.Find(page);
   if (resident != OpenIndexMap::kEmptyValue) {
     registry_->Count(hits_);
     policy_->OnHit(resident);
@@ -85,14 +80,7 @@ Result<std::span<std::byte>> BufferPool::GetPage(PageId page,
   // for the incoming page.
   uint32_t slot;
   if (resident_count_ >= frame_count_) {
-    const uint32_t victim = policy_->ChooseVictim();
-    Frame& evicted = frames_[victim];
-    ODBGC_RETURN_IF_ERROR(WriteBack(evicted));
-    policy_->OnEvict(victim);
-    page_to_frame_.Erase(evicted.page);
-    evicted.page = kInvalidPageId;
-    --resident_count_;
-    slot = victim;
+    ODBGC_RETURN_IF_ERROR(EvictVictim(&slot));
   } else {
     slot = AllocFrame();
   }
@@ -115,15 +103,15 @@ Result<std::span<std::byte>> BufferPool::GetPage(PageId page,
   return std::span<std::byte>(frame.data);
 }
 
-Status BufferPool::EvictSlotShared(uint32_t* slot) {
+Status BufferPool::EvictVictim(uint32_t* slot) {
   const uint32_t victim = policy_->ChooseVictim();
   Frame& evicted = frames_[victim];
   ODBGC_RETURN_IF_ERROR(WriteBack(evicted));
   policy_->OnEvict(victim);
-  arena_->EraseSlot(arena_tenant_, evicted.page);
+  page_to_frame_.Erase(evicted.page);
   evicted.page = kInvalidPageId;
   --resident_count_;
-  *slot = victim;  // The borrowed frame stays attached for the newcomer.
+  *slot = victim;  // Its frame (or borrowed arena frame) stays attached.
   return Status::Ok();
 }
 
@@ -133,7 +121,7 @@ Result<std::span<std::byte>> BufferPool::FillShared(PageId page,
   if (resident_count_ >= frame_count_) {
     // Quota full: evict this tenant's own victim — the same decision, in
     // the same order, a private pool of frame_count_ frames would make.
-    ODBGC_RETURN_IF_ERROR(EvictSlotShared(&slot));
+    ODBGC_RETURN_IF_ERROR(EvictVictim(&slot));
   } else {
     slot = AllocFrame();
     if (frames_[slot].arena_frame == UINT32_MAX) {
@@ -152,7 +140,7 @@ Result<std::span<std::byte>> BufferPool::FillShared(PageId page,
               "shared frame arena exhausted and tenant holds no frame to "
               "squeeze; raise the budget or arm the admission watermark");
         }
-        ODBGC_RETURN_IF_ERROR(EvictSlotShared(&slot));
+        ODBGC_RETURN_IF_ERROR(EvictVictim(&slot));
         ++squeezed_evictions_;
         arena_->NoteSqueezedEviction();
       }
@@ -176,7 +164,7 @@ Result<std::span<std::byte>> BufferPool::FillShared(PageId page,
   frame.page = page;
   frame.dirty = (mode == AccessMode::kWrite);
   policy_->OnInsert(slot, page);
-  arena_->InsertSlot(arena_tenant_, page, slot);
+  page_to_frame_.Insert(page, slot);
   ++resident_count_;
   return std::span<std::byte>(bytes);
 }
@@ -237,37 +225,26 @@ void BufferPool::PrefetchExtent(const PageExtent& extent) {
 
 void BufferPool::DiscardExtent(const PageExtent& extent) {
   ODBGC_DCHECK_EXCLUSIVE(&access_check_, "BufferPool::DiscardExtent");
-  if (arena_ != nullptr) {
-    // Discarded slots hand their borrowed frames straight back (one
-    // allocator lock for the whole extent) — a collected partition's
-    // residency becomes other tenants' headroom immediately.
-    std::vector<uint32_t> released;
-    for (PageId p = extent.first_page; p < extent.end_page(); ++p) {
-      const uint32_t slot = arena_->FindSlot(arena_tenant_, p);
-      if (slot == SharedFrameArena::kNoFrame) continue;
-      policy_->OnErase(slot);
-      arena_->EraseSlot(arena_tenant_, p);
-      Frame& frame = frames_[slot];
-      released.push_back(frame.arena_frame);
-      frame.arena_frame = UINT32_MAX;
-      frame.page = kInvalidPageId;
-      frame.dirty = false;
-      free_frames_.push_back(slot);
-      --resident_count_;
-    }
-    arena_->ReleaseFrames(released);
-    return;
-  }
+  // In shared-arena mode discarded slots hand their borrowed frames
+  // straight back (one allocator lock for the whole extent) — a collected
+  // partition's residency becomes other tenants' headroom immediately.
+  std::vector<uint32_t> released;
   for (PageId p = extent.first_page; p < extent.end_page(); ++p) {
     const uint32_t slot = page_to_frame_.Find(p);
     if (slot == OpenIndexMap::kEmptyValue) continue;
     policy_->OnErase(slot);
     page_to_frame_.Erase(p);
-    frames_[slot].page = kInvalidPageId;
-    frames_[slot].dirty = false;
+    Frame& frame = frames_[slot];
+    if (frame.arena_frame != UINT32_MAX) {
+      released.push_back(frame.arena_frame);
+      frame.arena_frame = UINT32_MAX;
+    }
+    frame.page = kInvalidPageId;
+    frame.dirty = false;
     free_frames_.push_back(slot);
     --resident_count_;
   }
+  if (arena_ != nullptr) arena_->ReleaseFrames(released);
 }
 
 void BufferPool::ReleaseArenaFrames() {
@@ -277,17 +254,15 @@ void BufferPool::ReleaseArenaFrames() {
   released.reserve(resident_count_);
   for (uint32_t slot = 0; slot < used_frames_; ++slot) {
     Frame& frame = frames_[slot];
-    if (frame.page != kInvalidPageId) {
-      arena_->EraseSlot(arena_tenant_, frame.page);
-      frame.page = kInvalidPageId;
-    }
     if (frame.arena_frame != UINT32_MAX) {
       released.push_back(frame.arena_frame);
       frame.arena_frame = UINT32_MAX;
     }
+    frame.page = kInvalidPageId;
     frame.dirty = false;
   }
   arena_->ReleaseFrames(released);
+  page_to_frame_.Clear();
   policy_->Clear();
   free_frames_.clear();
   used_frames_ = 0;
@@ -313,15 +288,11 @@ void BufferPool::ResetStats() {
 }
 
 bool BufferPool::IsResident(PageId page) const {
-  return arena_ != nullptr ? arena_->FindSlot(arena_tenant_, page) !=
-                                 SharedFrameArena::kNoFrame
-                           : page_to_frame_.Contains(page);
+  return page_to_frame_.Contains(page);
 }
 
 bool BufferPool::IsDirty(PageId page) const {
-  const uint32_t slot = arena_ != nullptr
-                            ? arena_->FindSlot(arena_tenant_, page)
-                            : page_to_frame_.Find(page);
+  const uint32_t slot = page_to_frame_.Find(page);
   return slot != OpenIndexMap::kEmptyValue && frames_[slot].dirty;
 }
 

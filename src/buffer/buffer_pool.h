@@ -68,24 +68,22 @@ struct BufferStats {
 ///
 /// Shared-arena mode (DESIGN.md §17): constructed with a SharedFrameArena,
 /// the pool stops owning physical frames. `frame_count` becomes the
-/// tenant's *logical quota*: replacement state, residency accounting and
-/// every counter run over logical slots [0, frame_count) exactly as in
-/// private mode — which is what makes per-tenant results byte-identical to
-/// a private pool — while each resident slot borrows one physical frame
-/// from the arena and the page→slot residency map lives in the arena's
-/// lock-striped table under the (tenant, page) composite key. The pool
-/// itself stays single-owner; only the arena's striped structures are
-/// touched by several tenants at once.
+/// tenant's *logical quota*: replacement state, the page→slot residency
+/// map and every counter run over logical slots [0, frame_count) exactly
+/// as in private mode — which is what makes per-tenant results
+/// byte-identical to a private pool — while each resident slot borrows
+/// one physical frame from the arena. The pool itself stays single-owner;
+/// only the arena's frame allocator is touched by several tenants at once.
 class BufferPool {
  public:
   /// `device` must outlive the pool. `frame_count` > 0 frames of
   /// device->page_size() bytes each. With `arena` non-null (which must
-  /// then outlive the pool) the pool runs in shared-arena mode under
-  /// tenant id `arena_tenant`; frame payloads then come from the arena and
-  /// `frame_count` is the logical quota.
+  /// then outlive the pool) the pool runs in shared-arena mode; frame
+  /// payloads then come from the arena and `frame_count` is the logical
+  /// quota.
   BufferPool(PageDevice* device, size_t frame_count,
              ReplacementPolicyKind policy = ReplacementPolicyKind::kLru,
-             SharedFrameArena* arena = nullptr, uint32_t arena_tenant = 0);
+             SharedFrameArena* arena = nullptr);
 
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
@@ -199,9 +197,9 @@ class BufferPool {
   // Shared-arena miss path (GetPage's tail once the local lookup missed).
   Result<std::span<std::byte>> FillShared(PageId page, AccessMode mode);
 
-  // Evicts the slot the policy chose (write-back, policy + arena-table
-  // drop) and returns it for reuse; the borrowed frame stays attached.
-  Status EvictSlotShared(uint32_t* slot);
+  // Evicts the slot the policy chose (write-back, policy + residency
+  // drop) and returns it for reuse with its frame still attached.
+  Status EvictVictim(uint32_t* slot);
 
   PageDevice* const device_;
   MetricsRegistry* const registry_;
@@ -211,17 +209,16 @@ class BufferPool {
   /// The frame array plus an open-addressed page→frame index — the dense
   /// replacement for the old unordered_map<PageId, Frame>: residency
   /// lookup is a couple of linear probes into a flat slot array, and the
-  /// frame payloads never move once allocated.
+  /// frame payloads never move once allocated. Both modes keep residency
+  /// here; in shared-arena mode it maps pages to logical slots.
   std::vector<Frame> frames_;
   OpenIndexMap page_to_frame_;
   std::vector<uint32_t> free_frames_;
   uint32_t used_frames_ = 0;  // High-water mark of ever-touched frames.
   size_t resident_count_ = 0;
 
-  /// Shared-arena mode (null in private mode): the physical frames and
-  /// the striped (tenant, page) → slot residency table.
+  /// Shared-arena mode (null in private mode): the physical frames.
   SharedFrameArena* const arena_;
-  const uint32_t arena_tenant_;
   uint64_t squeezed_evictions_ = 0;
 
   MetricCounter* const hits_;

@@ -1,68 +1,13 @@
 #include "buffer/frame_arena.h"
 
+#include <cassert>
+
 namespace odbgc {
 
-namespace {
-
-size_t DefaultStripeCount(size_t frame_count) {
-  // One stripe per ~64 frames, clamped to [8, 64]: small arenas still
-  // spread hot keys over several locks, huge ones don't pay for hundreds
-  // of mostly-idle shards.
-  size_t stripes = 8;
-  while (stripes < 64 && stripes * 64 < frame_count) stripes *= 2;
-  return stripes;
-}
-
-size_t RoundUpPow2(size_t n) {
-  size_t p = 1;
-  while (p < n) p *= 2;
-  return p;
-}
-
-}  // namespace
-
-SharedFrameArena::SharedFrameArena(size_t frame_count, size_t stripe_count) {
+SharedFrameArena::SharedFrameArena(size_t frame_count) {
   assert(frame_count > 0);
-  stripe_count_ = stripe_count == 0 ? DefaultStripeCount(frame_count)
-                                    : RoundUpPow2(stripe_count);
-  stripe_mask_ = stripe_count_ - 1;
-  stripes_ = std::make_unique<Stripe[]>(stripe_count_);
   frames_.resize(frame_count);
   free_frames_.reserve(frame_count);
-}
-
-uint32_t SharedFrameArena::FindSlot(uint32_t tenant, PageId page) const {
-  const uint64_t key = Key(tenant, page);
-  Stripe& stripe = StripeFor(key);
-  std::lock_guard<std::mutex> lock(stripe.mutex);
-  ODBGC_DCHECK_EXCLUSIVE(&stripe.check, "SharedFrameArena::Stripe");
-  return stripe.table.Find(key);
-}
-
-void SharedFrameArena::InsertSlot(uint32_t tenant, PageId page,
-                                  uint32_t slot) {
-  const uint64_t key = Key(tenant, page);
-  Stripe& stripe = StripeFor(key);
-  std::lock_guard<std::mutex> lock(stripe.mutex);
-  ODBGC_DCHECK_EXCLUSIVE(&stripe.check, "SharedFrameArena::Stripe");
-  stripe.table.Insert(key, slot);
-}
-
-void SharedFrameArena::EraseSlot(uint32_t tenant, PageId page) {
-  const uint64_t key = Key(tenant, page);
-  Stripe& stripe = StripeFor(key);
-  std::lock_guard<std::mutex> lock(stripe.mutex);
-  ODBGC_DCHECK_EXCLUSIVE(&stripe.check, "SharedFrameArena::Stripe");
-  stripe.table.Erase(key);
-}
-
-size_t SharedFrameArena::ResidentEntries() const {
-  size_t total = 0;
-  for (size_t i = 0; i < stripe_count_; ++i) {
-    std::lock_guard<std::mutex> lock(stripes_[i].mutex);
-    total += stripes_[i].table.size();
-  }
-  return total;
 }
 
 uint32_t SharedFrameArena::TryAllocFrame() {

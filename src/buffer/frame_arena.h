@@ -2,84 +2,42 @@
 #define ODBGC_BUFFER_FRAME_ARENA_H_
 
 #include <atomic>
-#include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <span>
 #include <vector>
 
-#include "storage/page.h"
-#include "util/access_check.h"
-#include "util/hash.h"
-#include "util/open_hash_map.h"
-
 namespace odbgc {
 
 /// One physically shared frame arena backing every tenant BufferPool of a
-/// multi-tenant heap service (DESIGN.md §17). The arena owns exactly two
-/// shared structures:
+/// multi-tenant heap service (DESIGN.md §17): `frame_count` page payloads
+/// handed out through a mutex-protected free list. The allocator is the
+/// only structure several tenants touch at once. A frame belongs to
+/// exactly one tenant pool at a time and its bytes are touched only by
+/// that owner, so the payloads themselves need no locking.
 ///
-///   1. The frame array — `frame_count` page payloads, handed out through
-///      a mutex-protected free list. A frame belongs to exactly one tenant
-///      pool at a time; its bytes are touched only by that owner, so the
-///      payloads themselves need no locking.
-///   2. A lock-striped residency table mapping (tenant, page) → the owning
-///      pool's *logical slot*. Stripes are hash shards of one
-///      `OpenIndexMap` keyed by `tenant << 40 | page`; each stripe has its
-///      own mutex, so lookups and evictions by different tenants contend
-///      only when their keys hash to the same shard — never on a global
-///      lock.
-///
-/// Replacement state is deliberately NOT per stripe: the service's
-/// determinism contract requires each tenant's eviction decisions (and
-/// hence its hit/miss/eviction counters) to be byte-identical to a private
-/// pool of `buffer_pages` frames, which forces the policy instance to be
-/// per tenant, over the tenant's logical quota. Each tenant's policy is
-/// owned and driven exclusively by its pool's single owner thread, so
-/// eviction takes only the victim's stripe lock (to drop the mapping) and
-/// — when a frame changes hands — the allocator lock. See BufferPool for
-/// the per-tenant half of the protocol.
-///
-/// Threading: every table operation locks its stripe; alloc/release lock
-/// the allocator. A per-stripe ExclusiveAccessCheck is asserted *inside*
-/// each critical section — the single-owner assertions the private pools
-/// carry become stripe-scoped here, so a code path that ever touched a
-/// stripe without its mutex trips the same loud debug abort.
+/// Residency is NOT shared: each pool maps its own pages to its own
+/// logical slots, and no tenant ever looks up another tenant's pages.
+/// Replacement state is per tenant too — the service's determinism
+/// contract requires each tenant's eviction decisions (and hence its
+/// hit/miss/eviction counters) to be byte-identical to a private pool of
+/// `buffer_pages` frames. A page lookup therefore takes no lock at all;
+/// only a frame changing hands (a fill under quota, a discard, a release)
+/// takes the allocator lock. See BufferPool for the per-tenant half of
+/// the protocol.
 class SharedFrameArena {
  public:
-  /// "No frame / not resident" sentinel for TryAllocFrame and FindSlot.
+  /// "No frame" sentinel for TryAllocFrame.
   static constexpr uint32_t kNoFrame = UINT32_MAX;
-  /// PageIds must fit below this bit position in the composite table key;
-  /// the dense data plane (DESIGN.md §12) bounds page ids well under it.
-  static constexpr int kPageBits = 40;
-  static constexpr uint32_t kMaxTenants = 1u << (64 - kPageBits);
 
-  /// `frame_count` > 0 physical frames. `stripe_count` 0 picks a
-  /// power-of-two stripe count scaled to the arena (at least 8); tests pin
-  /// it explicitly to force cross-stripe and same-stripe contention.
-  explicit SharedFrameArena(size_t frame_count, size_t stripe_count = 0);
+  /// `frame_count` > 0 physical frames.
+  explicit SharedFrameArena(size_t frame_count);
 
   SharedFrameArena(const SharedFrameArena&) = delete;
   SharedFrameArena& operator=(const SharedFrameArena&) = delete;
 
   size_t frame_count() const { return frames_.size(); }
-  size_t stripe_count() const { return stripe_count_; }
-
-  // -- Striped residency table ----------------------------------------------
-
-  /// The owner's logical slot holding (tenant, page), or kNoFrame.
-  uint32_t FindSlot(uint32_t tenant, PageId page) const;
-  /// Maps (tenant, page) → `slot`. The key must not be present.
-  void InsertSlot(uint32_t tenant, PageId page, uint32_t slot);
-  /// Drops (tenant, page). The key must be present.
-  void EraseSlot(uint32_t tenant, PageId page);
-  /// Resident entries across all stripes (sums under the stripe locks; a
-  /// barrier/test-time figure, not a hot-path one).
-  size_t ResidentEntries() const;
-
-  // -- Frame allocator ------------------------------------------------------
 
   /// Hands out a free frame, or kNoFrame when the arena is exhausted (the
   /// caller then squeezes its own quota — see BufferPool::GetPage).
@@ -96,8 +54,6 @@ class SharedFrameArena {
     return frames_[frame].data;
   }
 
-  // -- Telemetry ------------------------------------------------------------
-
   /// A pool evicted under quota because the arena was exhausted. Squeezes
   /// are deterministic at one service thread but timing-dependent across
   /// threads, so the aggregate-invariance gate only covers runs where this
@@ -109,35 +65,10 @@ class SharedFrameArena {
     return squeezed_.load(std::memory_order_relaxed);
   }
 
-  /// Composite table key; asserts the page fits its 40-bit field.
-  static uint64_t Key(uint32_t tenant, PageId page) {
-    assert(page < (uint64_t{1} << kPageBits));
-    return (static_cast<uint64_t>(tenant) << kPageBits) | page;
-  }
-
  private:
   struct Frame {
     std::vector<std::byte> data;  // Sized lazily by the first owner.
   };
-
-  /// One table shard: a mutex, its slice of the residency map, and the
-  /// stripe-scoped single-owner assertion (armed inside the lock).
-  /// Cache-line aligned so neighbouring stripes don't false-share.
-  struct alignas(64) Stripe {
-    mutable std::mutex mutex;
-    OpenIndexMap table;
-    mutable ExclusiveAccessCheck check;
-  };
-
-  Stripe& StripeFor(uint64_t key) const {
-    // The map mixes the low hash bits into its buckets; the stripe takes
-    // the top bits so shard choice and in-shard placement stay independent.
-    return stripes_[(FibonacciHash64(key) >> 48) & stripe_mask_];
-  }
-
-  size_t stripe_count_ = 0;
-  size_t stripe_mask_ = 0;
-  std::unique_ptr<Stripe[]> stripes_;
 
   std::vector<Frame> frames_;
   mutable std::mutex alloc_mutex_;

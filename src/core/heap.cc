@@ -68,8 +68,7 @@ CollectedHeap::CollectedHeap(const HeapOptions& options) : options_(options) {
   device_ = MakeConfiguredDevice(options_, metrics_.get());
   buffer_ = std::make_unique<BufferPool>(device_.get(), options_.buffer_pages,
                                          options_.replacement,
-                                         options_.shared_arena,
-                                         options_.arena_tenant);
+                                         options_.shared_arena);
   store_ = std::make_unique<ObjectStore>(options_.store, device_.get(),
                                          buffer_.get());
   WireComponents();
@@ -81,8 +80,7 @@ CollectedHeap::CollectedHeap(const HeapOptions& options, RestoreTag)
   device_ = MakeConfiguredDevice(options_, metrics_.get());
   buffer_ = std::make_unique<BufferPool>(device_.get(), options_.buffer_pages,
                                          options_.replacement,
-                                         options_.shared_arena,
-                                         options_.arena_tenant);
+                                         options_.shared_arena);
 }
 
 void CollectedHeap::WireComponents() {

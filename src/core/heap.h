@@ -65,10 +65,9 @@ struct HeapOptions {
   /// Null — the default, and every standalone run — gives the heap a
   /// private pool. The multi-tenant service sets it so all tenant pools
   /// draw frames from one arena, with `buffer_pages` as this heap's
-  /// logical quota and `arena_tenant` its id in the arena's composite
-  /// (tenant, page) key space. See DESIGN.md §17.
+  /// logical quota; residency stays in the heap's own pool. See
+  /// DESIGN.md §17.
   SharedFrameArena* shared_arena = nullptr;
-  uint32_t arena_tenant = 0;
   /// Storage backend the heap runs on. The default reproduces the paper's
   /// seek/rotation/transfer disk.
   DeviceKind device = DeviceKind::kSimulatedDisk;

@@ -421,7 +421,6 @@ Status ObjectStore::RelocateObject(ObjectId object, PartitionId target) {
   const PartitionId src_partition = info->partition;
   const uint32_t src_offset = info->offset;
   uint32_t copied = 0;
-  std::vector<std::byte> chunk;
   while (copied < info->size) {
     const uint32_t page_size = static_cast<uint32_t>(options_.page_size);
     const uint32_t src_at = src_offset + copied;
@@ -431,10 +430,10 @@ Status ObjectStore::RelocateObject(ObjectId object, PartitionId target) {
     const uint32_t dst_room = page_size - dst_at % page_size;
     const uint32_t len =
         std::min({info->size - copied, src_room, dst_room});
-    chunk.resize(len);
+    copy_chunk_.resize(len);
     ODBGC_RETURN_IF_ERROR(
-        ReadBytes(src_partition, src_at, chunk, AccessMode::kRead));
-    ODBGC_RETURN_IF_ERROR(WriteBytes(target, dst_at, chunk));
+        ReadBytes(src_partition, src_at, copy_chunk_, AccessMode::kRead));
+    ODBGC_RETURN_IF_ERROR(WriteBytes(target, dst_at, copy_chunk_));
     copied += len;
   }
 

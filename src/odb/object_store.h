@@ -1,6 +1,7 @@
 #ifndef ODBGC_ODB_OBJECT_STORE_H_
 #define ODBGC_ODB_OBJECT_STORE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -387,6 +388,9 @@ class ObjectStore {
   uint64_t live_bytes_ = 0;
 
   std::vector<ObjectId> roots_;
+
+  // RelocateObject's page-run copy buffer, reused across objects.
+  std::vector<std::byte> copy_chunk_;
 };
 
 }  // namespace odbgc

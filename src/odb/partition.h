@@ -43,8 +43,8 @@ class Partition {
   /// (re)set. Includes garbage; only copying collection lowers it.
   uint32_t allocated_bytes() const { return alloc_offset_; }
   uint32_t free_bytes() const { return capacity_bytes_ - alloc_offset_; }
-  bool empty() const { return objects_by_offset_.empty(); }
-  size_t object_count() const { return objects_by_offset_.size(); }
+  bool empty() const { return live_count_ == 0; }
+  size_t object_count() const { return live_count_; }
 
   /// Tries to bump-allocate `size` bytes; returns the byte offset within
   /// the partition, or false if it does not fit.
@@ -57,24 +57,37 @@ class Partition {
 
   /// Registers an object residing at `offset` (allocation or relocation).
   /// Bump allocation makes appending past the current tail the common
-  /// case; out-of-order registration (checkpoint restore) falls back to a
-  /// binary-search insert.
+  /// case; out-of-order registration (checkpoint restore) drops dead
+  /// entries, then falls back to a binary-search insert.
   void AddObject(uint32_t offset, ObjectId id) {
+    assert(!id.is_null());
+    ++live_count_;
     if (objects_by_offset_.empty() || offset > objects_by_offset_.back().offset) {
       objects_by_offset_.push_back({offset, id});
       return;
     }
+    DropDead();
     objects_by_offset_.insert(LowerBound(offset), {offset, id});
   }
 
-  /// Unregisters the object at `offset` (death or relocation away).
+  /// Unregisters the object at `offset` (death or relocation away) in
+  /// O(log n): the entry is marked dead (null id) where it stands, so
+  /// evacuating a partition costs what it copies rather than a vector
+  /// shift per resident. The last live resident's removal clears the
+  /// roster outright.
   void RemoveObject(uint32_t offset) {
     auto it = LowerBound(offset);
-    assert(it != objects_by_offset_.end() && it->offset == offset);
-    objects_by_offset_.erase(it);
+    assert(it != objects_by_offset_.end() && it->offset == offset &&
+           !it->id.is_null());
+    if (--live_count_ == 0) {
+      objects_by_offset_.clear();
+      return;
+    }
+    it->id = kNullObjectId;
   }
 
-  /// The object registered at exactly `offset`, or null if none.
+  /// The object registered at exactly `offset`, or null if none. A dead
+  /// entry's id is already null, so this reads without dropping them.
   ObjectId ObjectAt(uint32_t offset) const {
     auto it = LowerBound(offset);
     if (it == objects_by_offset_.end() || it->offset != offset) {
@@ -86,6 +99,7 @@ class Partition {
   /// First roster entry with offset > `offset` (end() if none) — the
   /// card-scan entry point.
   Roster::const_iterator UpperBound(uint32_t offset) const {
+    DropDead();
     return std::upper_bound(
         objects_by_offset_.begin(), objects_by_offset_.end(), offset,
         [](uint32_t o, const PartitionResident& r) { return o < r.offset; });
@@ -93,17 +107,35 @@ class Partition {
 
   /// Resets the partition to empty (after all its live objects were copied
   /// out). The bookkeeping roster must already be empty.
-  void Reset() { alloc_offset_ = 0; }
+  void Reset() {
+    assert(objects_by_offset_.empty());
+    alloc_offset_ = 0;
+  }
 
   /// Restores the bump pointer when loading a checkpoint image. Must not
   /// shrink below the highest registered object end.
   void RestoreAllocOffset(uint32_t offset) { alloc_offset_ = offset; }
 
   /// Objects resident in this partition, sorted by byte offset — the
-  /// physical scan order, which keeps collection deterministic.
-  const Roster& objects_by_offset() const { return objects_by_offset_; }
+  /// physical scan order, which keeps collection deterministic. Never
+  /// holds a dead entry: any left by RemoveObject are dropped first.
+  const Roster& objects_by_offset() const {
+    DropDead();
+    return objects_by_offset_;
+  }
 
  private:
+  /// Drops the dead entries RemoveObject left, in one order-preserving
+  /// pass. Logically const: the live roster a reader sees is unchanged.
+  /// Like the rest of the store, a partition has one owner thread at a
+  /// time, so readers never run this concurrently.
+  void DropDead() const {
+    if (objects_by_offset_.size() == live_count_) return;
+    std::erase_if(objects_by_offset_, [](const PartitionResident& r) {
+      return r.id.is_null();
+    });
+  }
+
   Roster::const_iterator LowerBound(uint32_t offset) const {
     return std::lower_bound(
         objects_by_offset_.begin(), objects_by_offset_.end(), offset,
@@ -119,7 +151,11 @@ class Partition {
   PageExtent extent_;
   uint32_t capacity_bytes_;
   uint32_t alloc_offset_ = 0;
-  Roster objects_by_offset_;
+  /// Offset-sorted roster. Dead entries (null id, offset kept so the
+  /// order stays sorted) exist only between a RemoveObject and the next
+  /// reader; the roster holds `live_count_` live entries.
+  mutable Roster objects_by_offset_;
+  size_t live_count_ = 0;
 };
 
 }  // namespace odbgc

@@ -80,11 +80,6 @@ Status HeapService::Validate() const {
   if (spec_.steps_per_round == 0) {
     return Status::InvalidArgument("steps_per_round must be >= 1");
   }
-  if (spec_.shared_pool &&
-      spec_.tenants.size() > SharedFrameArena::kMaxTenants) {
-    return Status::InvalidArgument(
-        "too many tenants for the shared arena's composite key space");
-  }
   if (spec_.admission_watermark < 0.0 || spec_.admission_watermark > 1.0) {
     return Status::InvalidArgument("admission_watermark must be in [0, 1]");
   }
@@ -144,9 +139,8 @@ Status HeapService::PrepareTenants() {
     run->config.heap.global_view = &views_[i];
     if (arena_ != nullptr) {
       // Physically shared frames: the tenant's pool becomes a logical
-      // quota over the arena, under its tenant id in the composite key.
+      // quota over the arena.
       run->config.heap.shared_arena = arena_.get();
-      run->config.heap.arena_tenant = static_cast<uint32_t>(i);
     }
     // The service observer (or the tenant's own sink) watches every
     // tenant through a serializing wrapper tagged tenant index + 1, so 0

@@ -73,9 +73,10 @@ struct ServiceResult {
 /// CollectedHeap + Simulator replaying its own deterministic workload
 /// stream — hosted over one shared frame budget, one shared IoScheduler
 /// (for "file" backends), one worker pool, and (by default) one
-/// physically shared BufferPool arena: a single frame array plus a
-/// lock-striped residency table that every tenant pool draws from, with
-/// each tenant's buffer_pages as its logical quota (DESIGN.md §17).
+/// physically shared BufferPool arena: a single frame array that every
+/// tenant pool borrows frames from, with each tenant's buffer_pages as its
+/// logical quota and its page residency kept in its own pool (DESIGN.md
+/// §17).
 /// Tenants may arrive (TenantSpec::arrival_round) and depart
 /// (departure_round) while the service runs, so a fleet can be grown to
 /// thousands of tenants without hosting them all simultaneously.
@@ -120,11 +121,11 @@ struct ServiceResult {
 /// one tenant's round per round, and the pool's submit/wait edges order
 /// each heap's cross-round (and barrier) accesses. The BufferPool
 /// single-owner check holds: ownership hands off only through those
-/// edges. The shared arena's striped table and allocator are the only
-/// structures several tenants touch at once; they carry their own locks
-/// (and stripe-scoped single-owner assertions). Rounds with at most one
-/// runnable tenant run inline on the service thread — a small fleet never
-/// pays TaskPool wake/park churn for work one thread does anyway.
+/// edges. The shared arena's frame allocator is the only structure
+/// several tenants touch at once, and it carries its own lock. Rounds
+/// with at most one runnable tenant run inline on the service thread — a
+/// small fleet never pays TaskPool wake/park churn for work one thread
+/// does anyway.
 class HeapService {
  public:
   explicit HeapService(ServiceSpec spec);

@@ -126,10 +126,12 @@ Status ConcurrentSimulator::Run() {
         TenantSpec::Base(ShardConfig(i)).Named("shard" + std::to_string(i)));
   }
   // Shards share nothing, so the fleet shares nothing either: no
-  // admission control, one private buffer pool per shard (the shared
-  // arena's striped locks would tax every page access for frames no
-  // other shard touches), and one round that runs every shard to
-  // completion (a barrier per batch would idle the workers at each step).
+  // admission control, one private buffer pool per shard (with admission
+  // off there is no frame budget to enforce, so a shared arena would buy
+  // nothing, and a private pool builds each shard heap exactly as the
+  // serial oracle's standalone Simulator does), and one round that runs
+  // every shard to completion (a barrier per batch would idle the
+  // workers at each step).
   // The service observer tags each shard's events with its index + 1.
   HeapService service(
       ServiceSpec::Hosting(std::move(tenants))

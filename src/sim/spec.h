@@ -183,11 +183,12 @@ struct ServiceSpec {
   /// forced-collection schedule, so it is part of the spec.
   uint64_t steps_per_round = 1;
   /// One physically shared BufferPool arena for the whole fleet (the
-  /// default): a single frame array sized to the shared budget plus a
-  /// lock-striped residency table, with each tenant's buffer_pages as its
-  /// logical quota. At threads == 1 per-tenant results are byte-identical
-  /// to private pools; false reverts to one private pool per tenant (the
-  /// PR 9 baseline — the ledger shared, the frames not).
+  /// default): a single frame array sized to the shared budget that every
+  /// tenant pool borrows frames from, with each tenant's buffer_pages as
+  /// its logical quota and its residency map kept in its own pool. At
+  /// threads == 1 per-tenant results are byte-identical to private pools;
+  /// false reverts to one private pool per tenant (the ledger shared, the
+  /// frames not).
   bool shared_pool = true;
 
   // ---- Builder -----------------------------------------------------------

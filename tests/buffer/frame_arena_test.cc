@@ -9,8 +9,8 @@
 //  3. Frame hygiene — discard, release and eviction return/retain frames
 //     such that FramesInUse always equals the fleet's resident total.
 //  4. Thread safety — pools on different threads sharing one arena (the
-//     service's actual topology) race only on the striped table and the
-//     allocator; run under TSan this is the lock-striping proof.
+//     service's actual topology) share only the frame allocator; run
+//     under TSan this proves the allocator is the only shared structure.
 #include "buffer/frame_arena.h"
 
 #include <gtest/gtest.h>
@@ -28,9 +28,8 @@ namespace odbgc {
 namespace {
 
 TEST(FrameArenaTest, AllocatorHandsOutAndRecyclesFrames) {
-  SharedFrameArena arena(3, /*stripe_count=*/4);
+  SharedFrameArena arena(3);
   EXPECT_EQ(arena.frame_count(), 3u);
-  EXPECT_EQ(arena.stripe_count(), 4u);
   EXPECT_EQ(arena.FramesInUse(), 0u);
 
   const uint32_t a = arena.TryAllocFrame();
@@ -52,39 +51,11 @@ TEST(FrameArenaTest, AllocatorHandsOutAndRecyclesFrames) {
   EXPECT_EQ(arena.FramesInUse(), 0u);
 }
 
-TEST(FrameArenaTest, ResidencyTableKeysByTenantAndPage) {
-  // One stripe: every key collides onto the same shard and the table must
-  // still keep tenants apart via the composite key.
-  SharedFrameArena arena(4, /*stripe_count=*/1);
-  EXPECT_EQ(arena.stripe_count(), 1u);
-
-  arena.InsertSlot(/*tenant=*/0, /*page=*/7, /*slot=*/2);
-  arena.InsertSlot(/*tenant=*/1, /*page=*/7, /*slot=*/5);
-  EXPECT_EQ(arena.FindSlot(0, 7), 2u);
-  EXPECT_EQ(arena.FindSlot(1, 7), 5u);
-  EXPECT_EQ(arena.FindSlot(2, 7), SharedFrameArena::kNoFrame);
-  EXPECT_EQ(arena.ResidentEntries(), 2u);
-
-  arena.EraseSlot(0, 7);
-  EXPECT_EQ(arena.FindSlot(0, 7), SharedFrameArena::kNoFrame);
-  EXPECT_EQ(arena.FindSlot(1, 7), 5u);
-  EXPECT_EQ(arena.ResidentEntries(), 1u);
-}
-
-TEST(FrameArenaTest, StripeCountDefaultsToPowerOfTwo) {
-  for (size_t frames : {1u, 16u, 300u, 4096u}) {
-    SharedFrameArena arena(frames);
-    const size_t stripes = arena.stripe_count();
-    EXPECT_GE(stripes, 8u);
-    EXPECT_EQ(stripes & (stripes - 1), 0u) << stripes;
-  }
-}
-
 // -- Pool-over-arena behaviour ----------------------------------------------
 
 struct Tenant {
-  explicit Tenant(SharedFrameArena* arena, uint32_t id, size_t quota = 3)
-      : disk(64), pool(&disk, quota, ReplacementPolicyKind::kLru, arena, id) {
+  explicit Tenant(SharedFrameArena* arena, size_t quota = 3)
+      : disk(64), pool(&disk, quota, ReplacementPolicyKind::kLru, arena) {
     disk.AllocatePages(16);
   }
   SimulatedDisk disk;
@@ -96,8 +67,8 @@ TEST(FrameArenaPoolTest, SharedPoolMatchesPrivatePoolWhenArenaIsAmple) {
   private_disk.AllocatePages(16);
   BufferPool private_pool(&private_disk, 3);
 
-  SharedFrameArena arena(8, /*stripe_count=*/2);
-  Tenant tenant(&arena, /*id=*/0);
+  SharedFrameArena arena(8);
+  Tenant tenant(&arena);
 
   const PageId trace[] = {0, 1, 2, 0, 3, 1, 4, 4, 2, 0};
   for (PageId page : trace) {
@@ -126,8 +97,8 @@ TEST(FrameArenaPoolTest, SharedPoolMatchesPrivatePoolWhenArenaIsAmple) {
 }
 
 TEST(FrameArenaPoolTest, EvictionAtQuotaReusesTheAttachedFrame) {
-  SharedFrameArena arena(8, /*stripe_count=*/2);
-  Tenant tenant(&arena, /*id=*/0, /*quota=*/2);
+  SharedFrameArena arena(8);
+  Tenant tenant(&arena, /*quota=*/2);
   ASSERT_TRUE(tenant.pool.GetPage(0, AccessMode::kRead).ok());
   ASSERT_TRUE(tenant.pool.GetPage(1, AccessMode::kRead).ok());
   EXPECT_EQ(arena.FramesInUse(), 2u);
@@ -136,25 +107,31 @@ TEST(FrameArenaPoolTest, EvictionAtQuotaReusesTheAttachedFrame) {
   ASSERT_TRUE(tenant.pool.GetPage(2, AccessMode::kRead).ok());
   EXPECT_EQ(arena.FramesInUse(), 2u);
   EXPECT_FALSE(tenant.pool.IsResident(0));
-  EXPECT_EQ(arena.ResidentEntries(), 2u);
+  EXPECT_EQ(tenant.pool.resident_pages(), 2u);
+  EXPECT_EQ(arena.FramesInUse(), tenant.pool.resident_pages());
 }
 
 TEST(FrameArenaPoolTest, DiscardAndReleaseReturnFramesToTheArena) {
-  SharedFrameArena arena(8, /*stripe_count=*/2);
-  Tenant a(&arena, 0);
-  Tenant b(&arena, 1);
+  SharedFrameArena arena(8);
+  Tenant a(&arena);
+  Tenant b(&arena);
   for (PageId page : {0, 1, 2}) {
     ASSERT_TRUE(a.pool.GetPage(page, AccessMode::kWrite).ok());
     ASSERT_TRUE(b.pool.GetPage(page, AccessMode::kRead).ok());
   }
-  EXPECT_EQ(arena.FramesInUse(), 6u);
-  EXPECT_EQ(arena.ResidentEntries(), 6u);
+  EXPECT_EQ(a.pool.resident_pages() + b.pool.resident_pages(), 6u);
+  EXPECT_EQ(arena.FramesInUse(),
+            a.pool.resident_pages() + b.pool.resident_pages());
 
   // Discard drops a's pages 0-1 without write-back and frees their frames;
   // b's identically-numbered pages are untouched.
   a.pool.DiscardExtent(PageExtent{0, 2});
   EXPECT_EQ(a.pool.resident_pages(), 1u);
   EXPECT_EQ(b.pool.resident_pages(), 3u);
+  for (PageId page : {0, 1}) {
+    EXPECT_FALSE(a.pool.IsResident(page)) << "tenant a page " << page;
+    EXPECT_TRUE(b.pool.IsResident(page)) << "tenant b page " << page;
+  }
   EXPECT_EQ(arena.FramesInUse(), 4u);
 
   // Departure path: everything back at once, counters untouched.
@@ -172,9 +149,9 @@ TEST(FrameArenaPoolTest, DiscardAndReleaseReturnFramesToTheArena) {
 TEST(FrameArenaPoolTest, ExhaustedArenaSqueezesTheUnderQuotaTenant) {
   // Two tenants with quota 3 over 4 physical frames: the second tenant
   // must evict its own pages while under quota, never touch tenant a's.
-  SharedFrameArena arena(4, /*stripe_count=*/2);
-  Tenant a(&arena, 0);
-  Tenant b(&arena, 1);
+  SharedFrameArena arena(4);
+  Tenant a(&arena);
+  Tenant b(&arena);
   for (PageId page : {0, 1, 2}) {
     ASSERT_TRUE(a.pool.GetPage(page, AccessMode::kRead).ok());
   }
@@ -192,9 +169,9 @@ TEST(FrameArenaPoolTest, ExhaustedArenaSqueezesTheUnderQuotaTenant) {
 }
 
 TEST(FrameArenaPoolTest, EmptyPoolOnExhaustedArenaReportsResourceExhausted) {
-  SharedFrameArena arena(1, /*stripe_count=*/1);
-  Tenant a(&arena, 0);
-  Tenant b(&arena, 1);
+  SharedFrameArena arena(1);
+  Tenant a(&arena);
+  Tenant b(&arena);
   ASSERT_TRUE(a.pool.GetPage(0, AccessMode::kRead).ok());
 
   // b has nothing of its own to squeeze: the only honest answer is an
@@ -212,18 +189,18 @@ TEST(FrameArenaPoolTest, EmptyPoolOnExhaustedArenaReportsResourceExhausted) {
 // -- Concurrency (the TSan proof) -------------------------------------------
 
 // The service's real topology: one thread per tenant, each driving its own
-// pool, all pools borrowing from one arena. Two stripes over many keys
-// forces both same-stripe and cross-stripe contention; the budget is ample
-// so no squeezes perturb per-tenant determinism.
+// pool, all pools borrowing from one arena. Fills under quota and
+// discards hand frames through the allocator from every thread; the
+// budget is ample so no squeezes perturb per-tenant determinism.
 TEST(FrameArenaConcurrencyTest, TenantsOnDistinctThreadsShareOneArena) {
   constexpr uint32_t kTenants = 4;
   constexpr size_t kQuota = 4;
   constexpr int kRounds = 200;
 
-  SharedFrameArena arena(kTenants * kQuota, /*stripe_count=*/2);
+  SharedFrameArena arena(kTenants * kQuota);
   std::vector<std::unique_ptr<Tenant>> tenants;
   for (uint32_t t = 0; t < kTenants; ++t) {
-    tenants.push_back(std::make_unique<Tenant>(&arena, t, kQuota));
+    tenants.push_back(std::make_unique<Tenant>(&arena, kQuota));
   }
 
   std::vector<std::thread> threads;
@@ -257,17 +234,17 @@ TEST(FrameArenaConcurrencyTest, TenantsOnDistinctThreadsShareOneArena) {
     resident += tenant->pool.resident_pages();
   }
   EXPECT_EQ(arena.FramesInUse(), resident);
-  EXPECT_EQ(arena.ResidentEntries(), resident);
   EXPECT_EQ(arena.squeezed_evictions(), 0u);
 }
 
-// Same fleet, single stripe: maximum table contention, still race-free.
-TEST(FrameArenaConcurrencyTest, SingleStripeSerializesButNeverRaces) {
+// Same fleet at an exact budget, every tenant writing and then releasing
+// all its frames at once: maximum allocator traffic, still race-free.
+TEST(FrameArenaConcurrencyTest, ExactBudgetFleetReleasesWithoutRaces) {
   constexpr uint32_t kTenants = 3;
-  SharedFrameArena arena(kTenants * 3, /*stripe_count=*/1);
+  SharedFrameArena arena(kTenants * 3);
   std::vector<std::unique_ptr<Tenant>> tenants;
   for (uint32_t t = 0; t < kTenants; ++t) {
-    tenants.push_back(std::make_unique<Tenant>(&arena, t, 3));
+    tenants.push_back(std::make_unique<Tenant>(&arena, 3));
   }
   std::vector<std::thread> threads;
   for (uint32_t t = 0; t < kTenants; ++t) {
@@ -282,8 +259,10 @@ TEST(FrameArenaConcurrencyTest, SingleStripeSerializesButNeverRaces) {
   for (std::thread& thread : threads) {
     thread.join();
   }
-  EXPECT_EQ(arena.FramesInUse(), 0u);
-  EXPECT_EQ(arena.ResidentEntries(), 0u);
+  uint64_t resident = 0;
+  for (const auto& tenant : tenants) resident += tenant->pool.resident_pages();
+  EXPECT_EQ(resident, 0u);
+  EXPECT_EQ(arena.FramesInUse(), resident);
 }
 
 }  // namespace
