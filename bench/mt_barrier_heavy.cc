@@ -17,8 +17,7 @@
 //    policy, at 1 and at 4 threads. The giant shard is 8/15 of the work
 //    and runs on one worker, so the 4-thread wall cannot fall below its
 //    serial time; the headline is the measured 1-thread median wall over
-//    the 4-thread median wall. Parallel marking stays off, so each run's
-//    thread count is its count of executing threads.
+//    the 4-thread median wall.
 //
 // Speedups depend on the machine's core count, reported in the JSON.
 //

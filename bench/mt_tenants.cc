@@ -1,4 +1,4 @@
-// Multi-tenant heap service probes (DESIGN.md §16-17), five experiments
+// Multi-tenant heap service probes (DESIGN.md §16-17), four experiments
 // in one binary:
 //
 // 1. Shared-vs-private identity: each fleet size run at one thread over
@@ -16,8 +16,9 @@
 //    Tenants are the determinism units, so every row of a fleet must
 //    produce the identical aggregate regardless of thread count (checked
 //    here — a scaling probe that changed the answer would be worthless).
-//    Small fleets ride the service's inline-round path instead of paying
-//    TaskPool churn, so the 4-tenant rows must no longer lose to serial.
+//    Rounds with at most one runnable tenant run inline on the service
+//    thread instead of paying worker wake/park handoffs, so the 4-tenant
+//    rows must not lose to serial.
 //    The headline big-fleet speedup is the measured 4-thread wall against
 //    the 1-thread wall; a critical-path model of it is kept beside it as
 //    big_fleet_speedup_modeled, never as the headline.
@@ -30,15 +31,7 @@
 //    — peak <= watermark + the largest single-tenant allowance — on every
 //    row where no forced admission fired, and aborts on a violation.
 //
-// 4. GlobalView neutrality: the same overcommitted fleet run once with
-//    every tenant on the pressure-blind UpdatedPointer and once on
-//    PoolPressure (the GlobalView exemplar policy). The pressure boost is
-//    a common factor within each heap and the cross-tenant ranker
-//    normalizes by the per-heap best score, so both runs must produce the
-//    identical trajectory — checked here: a divergence would mean the
-//    GlobalView plumbing leaked nondeterminism into victim selection.
-//
-// 5. Kilofleet: a 1024-tenant fleet (64 under ODBGC_FAST) with staggered
+// 4. Kilofleet: a 1024-tenant fleet (64 under ODBGC_FAST) with staggered
 //    arrivals and early departures, hosted over a shared arena holding a
 //    quarter of the fleet's summed quotas. The row proves a thousand
 //    tenants complete under one bounded physical frame budget (peak
@@ -94,24 +87,23 @@ SimulationConfig TenantConfig(uint64_t seed, const std::string& policy) {
   return c;
 }
 
+// UpdatedPointer fills two of the five slots so the cycle keeps the length,
+// and every fleet row the trajectory, recorded in BENCH_service.json.
 const std::vector<std::string>& PolicyCycle() {
   static const std::vector<std::string> kCycle = {
       "UpdatedPointer", "MostGarbage", "WeightedPointer", "MutatedPartition",
-      "PoolPressure"};
+      "UpdatedPointer"};
   return kCycle;
 }
 
 ServiceSpec FleetSpec(uint32_t tenants, uint32_t threads,
-                      double budget_fraction, double watermark,
-                      const std::string& pinned_policy = "") {
+                      double budget_fraction, double watermark) {
   ServiceSpec spec = ServiceSpec::Hosting({}).WithThreads(threads);
   uint64_t cap_sum = 0;
   for (uint32_t i = 0; i < tenants; ++i) {
-    const std::string& policy =
-        pinned_policy.empty() ? PolicyCycle()[i % PolicyCycle().size()]
-                              : pinned_policy;
     TenantSpec tenant =
-        TenantSpec::Base(TenantConfig(100 + i, policy))
+        TenantSpec::Base(
+            TenantConfig(100 + i, PolicyCycle()[i % PolicyCycle().size()]))
             .Named("t" + std::to_string(i));
     cap_sum += tenant.config.heap.buffer_pages;
     spec.tenants.push_back(std::move(tenant));
@@ -393,39 +385,7 @@ int main(int argc, char** argv) {
     pressure.push_back(std::move(row));
   }
 
-  // -- 4. GlobalView neutrality (see file comment) --------------------------
-  std::printf("\nGlobalView neutrality (%u tenants, budget 50%%, watermark "
-              "%.2f):\n", pressure_fleet, kWatermark);
-  const Row blind =
-      RunOnce(FleetSpec(pressure_fleet, 2, 0.5, kWatermark, "UpdatedPointer"));
-  const Row aware =
-      RunOnce(FleetSpec(pressure_fleet, 2, 0.5, kWatermark, "PoolPressure"));
-  std::printf("  %-16s total_io=%-8llu forced_gc=%-5llu stalls=%llu\n",
-              "UpdatedPointer",
-              static_cast<unsigned long long>(
-                  blind.result.aggregate.total_io()),
-              static_cast<unsigned long long>(blind.result.forced_collections),
-              static_cast<unsigned long long>(blind.result.admission_stalls));
-  std::printf("  %-16s total_io=%-8llu forced_gc=%-5llu stalls=%llu\n",
-              "PoolPressure",
-              static_cast<unsigned long long>(
-                  aware.result.aggregate.total_io()),
-              static_cast<unsigned long long>(aware.result.forced_collections),
-              static_cast<unsigned long long>(aware.result.admission_stalls));
-  const bool neutral =
-      SameAggregate(blind.result.aggregate, aware.result.aggregate) &&
-      blind.result.forced_collections == aware.result.forced_collections;
-  std::printf("  trajectories %s\n",
-              neutral ? "identical (boost is a common factor — ok)"
-                      : "DIVERGED");
-  if (!neutral) {
-    std::fprintf(stderr,
-                 "PoolPressure diverged from UpdatedPointer under a uniform "
-                 "boost — GlobalView plumbing leaked into victim choice\n");
-    return 1;
-  }
-
-  // -- 5. Kilofleet (arrival/departure churn at scale) ----------------------
+  // -- 4. Kilofleet (arrival/departure churn at scale) ----------------------
   const uint32_t kilo_tenants = bench::FastMode() ? 64 : 1024;
   std::printf("\nkilofleet (%u tenants, 4 threads, staggered arrivals, 1-in-4"
               " departs, budget = quotas/4):\n", kilo_tenants);
@@ -517,18 +477,7 @@ int main(int argc, char** argv) {
          << ", \"bound_held\": " << (BoundHolds(r) ? "true" : "false") << "}"
          << (i + 1 < pressure.size() ? "," : "") << "\n";
   }
-  json << "    ]\n  },\n  \"global_view_neutrality\": {\n";
-  json << "    \"UpdatedPointer\": {\"total_io\": "
-       << blind.result.aggregate.total_io()
-       << ", \"forced_collections\": " << blind.result.forced_collections
-       << ", \"admission_stalls\": " << blind.result.admission_stalls
-       << "},\n";
-  json << "    \"PoolPressure\": {\"total_io\": "
-       << aware.result.aggregate.total_io()
-       << ", \"forced_collections\": " << aware.result.forced_collections
-       << ", \"admission_stalls\": " << aware.result.admission_stalls
-       << "},\n    \"identical\": " << (neutral ? "true" : "false")
-       << "\n  },\n  \"kilofleet\": {\n";
+  json << "    ]\n  },\n  \"kilofleet\": {\n";
   json << "    \"tenants\": " << kilo_tenants
        << ",\n    \"budget_frames\": " << kilo.result.shared_frame_budget
        << ",\n    \"peak_occupancy_frames\": "

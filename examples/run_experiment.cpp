@@ -51,12 +51,9 @@ void Usage(const char* prog) {
       "                         thread-count-invariant)\n"
       "  --trace-shards=N       deterministic workload shards per run\n"
       "                         (default: one per mutator thread)\n"
-      "  --marking-threads=N    parallel marking workers per census\n"
-      "                         (default 0 = serial; results are\n"
-      "                         byte-identical either way)\n"
-      "  --parallel-grid[=N]    run the (policy, seed) grid on a\n"
-      "                         work-stealing pool of N threads (default:\n"
-      "                         hardware concurrency), share one I/O\n"
+      "  --parallel-grid[=N]    run the (policy, seed) grid on N\n"
+      "                         threads (default: hardware\n"
+      "                         concurrency), share one I/O\n"
       "                         scheduler across file backends, and stamp\n"
       "                         per-run wall time into manifests for\n"
       "                         odbgc-report's scaling table\n"
@@ -150,9 +147,6 @@ int main(int argc, char** argv) {
           static_cast<uint32_t>(std::strtoul(value.c_str(), nullptr, 10));
     } else if (ParseFlag(argv[i], "--trace-shards", &value)) {
       spec.base.trace_shards =
-          static_cast<uint32_t>(std::strtoul(value.c_str(), nullptr, 10));
-    } else if (ParseFlag(argv[i], "--marking-threads", &value)) {
-      spec.base.heap.parallel_marking_threads =
           static_cast<uint32_t>(std::strtoul(value.c_str(), nullptr, 10));
     } else if (ParseFlag(argv[i], "--parallel-grid", &value)) {
       spec.threads = std::atoi(value.c_str());

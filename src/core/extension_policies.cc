@@ -88,42 +88,4 @@ PartitionId CostBenefitPolicy::Select(const SelectionContext& context) {
   return best;
 }
 
-void PoolPressurePolicy::OnPointerStore(const SlotWriteEvent& event,
-                                        uint8_t /*old_target_weight*/) {
-  if (event.is_overwrite() &&
-      event.old_target_partition != kInvalidPartition) {
-    ++overwrites_into_.At(event.old_target_partition);
-  }
-}
-
-double PoolPressurePolicy::Score(PartitionId partition) const {
-  const double hits = static_cast<double>(overwrites_into_.Get(partition));
-  if (global_ == nullptr) return hits;
-  // Pressure boosts every partition of this heap by the same factor:
-  // within-heap selection is untouched, cross-heap comparison is not.
-  return hits * (1.0 + global_->OccupancyFraction() *
-                           global_->TenantPressure());
-}
-
-PartitionId PoolPressurePolicy::Select(const SelectionContext& context) {
-  PartitionId best = kInvalidPartition;
-  double best_score = -1.0;
-  for (PartitionId candidate : context.candidates) {
-    const double score = Score(candidate);
-    if (best == kInvalidPartition || score > best_score) {
-      best = candidate;
-      best_score = score;
-    }
-  }
-  return best;
-}
-
-void PoolPressurePolicy::SaveState(std::ostream& out) const {
-  overwrites_into_.Save(out);
-}
-
-Status PoolPressurePolicy::LoadState(std::istream& in) {
-  return overwrites_into_.Load(in);
-}
-
 }  // namespace odbgc

@@ -88,43 +88,6 @@ class CostBenefitPolicy : public SelectionPolicy {
   PartitionCounterTable<uint64_t> overwrites_into_;
 };
 
-/// UpdatedPointer made shared-pool-aware (the GlobalView exemplar): hints
-/// accumulate exactly like UpdatedPointer's overwrite counts, but the score
-/// is boosted by the pressure the heap's tenant puts on a shared buffer
-/// pool,
-///
-///     score(p) = overwrites_into(p) x (1 + occupancy x tenant_pressure)
-///
-/// with occupancy = shared resident/budget and tenant_pressure = this
-/// tenant's resident/cap, both read from PolicyContext::global. Inside one
-/// heap the boost is a common factor — victim choice is identical to
-/// UpdatedPointer — but a cross-tenant scheduler comparing Score() across
-/// heaps (service/heap_service.h) sees pressured tenants' partitions
-/// amplified. With no GlobalView bound (every single-heap run) the boost is
-/// zero and the policy *is* UpdatedPointer under another name.
-class PoolPressurePolicy : public SelectionPolicy {
- public:
-  /// `global` may be null (single-heap runs) and must otherwise outlive the
-  /// policy; the host refreshes it between reads.
-  explicit PoolPressurePolicy(const GlobalView* global) : global_(global) {}
-
-  PolicyKind kind() const override { return PolicyKind::kUpdatedPointer; }
-  std::string name() const override { return "PoolPressure"; }
-  void OnPointerStore(const SlotWriteEvent& event,
-                      uint8_t old_target_weight) override;
-  void OnPartitionCollected(PartitionId partition) override {
-    overwrites_into_.Reset(partition);
-  }
-  PartitionId Select(const SelectionContext& context) override;
-  double Score(PartitionId partition) const override;
-  void SaveState(std::ostream& out) const override;
-  Status LoadState(std::istream& in) override;
-
- private:
-  const GlobalView* const global_;
-  PartitionCounterTable<uint64_t> overwrites_into_;
-};
-
 }  // namespace odbgc
 
 #endif  // ODBGC_CORE_EXTENSION_POLICIES_H_

@@ -27,8 +27,8 @@ Result<GlobalCollectionResult> GlobalMarkCollector::CollectAll(
   GlobalCollectionResult result;
 
   // --- 1. Mark. The live set comes from the shadow graph, but the I/O a
-  // real marker would do is charged: one header+slots read per live
-  // object.
+  // real marker would do is charged in step 2: one header+slots read per
+  // live object.
   auto live = ComputeLiveSet(*store_);
   // Extra roots (e.g. the not-yet-linked newest allocation) and their
   // reachable closure join the live set.
@@ -48,22 +48,25 @@ Result<GlobalCollectionResult> GlobalMarkCollector::CollectAll(
       }
     }
   }
-  for (ObjectId id : live) {
-    ODBGC_RETURN_IF_ERROR(store_->VisitObject(id));
-  }
 
-  // --- 2. Retire the dead set's inter-partition entries wholesale.
+  // --- 2. One walk in roster order (partition id, then offset) charges
+  // the marking reads and collects the dead set. The order is the store's
+  // own, never the set's: unordered_set iteration order is unspecified, and
+  // it would decide which reads hit the buffer.
   std::vector<std::pair<ObjectId, PartitionId>> dead;
   const size_t total_objects = store_->object_count();
   dead.reserve(total_objects > live.size() ? total_objects - live.size() : 0);
   for (size_t pid = 0; pid < store_->partition_count(); ++pid) {
     for (const auto& [offset, id] :
          store_->partition(pid).objects_by_offset()) {
-      if (live.count(id) == 0) {
+      if (live.count(id) > 0) {
+        ODBGC_RETURN_IF_ERROR(store_->VisitObject(id));
+      } else {
         dead.push_back({id, static_cast<PartitionId>(pid)});
       }
     }
   }
+  // Retire the dead set's inter-partition entries wholesale.
   for (const auto& [id, pid] : dead) {
     index_->RemoveOutPointersOf(id, pid);
     if (weights_ != nullptr) weights_->OnObjectDied(id);

@@ -93,7 +93,6 @@ void CollectedHeap::WireComponents() {
     PolicyContext context;
     context.seed = options_.seed;
     context.store = &policy_store_view_;
-    context.global = options_.global_view;
     auto made = MakePolicy(context, options_.policy_name);
     if (!made.ok()) {
       // Configuration error, not a runtime condition: the registry is
@@ -126,12 +125,6 @@ void CollectedHeap::WireComponents() {
   global_collector_ = std::make_unique<GlobalMarkCollector>(
       store_.get(), buffer_.get(), &index_, weights_.get());
   store_->set_slot_write_observer(this);
-  if (options_.parallel_marking_threads >= 2) {
-    marking_pool_ =
-        std::make_unique<TaskPool>(options_.parallel_marking_threads);
-    census_engine_.EnableParallelMarking(marking_pool_.get(),
-                                         options_.parallel_marking_threads);
-  }
   last_seen_partition_count_ = store_->partition_count();
   NoteFootprint();
 }

@@ -141,28 +141,11 @@ struct HeapOptions {
   /// opt-in for the profiling harness. Wall timings never affect simulated
   /// results (see wall_metrics()).
   bool profile_hot_paths = false;
-  /// Parallel marking for the census engine (DESIGN.md §15): number of
-  /// marking threads striping the reachability traversal behind every
-  /// census/anatomy (the MostGarbage oracle's per-trigger census is the
-  /// simulator's hottest path). Values < 2 keep the serial marker. All
-  /// results are byte-identical either way — marking computes a unique
-  /// fixpoint and the mark merge is deterministic
-  /// (tests/core/parallel_marking_test.cc).
-  /// With two or more threads the heap owns a private TaskPool of that
-  /// size.
-  uint32_t parallel_marking_threads = 0;
   /// Run-telemetry sink (non-owning; must outlive the heap). The heap
   /// publishes collection events, the device fault events; the simulator
   /// and durable engine publish run/phase/checkpoint events through the
   /// same pointer. Null (the default) disables publishing entirely.
   SimObserver* observer = nullptr;
-  /// Cross-tenant pressure view a multi-tenant host (service/
-  /// heap_service.h) binds into registry-built policies via
-  /// PolicyContext::global (non-owning; must outlive the heap; refreshed
-  /// by the host at its barriers). Null — the default, and the only value
-  /// single-heap runs ever use — leaves every policy in its single-heap
-  /// behaviour; the paper's six never consult it.
-  const GlobalView* global_view = nullptr;
 };
 
 /// Aggregate heap statistics.
@@ -274,10 +257,6 @@ class CollectedHeap : private SlotWriteObserver {
   MetricsRegistry* wall_metrics() const { return wall_metrics_.get(); }
   /// Pre-registered handles into wall_metrics() for hot-path scopes.
   WallPhaseTimers* wall_timers() const { return wall_timers_.get(); }
-  /// The heap's parallel-marking pool, or null when marking is serial.
-  /// The simulator's snapshot census engine shares it so every marking
-  /// wave in a run draws from one set of workers.
-  TaskPool* marking_pool() const { return marking_pool_.get(); }
   const InterPartitionIndex& index() const { return index_; }
   const WriteBarrier& barrier() const { return *barrier_; }
   const WeightTracker* weights() const { return weights_.get(); }
@@ -384,10 +363,6 @@ class CollectedHeap : private SlotWriteObserver {
   mutable ReachabilityAnalyzer census_engine_;
   mutable GarbageCensus census_scratch_;
   mutable SelectionContext selection_scratch_;
-
-  // Marking pool, created by WireComponents only when
-  // parallel_marking_threads >= 2.
-  std::unique_ptr<TaskPool> marking_pool_;
 };
 
 }  // namespace odbgc

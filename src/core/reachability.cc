@@ -13,9 +13,6 @@ void ReachabilityAnalyzer::BeginEpoch(const ObjectStore& store) {
     // stamps could alias the new epoch, so clear once and restart at 1.
     std::fill(live_stamp_.begin(), live_stamp_.end(), 0);
     std::fill(aux_stamp_.begin(), aux_stamp_.end(), 0);
-    for (size_t i = 0; i < claim_capacity_; ++i) {
-      claim_stamp_[i].store(0, std::memory_order_relaxed);
-    }
     epoch_ = 1;
   }
   const size_t limit = static_cast<size_t>(store.id_limit());
@@ -27,17 +24,7 @@ void ReachabilityAnalyzer::BeginEpoch(const ObjectStore& store) {
   }
 }
 
-void ReachabilityAnalyzer::EnableParallelMarking(TaskPool* pool,
-                                                uint32_t stripes) {
-  marking_pool_ = pool;
-  marking_stripes_ = stripes;
-}
-
 void ReachabilityAnalyzer::MarkLiveSet(const ObjectStore& store) {
-  if (parallel_marking_enabled() && !store.roots().empty()) {
-    MarkLiveSetParallel(store);
-    return;
-  }
   BeginEpoch(store);
   worklist_.clear();
   worklist_.reserve(store.object_count());
@@ -61,117 +48,6 @@ void ReachabilityAnalyzer::MarkLiveSet(const ObjectStore& store) {
       stamp = epoch_;
       worklist_.push_back(child);
     }
-  }
-}
-
-void ReachabilityAnalyzer::DrainMarkWorklist(const ObjectStore& store,
-                                             std::vector<ObjectId>* work,
-                                             std::vector<uint64_t>* marked,
-                                             TaskPool::TaskGroup* group,
-                                             TaskPool::Context& ctx) {
-  // Backlogs beyond this split in half, the older half becoming a
-  // stealable subtask in the same wave. The threshold keeps split
-  // overhead (a vector copy + a task submit) well under the traversal
-  // work it exports.
-  constexpr size_t kSplitThreshold = 1024;
-  while (!work->empty()) {
-    if (work->size() > kSplitThreshold) {
-      const size_t half = work->size() / 2;
-      std::vector<ObjectId> exported(work->begin(), work->begin() + half);
-      work->erase(work->begin(), work->begin() + half);
-      const ObjectStore* store_ptr = &store;
-      ctx.pool->Submit(group, [this, store_ptr, group,
-                               seed = std::move(exported)](
-                                  TaskPool::Context& sub_ctx) mutable {
-        std::vector<uint64_t> sub_marked;
-        DrainMarkWorklist(*store_ptr, &seed, &sub_marked, group, sub_ctx);
-        PublishMarked(&sub_marked);
-      });
-    }
-    const ObjectId id = work->back();
-    work->pop_back();
-    const ObjectStore::ObjectInfo* info = store.Lookup(id);
-    if (info == nullptr) continue;  // Dangling root.
-    for (ObjectId child : info->slots) {
-      if (child.is_null()) continue;
-      if (claim_stamp_[child.value].load(std::memory_order_relaxed) ==
-          epoch_) {
-        continue;
-      }
-      if (!store.Exists(child)) continue;
-      if (!ClaimParallel(child.value)) continue;  // Another task won.
-      marked->push_back(child.value);
-      work->push_back(child);
-    }
-  }
-}
-
-void ReachabilityAnalyzer::PublishMarked(std::vector<uint64_t>* marked) {
-  std::lock_guard<std::mutex> lock(marked_mutex_);
-  if (marked_lists_used_ == marked_lists_.size()) {
-    marked_lists_.emplace_back();
-  }
-  marked_lists_[marked_lists_used_++].swap(*marked);
-}
-
-void ReachabilityAnalyzer::MarkLiveSetParallel(const ObjectStore& store) {
-  BeginEpoch(store);
-  const size_t limit = live_stamp_.size();
-  if (claim_capacity_ < limit) {
-    // Fresh zero-filled array: dropping older generations' claims is
-    // fine, 0 never equals a live epoch.
-    size_t capacity = claim_capacity_ == 0 ? 1024 : claim_capacity_;
-    while (capacity < limit) capacity *= 2;
-    claim_stamp_ = std::make_unique<std::atomic<uint32_t>[]>(capacity);
-    for (size_t i = 0; i < capacity; ++i) {
-      claim_stamp_[i].store(0, std::memory_order_relaxed);
-    }
-    claim_capacity_ = capacity;
-  }
-
-  const std::vector<ObjectId>& roots = store.roots();
-  // ~4 chunks per stripe so early-finishing workers have something to
-  // steal even before any worklist splits.
-  const size_t target_tasks =
-      std::max<size_t>(1, static_cast<size_t>(marking_stripes_) * 4);
-  const size_t chunk =
-      std::max<size_t>(1, (roots.size() + target_tasks - 1) / target_tasks);
-
-  marked_lists_used_ = 0;
-  TaskPool::TaskGroup group;
-  const ObjectStore* store_ptr = &store;
-  for (size_t begin = 0; begin < roots.size(); begin += chunk) {
-    const size_t end = std::min(begin + chunk, roots.size());
-    marking_pool_->Submit(&group, [this, store_ptr, begin, end,
-                                   group_ptr = &group](
-                                      TaskPool::Context& ctx) {
-      std::vector<uint64_t> marked;
-      std::vector<ObjectId> work;
-      const std::vector<ObjectId>& chunk_roots = store_ptr->roots();
-      for (size_t i = begin; i < end; ++i) {
-        const ObjectId root = chunk_roots[i];
-        assert(root.value < claim_capacity_);
-        // Serial marking stamps every root, dangling ones included (the
-        // traversal then skips them on Lookup) — claim the same set.
-        if (!ClaimParallel(root.value)) continue;
-        marked.push_back(root.value);
-        work.push_back(root);
-      }
-      DrainMarkWorklist(*store_ptr, &work, &marked, group_ptr, ctx);
-      PublishMarked(&marked);
-    });
-  }
-  marking_pool_->Wait(&group);
-
-  // Deterministic merge: the claimed set is the unique reachability
-  // fixpoint regardless of which task claimed what; stamping it into
-  // live_stamp_ is order-independent (every stamp writes the same epoch).
-  // After this loop the analyzer is indistinguishable from a serial mark.
-  for (size_t i = 0; i < marked_lists_used_; ++i) {
-    for (const uint64_t id_value : marked_lists_[i]) {
-      live_stamp_[id_value] = epoch_;
-    }
-    marked_lists_[i].clear();
   }
 }
 
@@ -430,10 +306,9 @@ GarbageAnatomy ReachabilityAnalyzer::Anatomy(const ObjectStore& store) {
 }
 
 std::unordered_set<ObjectId> ComputeLiveSet(const ObjectStore& store) {
-  // Kept verbatim from the original implementation: the global collector
-  // iterates the returned set, and its (implementation-defined but
-  // deterministic) iteration order decides the order of simulated marking
-  // I/O — replaying it exactly keeps full-collection runs bit-identical.
+  // A plain breadth-first reference marker, independent of the analyzer's
+  // epoch stamps. Callers only test membership: the standard leaves
+  // unordered_set iteration order unspecified.
   std::unordered_set<ObjectId> live;
   std::deque<ObjectId> queue;
   for (ObjectId root : store.roots()) {

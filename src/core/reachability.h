@@ -1,16 +1,12 @@
 #ifndef ODBGC_CORE_REACHABILITY_H_
 #define ODBGC_CORE_REACHABILITY_H_
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <unordered_set>
 #include <vector>
 
 #include "odb/object_id.h"
 #include "odb/object_store.h"
-#include "util/task_pool.h"
 
 namespace odbgc {
 
@@ -104,32 +100,6 @@ class ReachabilityAnalyzer {
   /// that need only liveness (equivalence tests, tools).
   void MarkLiveSet(const ObjectStore& store);
 
-  /// Switches marking to the parallel path (DESIGN.md §15): the root set
-  /// is striped into tasks on `pool`, workers claim objects through an
-  /// epoch-stamped atomic claim array (CAS from not-this-epoch to
-  /// this-epoch, so every object is traversed exactly once), oversized
-  /// worklists split into stealable subtasks, and each task's claimed ids
-  /// are merged into the dense mark vector serially after the wave — so
-  /// census/anatomy read the same single-threaded stamps as ever.
-  ///
-  /// Byte-identical to serial marking by construction: the reachable set
-  /// is the unique least fixpoint of the edge relation, independent of
-  /// traversal order, and every downstream output is an order-independent
-  /// sum over that set (tests/core/parallel_marking_test.cc holds census
-  /// and anatomy to it field for field).
-  ///
-  /// `pool` is non-owning and must outlive the analyzer's last marking
-  /// call. `stripes` controls fan-out (≈4 root chunks per worker); values
-  /// < 2 or a null pool leave the serial path in place. The store must
-  /// not be mutated during marking (the usual census contract: the
-  /// mutator is stopped inside a collection/census).
-  void EnableParallelMarking(TaskPool* pool, uint32_t stripes);
-
-  /// True when EnableParallelMarking installed a usable configuration.
-  bool parallel_marking_enabled() const {
-    return marking_pool_ != nullptr && marking_stripes_ > 1;
-  }
-
   /// True iff `id` was marked by the most recent MarkLiveSet/Census/
   /// Anatomy call on this analyzer.
   bool IsLive(ObjectId id) const {
@@ -162,27 +132,6 @@ class ReachabilityAnalyzer {
     return aux_stamp_[id.value] == epoch_;
   }
 
-  // Parallel marking (EnableParallelMarking): drains one task's worklist,
-  // splitting oversized backlogs into stealable subtasks, recording every
-  // claimed id value into `marked`.
-  void DrainMarkWorklist(const ObjectStore& store, std::vector<ObjectId>* work,
-                         std::vector<uint64_t>* marked,
-                         TaskPool::TaskGroup* group, TaskPool::Context& ctx);
-  // Hands a task's claimed-id list to the merge step (thread-safe).
-  void PublishMarked(std::vector<uint64_t>* marked);
-  void MarkLiveSetParallel(const ObjectStore& store);
-  // CAS-claims `id` for the current generation; true iff this caller won.
-  bool ClaimParallel(uint64_t id_value) {
-    uint32_t seen = claim_stamp_[id_value].load(std::memory_order_relaxed);
-    while (seen != epoch_) {
-      if (claim_stamp_[id_value].compare_exchange_weak(
-              seen, epoch_, std::memory_order_relaxed)) {
-        return true;
-      }
-    }
-    return false;
-  }
-
   // Current mark generation; 0 is reserved as "never marked".
   uint32_t epoch_ = 0;
   // stamp == epoch_  <=>  marked in the current generation.
@@ -196,27 +145,15 @@ class ReachabilityAnalyzer {
   std::vector<ObjectId> worklist_;
   // Census scratch: the dead objects of the current census, roster order.
   std::vector<DeadObject> dead_;
-
-  // Parallel marking state (unused on the serial path). The claim array
-  // is the concurrent twin of live_stamp_: claim == epoch_ means "some
-  // task owns/owned this object's traversal". Workers never touch
-  // live_stamp_; the post-wave merge does, single-threaded.
-  TaskPool* marking_pool_ = nullptr;
-  uint32_t marking_stripes_ = 1;
-  std::unique_ptr<std::atomic<uint32_t>[]> claim_stamp_;
-  size_t claim_capacity_ = 0;
-  // Per-task output: claimed id values, appended under marked_mutex_.
-  std::mutex marked_mutex_;
-  std::vector<std::vector<uint64_t>> marked_lists_;
-  size_t marked_lists_used_ = 0;
 };
 
 /// Ids of all objects reachable from the root set.
 ///
 /// Note for hot paths: prefer ReachabilityAnalyzer, which marks without
 /// building a set. This remains for callers that need a materialized set
-/// with the historical iteration behaviour (the global collector's visit
-/// order, tests).
+/// for membership tests: the global collector, and the tests that check
+/// the analyzer against it. The set's iteration order is unspecified, so
+/// no caller may let it decide anything observable.
 std::unordered_set<ObjectId> ComputeLiveSet(const ObjectStore& store);
 
 /// Full census (one reachability pass). Convenience wrapper constructing

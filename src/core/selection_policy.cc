@@ -74,9 +74,6 @@ PolicyRegistry& GlobalPolicyRegistry() {
     r->factories.emplace("CostBenefit", [](const PolicyContext& context) {
       return std::make_unique<CostBenefitPolicy>(context.store);
     });
-    r->factories.emplace("PoolPressure", [](const PolicyContext& context) {
-      return std::make_unique<PoolPressurePolicy>(context.global);
-    });
     return r;
   }();
   return *registry;

@@ -139,50 +139,6 @@ std::unique_ptr<SelectionPolicy> MakePolicy(PolicyKind kind, uint64_t seed);
 // name everywhere a built-in fits (HeapOptions::policy_name,
 // ExperimentSpec, run manifests, odbgc-report).
 
-/// Cross-heap pressure snapshot a multi-tenant host (src/service/) exposes
-/// to its tenants' policies. The host owns one instance per tenant heap and
-/// refreshes every field at deterministic synchronization points (the
-/// service's round barriers), so reads between barriers always see the
-/// previous barrier's values — a pure function of the simulated run, never
-/// of thread scheduling.
-///
-/// Single-heap runs never construct one: PolicyContext::global stays null
-/// and every policy must degrade to its single-heap behaviour, which is
-/// what keeps the paper's six policies byte-identical with or without this
-/// struct in the build.
-struct GlobalView {
-  /// Shared frame budget across all tenant buffer pools.
-  uint64_t shared_pool_frames = 0;
-  /// Frames currently resident across all tenant pools.
-  uint64_t shared_resident_frames = 0;
-  /// Frames this tenant's pool holds resident / may hold at most.
-  uint64_t tenant_resident_frames = 0;
-  uint64_t tenant_frame_cap = 0;
-  /// Live bytes, this tenant / all tenants (from the latest census or
-  /// heap accounting the host maintains).
-  uint64_t tenant_live_bytes = 0;
-  uint64_t total_live_bytes = 0;
-  /// Batches pending in the shared I/O scheduler (0 for in-memory
-  /// backends).
-  uint64_t device_queue_depth = 0;
-
-  /// Shared-pool occupancy in [0, 1] (0 when the budget is unset).
-  double OccupancyFraction() const {
-    return shared_pool_frames == 0
-               ? 0.0
-               : static_cast<double>(shared_resident_frames) /
-                     static_cast<double>(shared_pool_frames);
-  }
-  /// This tenant's share of its own cap in [0, 1] (0 when the cap is
-  /// unset).
-  double TenantPressure() const {
-    return tenant_frame_cap == 0
-               ? 0.0
-               : static_cast<double>(tenant_resident_frames) /
-                     static_cast<double>(tenant_frame_cap);
-  }
-};
-
 /// What a registry factory may bind when constructing a policy.
 struct PolicyContext {
   /// Seed for policy randomness (Random draws from it; others ignore it).
@@ -192,11 +148,6 @@ struct PolicyContext {
   /// policy is built outside a heap; the slot's pointee is null until the
   /// heap finishes wiring, so factories must keep the slot, not deref it.
   const ObjectStore* const* store = nullptr;
-  /// Cross-tenant pressure view (see GlobalView), bound by a multi-tenant
-  /// host through HeapOptions::global_view. Null in single-heap runs — the
-  /// common case — so policies that consult it must treat null as "no
-  /// pressure" and none of the paper's six read it at all.
-  const GlobalView* global = nullptr;
 };
 
 using PolicyFactory =

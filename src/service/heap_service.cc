@@ -16,7 +16,7 @@
 #include "storage/device_registry.h"
 #include "storage/io_scheduler.h"
 #include "trace/event.h"
-#include "util/task_pool.h"
+#include "util/fork_join_pool.h"
 #include "workload/generator.h"
 
 namespace odbgc {
@@ -45,9 +45,9 @@ constexpr int kMaxForcedPerBarrier = 64;
 
 // Per-tenant execution state: a plain serial Simulator plus its generator
 // stream, buffered one build phase / generator round at a time and applied
-// in events_per_batch slices. Exactly one worker touches a TenantRun per
+// in events_per_batch slices. Exactly one executor touches a TenantRun per
 // round, and the barriers in between run on the service thread — the
-// pool's submit/wait edges sequence the handoffs.
+// pool's fork and join edges sequence the handoffs.
 struct HeapService::TenantRun {
   SimulationConfig config;
   std::string name;
@@ -136,7 +136,6 @@ Status HeapService::PrepareTenants() {
                     : spec_.tenants[i].name;
     run->config.mutator_threads = 1;
     run->config.trace_shards = 0;
-    run->config.heap.global_view = &views_[i];
     if (arena_ != nullptr) {
       // Physically shared frames: the tenant's pool becomes a logical
       // quota over the arena.
@@ -178,8 +177,8 @@ bool HeapService::Arrived(size_t tenant) const {
 
 void HeapService::RunTenantRound(TenantRun* run) {
   // K-step batching: one worker wake (or one inline visit) services K
-  // batches before the next barrier, so GlobalView refresh and TaskPool
-  // wake/park churn are amortized K-fold.
+  // batches before the next barrier, so the barrier and the pool's
+  // wake/park handoffs are amortized K-fold.
   for (uint64_t k = 0; k < spec_.steps_per_round && !run->done; ++k) {
     StepTenant(run);
   }
@@ -265,8 +264,7 @@ void HeapService::StepTenant(TenantRun* run) {
   }
 }
 
-void HeapService::RefreshSharedState() {
-  uint64_t total_footprint = 0;
+void HeapService::RefreshBudget() {
   for (size_t t = 0; t < runs_.size(); ++t) {
     TenantRun& run = *runs_[t];
     // A finished tenant's pool is released back to the shared budget (its
@@ -278,21 +276,6 @@ void HeapService::RefreshSharedState() {
     // its cap enters the ledger only once it can actually fault pages in.
     budget_.Update(t, active ? run.sim->heap().buffer().resident_pages() : 0,
                    Arrived(t) ? run.config.heap.buffer_pages : 0);
-    // Footprint (partitions x partition bytes) as the live-size signal: it
-    // is the DBA-visible database size, cheap, and monotone in pressure.
-    views_[t].tenant_live_bytes =
-        active ? run.sim->heap().store().total_bytes() : 0;
-    total_footprint += views_[t].tenant_live_bytes;
-  }
-  for (size_t t = 0; t < runs_.size(); ++t) {
-    views_[t].shared_pool_frames = budget_.total_frames();
-    views_[t].shared_resident_frames = budget_.occupancy();
-    views_[t].tenant_resident_frames = budget_.resident(t);
-    views_[t].tenant_frame_cap = budget_.cap(t);
-    views_[t].total_live_bytes = total_footprint;
-    // The shared scheduler drains every batch synchronously, so at a
-    // barrier its queue really is empty.
-    views_[t].device_queue_depth = 0;
   }
 }
 
@@ -341,7 +324,7 @@ void HeapService::CollectUnderPressure() {
     }
     ++forced_collections_;
     ++forced;
-    RefreshSharedState();
+    RefreshBudget();
     // The victim's pages were discarded; if occupancy did not retreat
     // (copy-target faults ate the savings), more forcing won't help.
     if (budget_.occupancy() >= before) break;
@@ -413,7 +396,6 @@ Status HeapService::WriteManifests() const {
 Status HeapService::Run() {
   ODBGC_RETURN_IF_ERROR(Validate());
   const size_t n = spec_.tenants.size();
-  views_.assign(n, GlobalView{});
   tenant_stalls_.assign(n, 0);
 
   uint64_t total_cap = 0;
@@ -430,10 +412,9 @@ Status HeapService::Run() {
   }
   ODBGC_RETURN_IF_ERROR(PrepareTenants());
   budget_.Configure(budget_frames, spec_.admission_watermark, n);
-  RefreshSharedState();  // Caps registered; occupancy 0; views zeroed.
+  RefreshBudget();  // Caps registered; occupancy 0.
 
-  std::unique_ptr<TaskPool> pool;
-  if (spec_.threads > 1) pool = std::make_unique<TaskPool>(spec_.threads);
+  ForkJoinPool pool(spec_.threads);
 
   const auto all_done = [this] {
     for (const auto& run : runs_) {
@@ -447,36 +428,25 @@ Status HeapService::Run() {
   // occupancy bound would not hold from round 1.
   std::vector<char> admitted(n, 1);
   ComputeAdmissions(&admitted);
+  std::vector<TenantRun*> runnable;
+  runnable.reserve(n);
   while (!all_done()) {
-    size_t runnable = 0;
+    runnable.clear();
     for (size_t i = 0; i < n; ++i) {
-      if (admitted[i] != 0 && !runs_[i]->done) ++runnable;
-    }
-    if (pool != nullptr && runnable > 1) {
-      TaskPool::TaskGroup group;
-      for (size_t i = 0; i < n; ++i) {
-        if (admitted[i] == 0 || runs_[i]->done) continue;
-        TenantRun* run = runs_[i].get();
-        pool->Submit(&group,
-                     [this, run](TaskPool::Context&) { RunTenantRound(run); });
-      }
-      pool->Wait(&group);
-    } else {
-      // Inline, in tenant order — byte-stable end to end at one thread,
-      // and a round with at most one runnable tenant skips the worker
-      // pool entirely rather than paying wake/park churn for no overlap.
-      for (size_t i = 0; i < n; ++i) {
-        if (admitted[i] != 0 && !runs_[i]->done) {
-          RunTenantRound(runs_[i].get());
-        }
+      if (admitted[i] != 0 && !runs_[i]->done) {
+        runnable.push_back(runs_[i].get());
       }
     }
+    // At one thread, or with at most one runnable tenant, the pool runs
+    // the round inline in tenant order: byte-stable end to end at one
+    // thread, and no wake/park handoff when there is nothing to overlap.
+    pool.Run(runnable.size(),
+             [this, &runnable](size_t i) { RunTenantRound(runnable[i]); });
     ++rounds_;
 
-    // Barrier: departures, accounting, pressure view, forced collections,
-    // admission.
+    // Barrier: departures, accounting, forced collections, admission.
     RetireDepartures();
-    RefreshSharedState();
+    RefreshBudget();
     budget_.NotePeak();
     if (budget_.enabled()) CollectUnderPressure();
     ComputeAdmissions(&admitted);

@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "core/selection_policy.h"
 #include "service/pool_budget.h"
 #include "sim/metrics.h"
 #include "sim/spec.h"
@@ -89,9 +88,7 @@ struct ServiceResult {
 ///
 ///   1. refreshes the SharedPoolBudget from every tenant pool's residency
 ///      and records the occupancy peak;
-///   2. refreshes each tenant's GlobalView (the pressure snapshot
-///      registry policies may consult via PolicyContext::global);
-///   3. while occupancy sits at/above the watermark, forces collections
+///   2. while occupancy sits at/above the watermark, forces collections
 ///      chosen by the cross-tenant scheduler: over all (tenant,
 ///      partition) candidates it ranks
 ///          rank(t, p) = NormalizedScore_t(p) * TenantPressure(t)
@@ -101,7 +98,7 @@ struct ServiceResult {
 ///      ordering, scaled by who is actually holding the shared budget.
 ///      Ties break to the lowest (tenant, partition). Collection sheds
 ///      residency through the collector's DiscardExtent of the victim;
-///   4. computes next-round admissions: tenants are admitted in id order
+///   3. computes next-round admissions: tenants are admitted in id order
 ///      while projected occupancy (current + each admitted tenant's
 ///      allowance, i.e. cap - resident) stays below the watermark. If
 ///      nobody fits, the first unfinished tenant is admitted anyway so
@@ -117,15 +114,15 @@ struct ServiceResult {
 /// identical to a standalone Simulator run of its config — the service
 /// equivalence contract (tests/service/service_equivalence_test.cc).
 ///
-/// Threading: tenant heaps stay in plain serial mode; one worker applies
-/// one tenant's round per round, and the pool's submit/wait edges order
-/// each heap's cross-round (and barrier) accesses. The BufferPool
-/// single-owner check holds: ownership hands off only through those
-/// edges. The shared arena's frame allocator is the only structure
-/// several tenants touch at once, and it carries its own lock. Rounds
-/// with at most one runnable tenant run inline on the service thread — a
-/// small fleet never pays TaskPool wake/park churn for work one thread
-/// does anyway.
+/// Threading: tenant heaps stay in plain serial mode. Each round is one
+/// ForkJoinPool batch over the runnable tenants, so one executor applies
+/// one tenant's round, and the batch's fork and join edges order each
+/// heap's cross-round (and barrier) accesses. The BufferPool single-owner
+/// check holds: ownership hands off only through those edges. The shared
+/// arena's frame allocator is the only structure several tenants touch at
+/// once, and it carries its own lock. Rounds with at most one runnable
+/// tenant run inline on the service thread — a small fleet never pays
+/// wake/park handoffs for work one thread does anyway.
 class HeapService {
  public:
   explicit HeapService(ServiceSpec spec);
@@ -153,7 +150,7 @@ class HeapService {
 
   Status Validate() const;
   /// Serial per-tenant setup: resolved name, rewritten device spec,
-  /// observer wrapper, GlobalView binding, shared-arena binding.
+  /// observer wrapper, shared-arena binding.
   Status PrepareTenants();
   /// True once the service's round clock has reached the tenant's
   /// arrival_round (always true for arrival_round 0).
@@ -167,11 +164,11 @@ class HeapService {
   /// Barrier step 0: retires tenants whose departure_round has come
   /// (finalize, count, release shared frames).
   void RetireDepartures();
-  /// Barrier step 1-2: budget refresh from pool residency + GlobalViews.
-  void RefreshSharedState();
-  /// Barrier step 3: the cross-tenant forced-collection loop.
+  /// Barrier step 1: budget refresh from pool residency.
+  void RefreshBudget();
+  /// Barrier step 2: the cross-tenant forced-collection loop.
   void CollectUnderPressure();
-  /// Barrier step 4: next-round admission flags.
+  /// Barrier step 3: next-round admission flags.
   void ComputeAdmissions(std::vector<char>* admitted);
   /// Writes one manifest per tenant into spec_.manifest_dir.
   Status WriteManifests() const;
@@ -188,7 +185,6 @@ class HeapService {
   // tenant's own sink) across workers.
   std::mutex observer_mutex_;
   std::vector<std::unique_ptr<TenantRun>> runs_;
-  std::vector<GlobalView> views_;
   SharedPoolBudget budget_;
   uint64_t rounds_ = 0;
   uint64_t forced_collections_ = 0;

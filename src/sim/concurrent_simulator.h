@@ -26,7 +26,7 @@ namespace odbgc {
 ///
 /// bitwise, for every field except wall-clock/measured ones. The
 /// equivalence suites (tests/sim/concurrent_equivalence_test.cc and
-/// tests/sim/work_stealing_equivalence_test.cc) hold all six paper
+/// tests/sim/skewed_shard_equivalence_test.cc) hold all six paper
 /// policies to this at several thread counts.
 ///
 /// Aggregation over shard results is per-field summation (I/O, events,

@@ -1,5 +1,6 @@
 #include "sim/runner.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <mutex>
@@ -10,7 +11,7 @@
 #include "sim/simulator.h"
 #include "storage/device_registry.h"
 #include "storage/io_scheduler.h"
-#include "util/task_pool.h"
+#include "util/fork_join_pool.h"
 
 namespace odbgc {
 
@@ -159,21 +160,11 @@ Result<Experiment> RunExperimentWith(const ExperimentSpec& spec,
         std::move(result).value();
   };
 
-  if (threads <= 1) {
-    for (size_t i = 0; i < tasks.size(); ++i) run_cell(i);
-  } else {
-    // The cells ride the same work-stealing pool as shard scheduling and
-    // parallel marking (DESIGN.md §15): long runs (a slow policy, a big
-    // seed) stop serializing the tail of the grid behind a static
-    // round-robin split.
-    TaskPool pool(static_cast<uint32_t>(threads));
-    TaskPool::TaskGroup group;
-    for (size_t i = 0; i < tasks.size(); ++i) {
-      pool.Submit(&group,
-                  [&run_cell, i](TaskPool::Context&) { run_cell(i); });
-    }
-    pool.Wait(&group);
-  }
+  // Executors claim cells one at a time (DESIGN.md §15), so a long run (a
+  // slow policy, a big seed) does not hold back a static share of the grid
+  // behind it. One thread runs the cells inline, in order.
+  ForkJoinPool pool(static_cast<uint32_t>(threads));
+  pool.Run(tasks.size(), run_cell);
 
   if (!first_error.ok()) return first_error;
   if (!complete_error.ok()) return complete_error;

@@ -43,12 +43,6 @@ Simulator::Simulator(const SimulationConfig& config) : config_(config) {
   HeapOptions heap_options = config_.heap;
   heap_options.seed = config_.seed;  // Policy randomness follows the run seed.
   heap_ = std::make_unique<CollectedHeap>(heap_options);
-  if (heap_options.parallel_marking_threads >= 2) {
-    // The snapshot census engine marks on the same pool as the heap's
-    // oracle census — one set of marking workers per heap.
-    census_engine_.EnableParallelMarking(heap_->marking_pool(),
-                                         heap_options.parallel_marking_threads);
-  }
   if (SimObserver* observer = heap_->options().observer) {
     RunStartedEvent event;
     event.policy = heap_->options().policy_name;

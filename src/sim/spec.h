@@ -178,7 +178,7 @@ struct ServiceSpec {
   uint64_t events_per_batch = 256;
   /// Batches each admitted tenant applies per round (K-step batching).
   /// One worker wake services K * events_per_batch events before the next
-  /// barrier, amortizing GlobalView refresh and TaskPool wake/park churn
+  /// barrier, amortizing the barrier and the pool's wake/park handoffs
   /// across K batches. Like events_per_batch this shapes the admission /
   /// forced-collection schedule, so it is part of the spec.
   uint64_t steps_per_round = 1;

@@ -178,8 +178,8 @@ TEST(SharedPoolPressureTest, PressuredFleetIdenticalToPrivatePools) {
   EXPECT_LE(peak_max, shared->peak_occupancy_frames);
 }
 
-// A pressured shared-arena fleet stays thread-count invariant: the
-// striped table is physically concurrent but observationally serial.
+// A pressured shared-arena fleet stays thread-count invariant: tenants
+// allocate from the one arena concurrently, yet no result can tell.
 TEST(SharedPoolPressureTest, SharedArenaFleetIsThreadCountInvariant) {
   std::vector<ServiceResult> results;
   for (uint32_t threads : {1u, 2u, 4u}) {
