@@ -1,5 +1,6 @@
-// Self-profiling harness for the simulator's hot paths. Runs six probe
-// configurations that stress different subsystems:
+// Self-profiling harness for the simulator's hot paths. Runs six
+// simulation probes that stress different subsystems, and one probe of
+// the checksum under the file device's page frames:
 //
 //   census_heavy   kMostGarbage + census at every 1000-event snapshot —
 //                  dominated by whole-database reachability marking
@@ -21,11 +22,17 @@
 //                  evacuate thousands of objects, so the collector's
 //                  per-object cost dominates; a roster removal that is
 //                  not O(log n) makes each collection quadratic
+//   checksum_8k    Crc32 over 8 KB pages (its events are pages) — the
+//                  cost the file device pays to seal and check each page
+//                  frame; the table loop runs it several times slower
+//                  than the PCLMULQDQ folding kernel, so this floor fails
+//                  a build or dispatch that silently falls back on an
+//                  x86-64 CPU that has the instruction
 //
-// Each probe reports events/sec, the process heap high-water mark after
-// the probe (ru_maxrss — monotonic across the run, so the last probe's
-// figure is the whole run's peak), plus the per-phase wall-clock breakdown
-// from the heap's wall-timer registry. The coarse phases (census,
+// Each simulation probe reports events/sec, the process heap high-water
+// mark after the probe (ru_maxrss — monotonic across the run, so the last
+// probe's figure is the whole run's peak), plus the per-phase wall-clock
+// breakdown from the heap's wall-timer registry. The coarse phases (census,
 // collection) are always timed; --profile additionally enables the
 // per-event timers (index maintenance, trace apply), which cost a few
 // clock reads per event and therefore distort the headline events/sec —
@@ -50,6 +57,8 @@
 
 #include "bench/bench_common.h"
 #include "sim/simulator.h"
+#include "util/crc32.h"
+#include "util/crc32_internal.h"
 #include "util/metrics_registry.h"
 
 namespace odbgc {
@@ -103,6 +112,39 @@ ProbeResult RunProbe(const char* name, SimulationConfig config) {
     std::printf("    %-24s %10.1f ms\n", sample.name.c_str(),
                 static_cast<double>(sample.total()) / 1e6);
   }
+  return probe;
+}
+
+ProbeResult ChecksumProbe() {
+  constexpr size_t kPageBytes = 8192;
+  constexpr uint64_t kPages = 200000;  // 1.6 GB through Crc32.
+  std::vector<unsigned char> page(kPageBytes);
+  for (size_t i = 0; i < page.size(); ++i) {
+    page[i] = static_cast<unsigned char>(i * 131 + 7);
+  }
+
+  // Each checksum seeds the next, so no call can be skipped or hoisted.
+  uint32_t crc = 0;
+  const auto start = Clock::now();
+  for (uint64_t i = 0; i < kPages; ++i) {
+    crc = Crc32(page.data(), page.size(), crc);
+  }
+  const double seconds =
+      std::chrono::duration<double>(Clock::now() - start).count();
+
+  ProbeResult probe;
+  probe.name = "checksum_8k";
+  probe.events = kPages;
+  probe.wall_seconds = seconds;
+  probe.events_per_sec = seconds > 0 ? kPages / seconds : 0;
+  probe.max_rss_kb = MaxRssKb();
+  std::printf(
+      "%-14s pages=%-11llu wall=%8.3fs  pages/sec=%13.0f  kernel=%s"
+      "  (crc %08x)\n",
+      probe.name.c_str(), static_cast<unsigned long long>(kPages), seconds,
+      probe.events_per_sec,
+      crc32_internal::FoldingAvailable() ? "pclmul-folding" : "table",
+      static_cast<unsigned>(crc));
   return probe;
 }
 
@@ -180,6 +222,7 @@ int main(int argc, char** argv) {
     c.workload.large_space_fraction = 0.0;
     probes.push_back(RunProbe("collection_heavy", c));
   }
+  probes.push_back(ChecksumProbe());
 
   std::ofstream json(json_path);
   json << "{\n  \"bench\": \"hotpath\",\n";

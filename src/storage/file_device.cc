@@ -21,7 +21,8 @@ namespace odbgc {
 namespace {
 
 /// Identifies a frame that has been written at least once. A frame of all
-/// zeros (ftruncate extension) has magic 0 and reads as an all-zero page.
+/// zeros (ftruncate extension) has magic 0 and reads as an all-zero page;
+/// a zero magic on any other frame is Corruption.
 constexpr uint32_t kFrameMagic = 0x0DB9CF17u;
 
 /// Header sector layout (fits well inside one 512-byte sector):
@@ -141,7 +142,14 @@ Status FileDevice::DecodeFrame(PageId page, const std::byte* frame,
   uint32_t magic = 0;
   std::memcpy(&magic, frame, sizeof(magic));
   if (magic == 0) {
-    // Never written: reads as a zero page.
+    // Never written: ftruncate left the whole frame zero, and it reads as
+    // a zero page. Any other byte means a written frame lost its magic (a
+    // torn header sector, bit rot). The first byte is zero here, so the
+    // frame is all zero exactly when it equals itself shifted by one.
+    if (std::memcmp(frame, frame + 1, frame_size_ - 1) != 0) {
+      return Status::Corruption("FileDevice: zeroed magic on written page " +
+                                std::to_string(page));
+    }
     std::memset(out.data(), 0, out.size());
     return Status::Ok();
   }

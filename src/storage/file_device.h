@@ -53,11 +53,13 @@ struct FileDeviceOptions {
 /// Layout: page `p` lives in frame `p` at offset `p * frame_size`. A
 /// frame is a 512-byte header sector (magic, page id, payload CRC-32)
 /// followed by the payload, the whole frame padded to a 4096-byte
-/// multiple so the same layout works buffered and O_DIRECT. A frame whose
-/// magic is zero (freshly allocated, never written) reads as an all-zero
-/// page, matching SimulatedDisk's zero-filled allocations. A frame whose
-/// checksum does not cover its payload reads as Corruption — that is what
-/// an injected short/torn write leaves behind.
+/// multiple so the same layout works buffered and O_DIRECT. An all-zero
+/// frame (freshly allocated, never written) reads as an all-zero page,
+/// matching SimulatedDisk's zero-filled allocations. A frame with any
+/// other damage to its magic, page id, checksum or payload reads as
+/// Corruption — that is what an injected short/torn write leaves behind.
+/// The checksum does not cover the header's padding or the frame's tail
+/// padding.
 ///
 /// Determinism contract: the simulated transfer counters (CountRead/
 /// CountWrite and their sequential/random classification) are charged on
@@ -113,8 +115,8 @@ class FileDevice : public PageDevice {
   // bytes: header + payload + zero padding).
   void EncodeFrame(PageId page, std::span<const std::byte> payload,
                    std::byte* frame) const;
-  // Validates `frame` and copies its payload into `out`. Zero magic means
-  // a never-written page: `out` is zero-filled.
+  // Validates `frame` and copies its payload into `out`. An all-zero frame
+  // is a never-written page: `out` is zero-filled.
   Status DecodeFrame(PageId page, const std::byte* frame,
                      std::span<std::byte> out) const;
 

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <sstream>
 #include <string>
@@ -11,6 +13,7 @@
 
 #include "observe/observer.h"
 #include "storage/disk.h"
+#include "util/random.h"
 
 namespace odbgc {
 namespace {
@@ -32,6 +35,35 @@ FileDeviceOptions Options(const std::string& name) {
 
 std::vector<std::byte> Page(uint8_t fill) {
   return std::vector<std::byte>(kPageSize, std::byte{fill});
+}
+
+std::vector<std::byte> RandomPage(Rng& rng) {
+  std::vector<std::byte> page(kPageSize);
+  for (std::byte& b : page) b = static_cast<std::byte>(rng.Next());
+  return page;
+}
+
+// Raw access to a device's file behind its back, the way bit rot or a
+// torn sector changes it.
+std::vector<std::byte> ReadRaw(const std::string& path, size_t offset,
+                               size_t size) {
+  std::vector<std::byte> bytes(size);
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  EXPECT_GE(fd, 0) << path;
+  EXPECT_EQ(::pread(fd, bytes.data(), size, static_cast<off_t>(offset)),
+            static_cast<ssize_t>(size));
+  ::close(fd);
+  return bytes;
+}
+
+void WriteRaw(const std::string& path, size_t offset,
+              const std::vector<std::byte>& bytes) {
+  const int fd = ::open(path.c_str(), O_WRONLY | O_CLOEXEC);
+  EXPECT_GE(fd, 0) << path;
+  EXPECT_EQ(
+      ::pwrite(fd, bytes.data(), bytes.size(), static_cast<off_t>(offset)),
+      static_cast<ssize_t>(bytes.size()));
+  ::close(fd);
 }
 
 TEST(FileDeviceTest, EmptyPathFailsFast) {
@@ -61,6 +93,90 @@ TEST(FileDeviceTest, FreshPagesReadAsZeros) {
   ASSERT_TRUE(device.ReadPage(2, buf).ok());
   EXPECT_EQ(buf, Page(0));
   ::unlink(device.options().path.c_str());
+}
+
+// Only a frame that is zero end to end is a fresh page. A written frame
+// whose magic word was zeroed must not read back as a zero page.
+TEST(FileDeviceTest, ZeroedMagicOnWrittenFrameIsCorruption) {
+  FileDevice device(kPageSize, nullptr, Options("zeroed_magic"));
+  ASSERT_TRUE(device.status().ok()) << device.status().ToString();
+  device.AllocatePages(2);
+  // A zero payload on page 0 is the nearest a written frame comes to a
+  // fresh one: its page id is zero too, and only the checksum word differs.
+  ASSERT_TRUE(device.WritePage(0, Page(0)).ok());
+  ASSERT_TRUE(device.WritePage(1, Page(0x5a)).ok());
+  const std::vector<std::byte> zero_magic(4);
+  WriteRaw(device.options().path, 0, zero_magic);
+  WriteRaw(device.options().path, device.frame_size(), zero_magic);
+
+  auto buf = Page(0xff);
+  EXPECT_EQ(device.ReadPage(0, buf).code(), StatusCode::kCorruption);
+  EXPECT_EQ(device.ReadPage(1, buf).code(), StatusCode::kCorruption);
+  ::unlink(device.options().path.c_str());
+}
+
+// The frame decoder fails closed: one flipped bit, or a burst of at most
+// 32 bits, in a frame's magic, checksum, page id or payload always reads
+// as Corruption — CRC-32 detects every burst that short, so no trial can
+// pass by luck. The padding after the header fields and after the payload
+// is left alone: the checksum does not cover it.
+TEST(FileDeviceTest, DamagedFrameFieldsReadAsCorruption) {
+  FileDevice device(kPageSize, nullptr, Options("hostile"));
+  ASSERT_TRUE(device.status().ok()) << device.status().ToString();
+  constexpr size_t kPages = 4;
+  device.AllocatePages(kPages);
+  Rng rng(53);
+  std::vector<std::vector<std::byte>> payloads;
+  for (PageId page = 0; page < kPages; ++page) {
+    payloads.push_back(RandomPage(rng));
+    ASSERT_TRUE(device.WritePage(page, payloads.back()).ok());
+  }
+
+  struct Field {
+    const char* name;
+    size_t begin;
+    size_t end;
+  };
+  // Byte ranges within a frame (FileDevice's header layout).
+  const Field fields[] = {{"magic", 0, 4},
+                          {"checksum", 4, 8},
+                          {"page id", 8, 16},
+                          {"payload", 512, 512 + kPageSize}};
+  const std::string& path = device.options().path;
+  auto buf = Page(0);
+  for (int trial = 0; trial < 400; ++trial) {
+    const PageId page = rng.UniformInt(kPages);
+    const Field& field = fields[rng.UniformInt(std::size(fields))];
+    const size_t field_bits = (field.end - field.begin) * 8;
+    const size_t burst =
+        rng.UniformInt(2) == 0
+            ? 1
+            : 1 + rng.UniformInt(std::min<size_t>(32, field_bits));
+    const size_t first_bit =
+        field.begin * 8 + rng.UniformInt(field_bits - burst + 1);
+    const size_t frame_offset = page * device.frame_size();
+    const std::vector<std::byte> original =
+        ReadRaw(path, frame_offset, device.frame_size());
+    std::vector<std::byte> damaged = original;
+    // Bits count least significant first within a byte, the order the
+    // reflected CRC reads them, so this is a burst of the checksummed
+    // message: its first and last bits flip, the ones between at random.
+    for (size_t i = 0; i < burst; ++i) {
+      if (i == 0 || i + 1 == burst || rng.UniformInt(2) == 1) {
+        const size_t bit = first_bit + i;
+        damaged[bit / 8] ^= static_cast<std::byte>(1u << (bit % 8));
+      }
+    }
+    WriteRaw(path, frame_offset, damaged);
+    EXPECT_EQ(device.ReadPage(page, buf).code(), StatusCode::kCorruption)
+        << "trial " << trial << ": " << burst << "-bit burst in the "
+        << field.name << " of page " << page << " at bit " << first_bit;
+
+    WriteRaw(path, frame_offset, original);
+    ASSERT_TRUE(device.ReadPage(page, buf).ok()) << "trial " << trial;
+    EXPECT_EQ(buf, payloads[page]) << "trial " << trial;
+  }
+  ::unlink(path.c_str());
 }
 
 TEST(FileDeviceTest, WriteReadRoundTripWithCounters) {

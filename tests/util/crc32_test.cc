@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "util/crc32_internal.h"
 #include "util/random.h"
 
 namespace odbgc {
@@ -32,6 +33,19 @@ uint32_t ReferenceCrc32(const unsigned char* data, size_t size,
   uint32_t crc = ~seed;
   for (size_t i = 0; i < size; ++i) {
     crc = table[(crc ^ data[i]) & 0xff] ^ (crc >> 8);
+  }
+  return ~crc;
+}
+
+// One bit at a time, straight from the polynomial: the reference each
+// kernel is held to on its own.
+uint32_t BitwiseCrc32(const unsigned char* data, size_t size, uint32_t seed) {
+  uint32_t crc = ~seed;
+  for (size_t i = 0; i < size; ++i) {
+    crc ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1) ? (0xedb88320u ^ (crc >> 1)) : (crc >> 1);
+    }
   }
   return ~crc;
 }
@@ -98,6 +112,90 @@ TEST(Crc32Test, MatchesReferenceAtRandomLengthsOffsetsAndSeeds) {
         << "offset " << offset << " size " << size << " seed " << seed;
   }
 }
+
+// Each kernel behind Crc32, tested directly: the table loop everywhere,
+// the folding kernel where this CPU can run it.
+enum class Kernel { kTable, kFolding };
+
+class Crc32KernelTest : public ::testing::TestWithParam<Kernel> {
+ protected:
+  void SetUp() override {
+    if (GetParam() == Kernel::kFolding &&
+        !crc32_internal::FoldingAvailable()) {
+      GTEST_SKIP() << "no PCLMULQDQ folding kernel on this build or CPU";
+    }
+  }
+
+  uint32_t Run(const unsigned char* data, size_t size, uint32_t seed) const {
+    return GetParam() == Kernel::kFolding
+               ? crc32_internal::FoldingCrc32(data, size, seed)
+               : crc32_internal::TableCrc32(data, size, seed);
+  }
+};
+
+TEST_P(Crc32KernelTest, MatchesBitwiseAtEveryLengthUpTo1024) {
+  Rng rng(41);
+  const std::vector<unsigned char> data = RandomBytes(rng, 1024);
+  for (size_t size = 0; size <= data.size(); ++size) {
+    ASSERT_EQ(Run(data.data(), size, 0), BitwiseCrc32(data.data(), size, 0))
+        << "size " << size;
+    const uint32_t seed = static_cast<uint32_t>(rng.Next());
+    ASSERT_EQ(Run(data.data(), size, seed),
+              BitwiseCrc32(data.data(), size, seed))
+        << "size " << size << " seed " << seed;
+  }
+}
+
+// Random lengths up to 64 KiB at every start offset within a 16-byte
+// block, so the folding loop, the 16-byte folds after it and the table
+// tail all see unaligned input of every residue.
+TEST_P(Crc32KernelTest, MatchesBitwiseAtRandomLengthsOffsetsAndSeeds) {
+  Rng rng(43);
+  constexpr size_t kMaxSize = 64 * 1024;
+  const std::vector<unsigned char> data = RandomBytes(rng, kMaxSize + 16);
+  for (int round = 0; round < 300; ++round) {
+    const size_t offset = static_cast<size_t>(rng.UniformInt(16));
+    const size_t size = static_cast<size_t>(rng.UniformInt(kMaxSize + 1));
+    const uint32_t seed = static_cast<uint32_t>(rng.Next());
+    ASSERT_EQ(Run(data.data() + offset, size, seed),
+              BitwiseCrc32(data.data() + offset, size, seed))
+        << "offset " << offset << " size " << size << " seed " << seed;
+  }
+}
+
+// Splits on both sides of the 16-byte fold step and the 64-byte minimum
+// for folding, so a head and its tail may take different paths.
+TEST_P(Crc32KernelTest, SeedChainsAcrossSplits) {
+  Rng rng(47);
+  const std::vector<unsigned char> data = RandomBytes(rng, 1000);
+  const uint32_t seed = static_cast<uint32_t>(rng.Next());
+  const uint32_t whole = BitwiseCrc32(data.data(), data.size(), seed);
+  for (const size_t split : {size_t{15}, size_t{16}, size_t{63}, size_t{64},
+                             size_t{65}, size_t{127}, size_t{128}}) {
+    const uint32_t head = Run(data.data(), split, seed);
+    EXPECT_EQ(Run(data.data() + split, data.size() - split, head), whole)
+        << "split " << split;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Kernels, Crc32KernelTest,
+                         ::testing::Values(Kernel::kTable, Kernel::kFolding),
+                         [](const ::testing::TestParamInfo<Kernel>& info) {
+                           return info.param == Kernel::kFolding ? "folding"
+                                                                 : "table";
+                         });
+
+#if defined(__x86_64__) && defined(__GNUC__)
+// Crc32 takes the folding kernel exactly when FoldingAvailable(); on an
+// x86-64 CPU that reports PCLMULQDQ and SSE4.1 that must be true, or every
+// page frame silently pays the table loop's cost.
+TEST(Crc32Test, SelectsFoldingWhenCpuHasPclmul) {
+  __builtin_cpu_init();
+  const bool cpu_has_pclmul = __builtin_cpu_supports("pclmul") &&
+                              __builtin_cpu_supports("sse4.1");
+  EXPECT_EQ(crc32_internal::FoldingAvailable(), cpu_has_pclmul);
+}
+#endif
 
 }  // namespace
 }  // namespace odbgc
