@@ -1,36 +1,24 @@
 #ifndef ODBGC_BENCH_BENCH_COMMON_H_
 #define ODBGC_BENCH_BENCH_COMMON_H_
 
-// Shared plumbing for the table/figure bench binaries. Each binary
-// regenerates one table or figure from the paper; this header provides the
-// environment knobs so the whole suite can be scaled down for smoke runs:
+// Shared plumbing for the bench binaries: the environment knob that scales
+// every bench down for smoke runs,
 //
-//   ODBGC_SEEDS=<n>   runs per configuration (default: per-bench, usually
-//                     the paper's 10 for tables)
-//   ODBGC_FAST=1      quarter-size workloads, 2 seeds — finishes in
-//                     seconds, shapes only roughly preserved
+//   ODBGC_FAST=1      quarter-size workloads — finishes in seconds, shapes
+//                     only roughly preserved
+//
+// and the banner, spread and failure helpers they share.
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <ostream>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "sim/config.h"
 #include "sim/runner.h"
 
 namespace odbgc::bench {
-
-inline int SeedsOrDefault(int fallback) {
-  if (const char* env = std::getenv("ODBGC_SEEDS")) {
-    const int n = std::atoi(env);
-    if (n > 0) return n;
-  }
-  if (std::getenv("ODBGC_FAST") != nullptr) return 2;
-  return fallback;
-}
 
 inline bool FastMode() { return std::getenv("ODBGC_FAST") != nullptr; }
 
@@ -45,24 +33,6 @@ inline SimulationConfig BaseConfig() {
     config.heap.buffer_pages = 24;
   }
   return config;
-}
-
-/// The spec every bench starts from: BaseConfig() under ODBGC_SEEDS (or
-/// `fallback_seeds`) seeds. Benches chain the ExperimentSpec builder for
-/// their own axis:
-///
-///   auto spec = bench::BaseSpec(10).WithPolicies({"UpdatedPointer"});
-inline ExperimentSpec BaseSpec(int fallback_seeds) {
-  return ExperimentSpec::Base(BaseConfig())
-      .WithSeeds(SeedsOrDefault(fallback_seeds));
-}
-
-/// Manifest directory for this bench, from ODBGC_MANIFEST_DIR; empty (no
-/// manifests) when unset. Benches pass it through WithManifestDir so any
-/// table run can feed odbgc-report.
-inline std::string ManifestDirOrEmpty() {
-  const char* env = std::getenv("ODBGC_MANIFEST_DIR");
-  return env == nullptr ? std::string() : std::string(env);
 }
 
 inline void PrintHeader(const char* experiment, const char* paper_ref) {

@@ -104,7 +104,7 @@ ServiceSpec FleetSpec(uint32_t tenants, uint32_t threads,
     TenantSpec tenant =
         TenantSpec::Base(
             TenantConfig(100 + i, PolicyCycle()[i % PolicyCycle().size()]))
-            .Named("t" + std::to_string(i));
+            .Named(std::string("t").append(std::to_string(i)));
     cap_sum += tenant.config.heap.buffer_pages;
     spec.tenants.push_back(std::move(tenant));
   }
@@ -170,7 +170,8 @@ ServiceSpec KilofleetSpec(uint32_t tenants, uint32_t threads) {
         TenantConfig(500 + i, PolicyCycle()[i % PolicyCycle().size()]);
     c.workload.target_live_bytes = 24ull << 10;
     c.workload.total_alloc_bytes = 60ull << 10;
-    TenantSpec tenant = TenantSpec::Base(c).Named("k" + std::to_string(i));
+    TenantSpec tenant = TenantSpec::Base(c).Named(
+        std::string("k").append(std::to_string(i)));
     // Waves of 32 tenants arrive every 8 rounds; every fourth tenant
     // departs two rounds after it arrived — early enough that even an
     // unpressured tiny tenant is still mid-stream, so retirement is

@@ -13,12 +13,14 @@
 #include <cstring>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/config.h"
 #include "sim/report.h"
 #include "sim/runner.h"
 #include "storage/device_registry.h"
+#include "util/parse_flag.h"
 #include "util/table_printer.h"
 
 namespace {
@@ -61,13 +63,6 @@ void Usage(const char* prog) {
       prog);
 }
 
-bool ParseFlag(const char* arg, const char* name, std::string* value) {
-  const size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0 || arg[len] != '=') return false;
-  *value = arg + len + 1;
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -80,25 +75,12 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     std::string value;
     if (ParseFlag(argv[i], "--policies", &value)) {
-      spec.policies.clear();
-      size_t start = 0;
-      while (start <= value.size()) {
-        const size_t comma = value.find(',', start);
-        const std::string name =
-            value.substr(start, comma == std::string::npos ? std::string::npos
-                                                           : comma - start);
-        if (!IsPolicyRegistered(name)) {
-          std::fprintf(stderr, "unknown policy \"%s\"; registered:\n",
-                       name.c_str());
-          for (const std::string& known : RegisteredPolicyNames()) {
-            std::fprintf(stderr, "  %s\n", known.c_str());
-          }
-          return 1;
-        }
-        spec.policies.push_back(name);
-        if (comma == std::string::npos) break;
-        start = comma + 1;
+      auto policies = ParsePolicyList(value);
+      if (!policies.ok()) {
+        std::fputs(policies.status().message().c_str(), stderr);
+        return 1;
       }
+      spec.policies = std::move(policies).value();
     } else if (std::strcmp(argv[i], "--list-policies") == 0) {
       for (const std::string& known : RegisteredPolicyNames()) {
         std::printf("%s\n", known.c_str());

@@ -20,6 +20,7 @@
 #include <cstring>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/selection_policy.h"
@@ -27,6 +28,7 @@
 #include "sim/config.h"
 #include "sim/report.h"
 #include "sim/spec.h"
+#include "util/parse_flag.h"
 #include "util/table_printer.h"
 
 namespace {
@@ -64,26 +66,6 @@ void Usage(const char* prog) {
       prog);
 }
 
-bool ParseFlag(const char* arg, const char* name, std::string* value) {
-  const size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0 || arg[len] != '=') return false;
-  *value = arg + len + 1;
-  return true;
-}
-
-std::vector<std::string> SplitPolicies(const std::string& value) {
-  std::vector<std::string> names;
-  size_t start = 0;
-  while (start <= value.size()) {
-    const size_t comma = value.find(',', start);
-    names.push_back(value.substr(
-        start, comma == std::string::npos ? std::string::npos : comma - start));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return names;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -111,17 +93,12 @@ int main(int argc, char** argv) {
     } else if (ParseFlag(argv[i], "--threads", &value)) {
       threads = static_cast<uint32_t>(std::strtoul(value.c_str(), nullptr, 10));
     } else if (ParseFlag(argv[i], "--policies", &value)) {
-      policies = SplitPolicies(value);
-      for (const std::string& name : policies) {
-        if (!IsPolicyRegistered(name)) {
-          std::fprintf(stderr, "unknown policy \"%s\"; registered:\n",
-                       name.c_str());
-          for (const std::string& known : RegisteredPolicyNames()) {
-            std::fprintf(stderr, "  %s\n", known.c_str());
-          }
-          return 1;
-        }
+      auto parsed = ParsePolicyList(value);
+      if (!parsed.ok()) {
+        std::fputs(parsed.status().message().c_str(), stderr);
+        return 1;
       }
+      policies = std::move(parsed).value();
     } else if (ParseFlag(argv[i], "--alloc-mb", &value)) {
       alloc_mb = std::strtoull(value.c_str(), nullptr, 10);
     } else if (ParseFlag(argv[i], "--first-seed", &value)) {

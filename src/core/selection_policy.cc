@@ -140,4 +140,25 @@ std::vector<std::string> RegisteredPolicyNames() {
   return names;
 }
 
+Result<std::vector<std::string>> ParsePolicyList(const std::string& list) {
+  std::vector<std::string> names;
+  size_t start = 0;
+  while (true) {
+    const size_t comma = list.find(',', start);
+    std::string name = list.substr(
+        start, comma == std::string::npos ? std::string::npos : comma - start);
+    if (!IsPolicyRegistered(name)) {
+      std::string message = "unknown policy \"";
+      message.append(name).append("\"; registered:\n");
+      for (const std::string& known : RegisteredPolicyNames()) {
+        message.append("  ").append(known).append("\n");
+      }
+      return Status::InvalidArgument(std::move(message));
+    }
+    names.push_back(std::move(name));
+    if (comma == std::string::npos) return names;
+    start = comma + 1;
+  }
+}
+
 }  // namespace odbgc

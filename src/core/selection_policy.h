@@ -173,6 +173,12 @@ bool IsPolicyRegistered(const std::string& name);
 /// policies, and anything the application registered.
 std::vector<std::string> RegisteredPolicyNames();
 
+/// Splits a comma-separated policy list ("A,B,...", as the command-line
+/// tools take it) into registry names, in order. InvalidArgument at the
+/// first name that is not registered (an empty item included); the
+/// message names it and lists every registered name, one per line.
+Result<std::vector<std::string>> ParsePolicyList(const std::string& list);
+
 }  // namespace odbgc
 
 #endif  // ODBGC_CORE_SELECTION_POLICY_H_

@@ -5,6 +5,9 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/policies.h"
 #include "core/selection_policy.h"
@@ -51,6 +54,34 @@ TEST(PolicyRegistryTest, UnknownNameIsInvalidArgumentListingRegistry) {
   EXPECT_NE(policy.status().message().find("UpdatedPointer"),
             std::string::npos)
       << policy.status().ToString();
+}
+
+TEST(PolicyRegistryTest, ParsePolicyListSplitsRegisteredNamesInOrder) {
+  auto names = ParsePolicyList("MostGarbage,CostBenefit,MostGarbage");
+  ASSERT_TRUE(names.ok()) << names.status().ToString();
+  EXPECT_EQ(*names, (std::vector<std::string>{"MostGarbage", "CostBenefit",
+                                              "MostGarbage"}));
+}
+
+TEST(PolicyRegistryTest, ParsePolicyListRejectsFirstUnknownOrEmptyItem) {
+  // {list, the item it must reject}.
+  const std::pair<const char*, const char*> cases[] = {
+      {"UpdatedPointer,Bogus,Worse", "Bogus"},
+      {"", ""},
+      {"Random,", ""},
+      {"Random,,MostGarbage", ""}};
+  for (const auto& [list, rejected] : cases) {
+    auto names = ParsePolicyList(list);
+    ASSERT_FALSE(names.ok()) << list;
+    EXPECT_EQ(names.status().code(), StatusCode::kInvalidArgument);
+    const std::string message = names.status().message();
+    const std::string head =
+        std::string("unknown policy \"").append(rejected).append(
+            "\"; registered:\n");
+    EXPECT_EQ(message.rfind(head, 0), 0u) << message;
+    EXPECT_NE(message.find("\n  UpdatedPointer\n"), std::string::npos)
+        << message;
+  }
 }
 
 TEST(PolicyRegistryTest, DuplicateRegistrationIsAlreadyExists) {

@@ -88,8 +88,9 @@ void ExpectResultsIdentical(const SimulationResult& a,
 ServiceSpec SmallFleet(const std::string& policy, bool shared) {
   ServiceSpec spec;
   for (size_t i = 0; i < 4; ++i) {
-    spec.tenants.push_back(TenantSpec::Base(SmallTenant(policy, 20 + i))
-                               .Named("t" + std::to_string(i)));
+    spec.tenants.push_back(
+        TenantSpec::Base(SmallTenant(policy, 20 + i))
+            .Named(std::string("t").append(std::to_string(i))));
   }
   return std::move(spec).WithSharedPool(shared);
 }
@@ -126,8 +127,9 @@ ServiceSpec PressuredFleet(size_t tenants, uint32_t threads, bool shared,
   ServiceSpec spec;
   for (size_t i = 0; i < tenants; ++i) {
     const std::string& policy = policies[1 + i % (policies.size() - 1)];
-    spec.tenants.push_back(TenantSpec::Base(SmallTenant(policy, 100 + i))
-                               .Named("t" + std::to_string(i)));
+    spec.tenants.push_back(
+        TenantSpec::Base(SmallTenant(policy, 100 + i))
+            .Named(std::string("t").append(std::to_string(i))));
   }
   uint64_t cap_sum = 0;
   for (const TenantSpec& tenant : spec.tenants) {

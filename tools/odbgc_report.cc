@@ -49,6 +49,7 @@
 #include "observe/manifest.h"
 #include "sim/report.h"
 #include "sim/runner.h"
+#include "util/parse_flag.h"
 #include "util/table_printer.h"
 
 namespace odbgc {
@@ -65,13 +66,6 @@ int Usage() {
       "  check <dir> --baseline=<file> [--tolerance=PCT] [--write]\n"
       "                                        gate against a baseline\n");
   return 2;
-}
-
-bool ParseFlag(const char* arg, const char* name, std::string* value) {
-  const size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0 || arg[len] != '=') return false;
-  *value = arg + len + 1;
-  return true;
 }
 
 struct LoadedManifest {
