@@ -5,14 +5,16 @@
 // numbers from a real file.
 //
 // Probes:
-//   write_bXXX[_direct]   write every page in batches of XXX pages through
-//                         the I/O scheduler (fsync per barrier), buffered
-//                         and O_DIRECT (the latter silently measures the
-//                         buffered fallback on filesystems that refuse
-//                         O_DIRECT — `direct_effective` records which)
+//   write_bXXX[_direct]   write every page in batches of XXX pages, each
+//                         batch fanned out over one executor per CPU
+//                         (fsync per barrier), buffered and O_DIRECT (the
+//                         latter silently measures the buffered fallback
+//                         on filesystems that refuse O_DIRECT —
+//                         `direct_effective` records which)
 //   read_seq              sequential ReadPage sweep, read-ahead disabled
 //   read_readahead        the same sweep with Prefetch announcing each
-//                         64-page window ahead of the reads
+//                         64-page window ahead of the reads, each window
+//                         fanned out like a write batch
 //   checksum_8k           Crc32 over 8 KB pages, the sealing and checking
 //                         cost inside every transfer above, in ns per page,
 //                         with the kernel that ran
@@ -123,6 +125,7 @@ ProbeResult WriteProbe(size_t batch_pages, bool direct) {
   options.path = WorkPath("write");
   options.direct_io = direct;
   options.readahead_pages = 0;
+  options.io_threads = 0;  // Fan batches out over every CPU.
   FileDevice device(kPageSize, nullptr, options);
   if (!device.status().ok()) bench::Fail(device.status(), "io_file open");
   device.AllocatePages(pages);
@@ -173,6 +176,7 @@ ProbeResult ReadProbe(bool readahead) {
   FileDeviceOptions options;
   options.path = WorkPath("read");
   options.readahead_pages = readahead ? kWindow : 0;
+  options.io_threads = 0;  // Fan prefetch windows out over every CPU.
   FileDevice device(kPageSize, nullptr, options);
   if (!device.status().ok()) bench::Fail(device.status(), "io_file open");
   device.AllocatePages(pages);

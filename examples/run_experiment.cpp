@@ -55,10 +55,9 @@ void Usage(const char* prog) {
       "                         (default: one per mutator thread)\n"
       "  --parallel-grid[=N]    run the (policy, seed) grid on N\n"
       "                         threads (default: hardware\n"
-      "                         concurrency), share one I/O\n"
-      "                         scheduler across file backends, and stamp\n"
-      "                         per-run wall time into manifests for\n"
-      "                         odbgc-report's scaling table\n"
+      "                         concurrency) and stamp per-run wall\n"
+      "                         time into manifests for odbgc-report's\n"
+      "                         scaling table\n"
       "  --csv                  CSV instead of aligned tables\n",
       prog);
 }
@@ -133,11 +132,9 @@ int main(int argc, char** argv) {
     } else if (ParseFlag(argv[i], "--parallel-grid", &value)) {
       spec.threads = std::atoi(value.c_str());
       spec.record_timing = true;
-      spec.share_io_scheduler = true;
     } else if (std::strcmp(argv[i], "--parallel-grid") == 0) {
       spec.threads = 0;  // Hardware concurrency.
       spec.record_timing = true;
-      spec.share_io_scheduler = true;
     } else if (std::strcmp(argv[i], "--csv") == 0) {
       csv = true;
     } else {

@@ -96,8 +96,8 @@ class BufferPool {
   Result<std::span<std::byte>> GetPage(PageId page, AccessMode mode);
 
   /// Writes all dirty frames back to the device (counted in the current
-  /// phase) as one WritePages batch — a real-I/O backend runs the batch
-  /// through its scheduler and fsyncs once at the end; counters are
+  /// phase) as one WritePages batch — a real-I/O backend fans the batch
+  /// out over its executors and fsyncs once at the end; counters are
   /// identical to per-frame write-back. Frames stay resident and become
   /// clean.
   Status FlushAll();

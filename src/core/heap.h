@@ -86,7 +86,7 @@ struct HeapOptions {
   /// Geometry/timing model for DeviceKind::kSsd.
   SsdCostParams ssd_cost;
   /// Options for the "file" backend (direct I/O, fsync barriers,
-  /// read-ahead depth, scheduler threads; the path may instead come from
+  /// read-ahead depth, batch executors; the path may instead come from
   /// the spec argument, which wins).
   FileDeviceOptions file_device;
   /// Buffer replacement policy. Strict LRU is the paper's cost model.

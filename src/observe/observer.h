@@ -75,7 +75,7 @@ struct FaultEvent {
   uint32_t thread = 0;
 };
 
-/// A real-I/O device submitted or completed a scheduler batch. Published
+/// A real-I/O device started or finished a multi-page batch. Published
 /// twice per batch (submitted, then completed); `wall_ns` is meaningful
 /// only on completion. Only backends doing actual system calls publish
 /// these (FileDevice); the batch *sequence* is deterministic, the wall

@@ -14,7 +14,6 @@
 #include "sim/concurrent_simulator.h"
 #include "sim/simulator.h"
 #include "storage/device_registry.h"
-#include "storage/io_scheduler.h"
 #include "trace/event.h"
 #include "util/fork_join_pool.h"
 #include "workload/generator.h"
@@ -134,8 +133,11 @@ Status HeapService::PrepareTenants() {
     run->name = spec_.tenants[i].name.empty()
                     ? "tenant" + std::to_string(i)
                     : spec_.tenants[i].name;
+    // The fleet is the parallelism: a tenant runs serially and its file
+    // device, if any, starts no batch threads.
     run->config.mutator_threads = 1;
     run->config.trace_shards = 0;
+    run->config.heap.file_device.io_threads = 1;
     if (arena_ != nullptr) {
       // Physically shared frames: the tenant's pool becomes a logical
       // quota over the arena.
@@ -152,20 +154,10 @@ Status HeapService::PrepareTenants() {
           inner, &observer_mutex_, static_cast<uint32_t>(i) + 1);
       run->config.heap.observer = run->tagged.get();
     }
-    if (DeviceSpecName(run->config.heap.device_spec) == "file") {
-      // All file tenants share one scheduler pool (the experiment
-      // runner's grid idiom) instead of spawning one per tenant; tenant
-      // names are unique, so the per-run suffix keeps paths disjoint.
-      if (shared_io_ == nullptr) {
-        IoSchedulerOptions io;
-        io.threads = run->config.heap.file_device.io_threads;
-        io.backend = run->config.heap.file_device.backend;
-        shared_io_ = std::make_unique<IoScheduler>(io);
-      }
-      run->config.heap.file_device.shared_scheduler = shared_io_.get();
-      run->config.heap.device_spec = PerRunDeviceSpec(
-          run->config.heap.device_spec, run->name, run->config.seed);
-    }
+    // Tenant names are unique, so the per-run suffix keeps file paths
+    // disjoint (other device specs pass through).
+    run->config.heap.device_spec = PerRunDeviceSpec(
+        run->config.heap.device_spec, run->name, run->config.seed);
     runs_.push_back(std::move(run));
   }
   return Status::Ok();

@@ -14,7 +14,6 @@
 
 namespace odbgc {
 
-class IoScheduler;
 class SharedFrameArena;
 
 /// Everything a service run measures: the per-tenant SimulationResults
@@ -70,12 +69,11 @@ struct ServiceResult {
 
 /// A multi-tenant heap service: N TenantSpecs — each an independent
 /// CollectedHeap + Simulator replaying its own deterministic workload
-/// stream — hosted over one shared frame budget, one shared IoScheduler
-/// (for "file" backends), one worker pool, and (by default) one
-/// physically shared BufferPool arena: a single frame array that every
-/// tenant pool borrows frames from, with each tenant's buffer_pages as its
-/// logical quota and its page residency kept in its own pool (DESIGN.md
-/// §17).
+/// stream — hosted over one shared frame budget, one worker pool, and (by
+/// default) one physically shared BufferPool arena: a single frame array
+/// that every tenant pool borrows frames from, with each tenant's
+/// buffer_pages as its logical quota and its page residency kept in its
+/// own pool (DESIGN.md §17).
 /// Tenants may arrive (TenantSpec::arrival_round) and depart
 /// (departure_round) while the service runs, so a fleet can be grown to
 /// thousands of tenants without hosting them all simultaneously.
@@ -174,12 +172,9 @@ class HeapService {
   Status WriteManifests() const;
 
   ServiceSpec spec_;
-  // One worker pool for every "file" tenant's device (null when no tenant
-  // runs on a file backend). Declared before runs_: the tenant devices
-  // hold non-owning pointers into it, so it must outlive them.
-  std::unique_ptr<IoScheduler> shared_io_;
   // The physically shared frame arena (null when spec_.shared_pool is
-  // off). Same lifetime rule as shared_io_: tenant pools point into it.
+  // off). Declared before runs_: tenant pools hold non-owning pointers
+  // into it, so it must outlive them.
   std::unique_ptr<SharedFrameArena> arena_;
   // Serializes tenant observer wrappers into spec_.observer (or a
   // tenant's own sink) across workers.

@@ -6,6 +6,21 @@
 
 namespace odbgc {
 
+namespace {
+
+// Cells of a relative column. A stat with no samples had no MostGarbage
+// run to divide by; it prints "-", like an unmeasured device-time cell,
+// rather than a ratio of 0.
+std::string RelativeMean(const RunningStat& stat, int precision) {
+  return stat.count() == 0 ? "-" : FormatDouble(stat.mean(), precision);
+}
+
+std::string RelativeStddev(const RunningStat& stat, int precision) {
+  return stat.count() == 0 ? "-" : FormatDouble(stat.stddev(), precision);
+}
+
+}  // namespace
+
 std::vector<PolicySummary> Summarize(const Experiment& experiment) {
   const PolicyRuns* baseline =
       experiment.Find(std::string(PolicyName(PolicyKind::kMostGarbage)));
@@ -78,8 +93,8 @@ void PrintThroughputTable(const std::vector<PolicySummary>& summaries,
     t.AddRow({s.name, FormatCount(s.app_io.mean()),
               FormatCount(s.app_io.stddev()), FormatCount(s.gc_io.mean()),
               FormatCount(s.gc_io.stddev()), FormatCount(s.total_io.mean()),
-              FormatDouble(s.relative_total_io.mean(), 3),
-              FormatDouble(s.relative_total_io.stddev(), 3)});
+              RelativeMean(s.relative_total_io, 3),
+              RelativeStddev(s.relative_total_io, 3)});
   }
   t.Print(os);
 }
@@ -92,7 +107,7 @@ void PrintStorageTable(const std::vector<PolicySummary>& summaries,
   for (const PolicySummary& s : summaries) {
     t.AddRow({s.name, FormatCount(s.max_storage_kb.mean()),
               FormatCount(s.max_storage_kb.stddev()),
-              FormatDouble(s.relative_max_storage.mean(), 3),
+              RelativeMean(s.relative_max_storage, 3),
               FormatDouble(s.max_partitions.mean(), 1),
               FormatDouble(s.max_partitions.stddev(), 2)});
   }
@@ -112,7 +127,7 @@ void PrintEfficiencyTable(const std::vector<PolicySummary>& summaries,
               FormatDouble(s.fraction_reclaimed_pct.mean(), 2),
               FormatDouble(s.fraction_reclaimed_pct.stddev(), 2),
               FormatDouble(s.efficiency_kb_per_io.mean(), 2),
-              FormatDouble(s.relative_efficiency.mean(), 2)});
+              RelativeMean(s.relative_efficiency, 2)});
   }
   if (!summaries.empty()) {
     t.AddSeparator();
@@ -140,8 +155,8 @@ void PrintDeviceTimeTable(const std::vector<PolicySummary>& summaries,
     for (const PolicySummary& s : summaries) {
       t.AddRow({s.name, FormatCount(s.device_time_ms.mean()),
                 FormatCount(s.device_time_ms.stddev()),
-                FormatDouble(s.relative_device_time.mean(), 3),
-                FormatDouble(s.relative_device_time.stddev(), 3)});
+                RelativeMean(s.relative_device_time, 3),
+                RelativeStddev(s.relative_device_time, 3)});
     }
     t.Print(os);
     return;
@@ -154,8 +169,8 @@ void PrintDeviceTimeTable(const std::vector<PolicySummary>& summaries,
               FormatCount(s.device_time_ms.stddev()),
               s.any_measured ? FormatCount(s.measured_io_ms.mean()) : "-",
               s.any_measured ? FormatCount(s.measured_io_ms.stddev()) : "-",
-              FormatDouble(s.relative_device_time.mean(), 3),
-              FormatDouble(s.relative_device_time.stddev(), 3)});
+              RelativeMean(s.relative_device_time, 3),
+              RelativeStddev(s.relative_device_time, 3)});
   }
   t.Print(os);
 }

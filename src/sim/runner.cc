@@ -10,7 +10,6 @@
 #include "sim/concurrent_simulator.h"
 #include "sim/simulator.h"
 #include "storage/device_registry.h"
-#include "storage/io_scheduler.h"
 #include "util/fork_join_pool.h"
 
 namespace odbgc {
@@ -84,20 +83,6 @@ Result<Experiment> RunExperimentWith(const ExperimentSpec& spec,
   }
   threads = std::min<int>(threads, static_cast<int>(tasks.size()));
 
-  // One scheduler worker pool for every run's "file" backend, instead of
-  // a private pool per run. Only meaningful for grids over a "file" spec;
-  // devices serialize whole submit+Drain batches through the scheduler's
-  // producer lock. Declared before any run starts and destroyed after the
-  // grid drains (devices hold a non-owning pointer).
-  std::unique_ptr<IoScheduler> shared_io;
-  if (spec.share_io_scheduler &&
-      DeviceSpecName(spec.base.heap.device_spec) == "file") {
-    IoSchedulerOptions io;
-    io.threads = spec.base.heap.file_device.io_threads;
-    io.backend = spec.base.heap.file_device.backend;
-    shared_io = std::make_unique<IoScheduler>(io);
-  }
-
   std::mutex error_mutex;
   Status first_error;
   std::atomic<bool> aborted{false};
@@ -105,9 +90,9 @@ Result<Experiment> RunExperimentWith(const ExperimentSpec& spec,
   std::mutex complete_mutex;
   Status complete_error;
 
-  // One grid cell. Cells write to disjoint result slots, so the
-  // scheduler's execution order is unobservable in the returned
-  // Experiment (runs stay in policy-then-seed order).
+  // One grid cell. Cells write to disjoint result slots, so the pool's
+  // execution order is unobservable in the returned Experiment (runs
+  // stay in policy-then-seed order).
   auto run_cell = [&](size_t i) {
     if (aborted.load(std::memory_order_relaxed)) return;
     const Task& task = tasks[i];
@@ -120,9 +105,6 @@ Result<Experiment> RunExperimentWith(const ExperimentSpec& spec,
     // path is suffixed per run, stateless specs pass through.
     config.heap.device_spec = PerRunDeviceSpec(
         config.heap.device_spec, *task.policy, task.seed);
-    if (shared_io != nullptr) {
-      config.heap.file_device.shared_scheduler = shared_io.get();
-    }
     if (spec.observer_factory) {
       observers[i] = spec.observer_factory(*task.policy, task.seed);
       config.heap.observer = observers[i].get();

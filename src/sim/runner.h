@@ -67,12 +67,6 @@ struct ExperimentSpec {
   /// manifests stay byte-stable run to run; the CLI's --parallel-grid
   /// turns it on to feed odbgc-report's scaling table.
   bool record_timing = false;
-  /// Share one IoScheduler worker pool across every run's "file" device
-  /// instead of spawning a scheduler per run. With a parallel grid of N
-  /// runs this caps real-I/O threads at one pool (batches serialize
-  /// through the scheduler's producer lock); a no-op for in-memory
-  /// backends.
-  bool share_io_scheduler = false;
 
   // ---- Builder -----------------------------------------------------------
   static ExperimentSpec Base(SimulationConfig config) {
@@ -123,10 +117,6 @@ struct ExperimentSpec {
   }
   ExperimentSpec&& WithTiming(bool enabled = true) && {
     record_timing = enabled;
-    return std::move(*this);
-  }
-  ExperimentSpec&& WithSharedIoScheduler(bool enabled = true) && {
-    share_io_scheduler = enabled;
     return std::move(*this);
   }
 };

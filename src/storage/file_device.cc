@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <unordered_set>
 #include <vector>
 
@@ -46,6 +47,17 @@ std::byte* AllocAligned(size_t size) {
   return static_cast<std::byte*>(ptr);
 }
 
+uint32_t BatchExecutors(int io_threads) {
+  if (io_threads > 0) return static_cast<uint32_t>(io_threads);
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw > 0 ? hw : 1;
+}
+
+Status TransferError(const char* op, PageId page, const std::string& why) {
+  return Status::IoError(std::string("FileDevice: ") + op + " of page " +
+                         std::to_string(page) + " failed: " + why);
+}
+
 uint64_t ElapsedNs(std::chrono::steady_clock::time_point start) {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -59,6 +71,7 @@ FileDevice::FileDevice(size_t page_size, MetricsRegistry* registry,
                        const FileDeviceOptions& options)
     : PageDevice(page_size, registry),
       options_(options),
+      pool_(BatchExecutors(options.io_threads)),
       readahead_(page_size, options.readahead_pages) {
   assert(page_size > 0);
   frame_size_ = AlignUp(kHeaderSize + page_size, kFrameAlign);
@@ -89,24 +102,12 @@ FileDevice::FileDevice(size_t page_size, MetricsRegistry* registry,
   scratch_ = AllocAligned(frame_size_);
   if (scratch_ == nullptr) {
     status_ = Status::IoError("FileDevice: frame buffer allocation failed");
-    return;
-  }
-  if (options_.shared_scheduler != nullptr) {
-    scheduler_ptr_ = options_.shared_scheduler;
-  } else {
-    IoSchedulerOptions sched;
-    sched.threads = options_.io_threads;
-    sched.backend = options_.backend;
-    scheduler_ = std::make_unique<IoScheduler>(sched);
-    scheduler_ptr_ = scheduler_.get();
   }
 }
 
 FileDevice::~FileDevice() {
-  // Workers are idle here (every transfer drains before returning), so
-  // tearing the scheduler down after the fd closes would also be safe —
-  // but close last anyway.
-  scheduler_.reset();
+  // The pool's workers are parked here: every batch finishes before the
+  // call that issued it returns.
   std::free(scratch_);
   if (fd_ >= 0) ::close(fd_);
 }
@@ -191,12 +192,56 @@ Status FileDevice::ValidateTransfer(const char* op, PageId page,
   return Status::Ok();
 }
 
+Status FileDevice::ReadFrame(PageId page, std::byte* frame) const {
+  size_t done = 0;
+  while (done < frame_size_) {
+    const ssize_t n = ::pread(fd_, frame + done, frame_size_ - done,
+                              static_cast<off_t>(FrameOffset(page) + done));
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return TransferError("pread", page, std::strerror(errno));
+    }
+    if (n == 0) {
+      // AllocatePages extended the file over this frame, so the file was
+      // truncated since: the page's bytes are gone, not unwritten.
+      return Status::Corruption("FileDevice: page " + std::to_string(page) +
+                                " ends past end of file (truncated file)");
+    }
+    done += static_cast<size_t>(n);
+  }
+  return Status::Ok();
+}
+
+Status FileDevice::WriteFrame(PageId page, const std::byte* frame) const {
+  size_t done = 0;
+  while (done < frame_size_) {
+    const ssize_t n = ::pwrite(fd_, frame + done, frame_size_ - done,
+                               static_cast<off_t>(FrameOffset(page) + done));
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return TransferError("pwrite", page, std::strerror(errno));
+    }
+    if (n == 0) return TransferError("pwrite", page, "wrote nothing");
+    done += static_cast<size_t>(n);
+  }
+  return Status::Ok();
+}
+
+Status FileDevice::RunBatch(size_t n,
+                            const std::function<Status(size_t)>& transfer) {
+  std::vector<Status> statuses(n);
+  pool_.Run(n, [&](size_t i) { statuses[i] = transfer(i); });
+  // Executors finish in any order; the first failure in submission order
+  // is the one reported, so the surfaced error is deterministic.
+  for (Status& status : statuses) {
+    if (!status.ok()) return std::move(status);
+  }
+  return Status::Ok();
+}
+
 Status FileDevice::PhysicalRead(PageId page, std::span<std::byte> out) {
   const auto start = std::chrono::steady_clock::now();
-  auto lock = BatchLock();
-  scheduler_ptr_->SubmitRead(fd_, FrameOffset(page), {scratch_, frame_size_});
-  const Status status = scheduler_ptr_->Drain();
-  lock = {};
+  const Status status = ReadFrame(page, scratch_);
   measured_wall_ns_ += static_cast<double>(ElapsedNs(start));
   ++measured_reads_;
   ODBGC_RETURN_IF_ERROR(status);
@@ -236,9 +281,7 @@ void FileDevice::ApplyWriteFaultDamage(PageId page,
     std::byte* p;
     ~FrameGuard() { std::free(p); }
   } guard{old_frame};
-  auto lock = BatchLock();
-  scheduler_ptr_->SubmitRead(fd_, FrameOffset(page), {old_frame, frame_size_});
-  if (!scheduler_ptr_->Drain().ok()) return;
+  if (!ReadFrame(page, old_frame).ok()) return;
   EncodeFrame(page, in, scratch_);
   if (plan->write_fault_style == WriteFaultStyle::kShortWrite) {
     // Only a prefix made it out: the new header plus half the payload, old
@@ -254,8 +297,7 @@ void FileDevice::ApplyWriteFaultDamage(PageId page,
     std::memset(scratch_ + kHeaderSize + payload_half, 0xDB,
                 page_size() - payload_half);
   }
-  scheduler_ptr_->SubmitWrite(fd_, FrameOffset(page), {scratch_, frame_size_});
-  (void)scheduler_ptr_->Drain();
+  (void)WriteFrame(page, scratch_);
   readahead_.Invalidate(page);
 }
 
@@ -269,10 +311,7 @@ Status FileDevice::WritePage(PageId page, std::span<const std::byte> in) {
   }
   EncodeFrame(page, in, scratch_);
   const auto start = std::chrono::steady_clock::now();
-  auto lock = BatchLock();
-  scheduler_ptr_->SubmitWrite(fd_, FrameOffset(page), {scratch_, frame_size_});
-  const Status status = scheduler_ptr_->Drain();
-  lock = {};
+  const Status status = WriteFrame(page, scratch_);
   measured_wall_ns_ += static_cast<double>(ElapsedNs(start));
   ++measured_writes_;
   ODBGC_RETURN_IF_ERROR(status);
@@ -294,8 +333,7 @@ Status FileDevice::WritePages(const PageWriteRequest* requests, size_t count,
     if (written != nullptr) *written = status.ok() ? 1 : 0;
     return status;
   }
-  // Frame staging area for the whole batch — spans must stay valid until
-  // the drain below.
+  // Frame staging area for the whole batch, request i in frame slot i.
   std::byte* frames = AllocAligned(frame_size_ * count);
   if (frames == nullptr) {
     if (written != nullptr) *written = 0;
@@ -306,62 +344,69 @@ Status FileDevice::WritePages(const PageWriteRequest* requests, size_t count,
     ~FrameGuard() { std::free(p); }
   } guard{frames};
 
+  // Requests [begin, end) are accepted and counted but not yet on disk;
+  // one fan-out encodes and writes their frames.
+  const auto write_queued = [&](size_t begin, size_t end) {
+    return RunBatch(end - begin, [&](size_t i) {
+      const PageWriteRequest& request = requests[begin + i];
+      std::byte* frame = frames + (begin + i) * frame_size_;
+      EncodeFrame(request.page, request.data, frame);
+      return WriteFrame(request.page, frame);
+    });
+  };
+
   PublishBatch(/*is_write=*/true, count, /*completed=*/false, 0);
   const auto start = std::chrono::steady_clock::now();
-  std::unordered_set<PageId> in_flight;
+  std::unordered_set<PageId> queued_pages;
+  size_t queued = 0;
   size_t accepted = 0;
   bool fault_fired = false;
   Status failure = Status::Ok();
-  Status drain_status = Status::Ok();
-  {
-    // Scope ends before any fault-damage write below, which takes its own
-    // batch lock.
-    auto lock = BatchLock();
-    for (size_t i = 0; i < count; ++i) {
-      const PageId page = requests[i].page;
-      failure = ValidateTransfer("WritePages", page, requests[i].data.size(),
-                                 /*is_write=*/true);
-      if (failure.ok()) {
-        failure = CheckFault(/*is_write=*/true);
-        fault_fired = !failure.ok();
-      }
-      if (!failure.ok()) break;
-      if (!in_flight.insert(page).second) {
-        // Same page twice in one batch: drain so concurrent jobs never
-        // cover overlapping file ranges (the determinism precondition).
-        failure = scheduler_ptr_->Drain();
-        if (!failure.ok()) break;
-        in_flight.clear();
-        in_flight.insert(page);
-      }
-      std::byte* frame = frames + i * frame_size_;
-      EncodeFrame(page, requests[i].data, frame);
-      scheduler_ptr_->SubmitWrite(fd_, FrameOffset(page), {frame, frame_size_});
-      // Simulated accounting happens here — on the calling thread, in
-      // request order — identical to the default WritePage loop.
-      readahead_.Invalidate(page);
-      CountWrite(page);
-      ++measured_writes_;
-      ++accepted;
+  Status io_status = Status::Ok();
+  for (size_t i = 0; i < count; ++i) {
+    const PageId page = requests[i].page;
+    failure = ValidateTransfer("WritePages", page, requests[i].data.size(),
+                               /*is_write=*/true);
+    if (failure.ok()) {
+      failure = CheckFault(/*is_write=*/true);
+      fault_fired = !failure.ok();
     }
-    drain_status = scheduler_ptr_->Drain();
+    if (!failure.ok()) break;
+    if (!queued_pages.insert(page).second) {
+      // Same page twice in one batch: write out what is queued first, so
+      // one fan-out never covers a frame twice (the determinism
+      // precondition) and the later write lands last.
+      io_status = write_queued(queued, i);
+      queued = i;
+      if (!io_status.ok()) break;
+      queued_pages = {page};
+    }
+    // Simulated accounting happens here — on the calling thread, in
+    // request order — identical to the default WritePage loop.
+    readahead_.Invalidate(page);
+    CountWrite(page);
+    ++measured_writes_;
+    ++accepted;
   }
+  if (io_status.ok()) io_status = write_queued(queued, accepted);
   const uint64_t wall = ElapsedNs(start);
   measured_wall_ns_ += static_cast<double>(wall);
   ++measured_batches_;
   PublishBatch(/*is_write=*/true, accepted, /*completed=*/true, wall);
+  if (!io_status.ok()) {
+    // Which frames landed is unknown to the caller; it keeps them all
+    // dirty.
+    if (written != nullptr) *written = 0;
+    return io_status;
+  }
   if (!failure.ok()) {
     // An injected fault stopped the batch after `accepted` pages: the
     // damage write must land after the batch's own writes.
-    if (fault_fired && drain_status.ok()) {
+    if (fault_fired) {
       ApplyWriteFaultDamage(requests[accepted].page, requests[accepted].data);
     }
     if (written != nullptr) *written = accepted;
     return failure;
-  }
-  if (!drain_status.ok()) {
-    if (written != nullptr) *written = 0;
-    return drain_status;
   }
   if (written != nullptr) *written = count;
   if (options_.sync_on_barrier) return Sync();
@@ -391,13 +436,9 @@ void FileDevice::Prefetch(std::span<const PageId> pages) {
 
   PublishBatch(/*is_write=*/false, wanted.size(), /*completed=*/false, 0);
   const auto start = std::chrono::steady_clock::now();
-  auto lock = BatchLock();
-  for (size_t i = 0; i < wanted.size(); ++i) {
-    scheduler_ptr_->SubmitRead(fd_, FrameOffset(wanted[i]),
-                               {frames + i * frame_size_, frame_size_});
-  }
-  const Status drain_status = scheduler_ptr_->Drain();
-  lock = {};
+  const Status io_status = RunBatch(wanted.size(), [&](size_t i) {
+    return ReadFrame(wanted[i], frames + i * frame_size_);
+  });
   const uint64_t wall = ElapsedNs(start);
   measured_wall_ns_ += static_cast<double>(wall);
   measured_reads_ += wanted.size();
@@ -405,7 +446,7 @@ void FileDevice::Prefetch(std::span<const PageId> pages) {
   PublishBatch(/*is_write=*/false, wanted.size(), /*completed=*/true, wall);
 
   uint64_t installed = 0;
-  if (drain_status.ok()) {
+  if (io_status.ok()) {
     std::vector<std::byte> payload(page_size());
     for (size_t i = 0; i < wanted.size(); ++i) {
       // A frame that fails to decode is simply not staged — prefetch is

@@ -3,14 +3,13 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <mutex>
+#include <functional>
 #include <string>
 
 #include "storage/disk.h"
-#include "storage/io_scheduler.h"
 #include "storage/page_device.h"
 #include "storage/read_ahead.h"
+#include "util/fork_join_pool.h"
 
 namespace odbgc {
 
@@ -26,29 +25,21 @@ struct FileDeviceOptions {
   bool sync_on_barrier = true;
   /// Read-ahead cache capacity in pages. 0 disables prefetching.
   size_t readahead_pages = 64;
-  /// Worker threads for the I/O scheduler (0 = hardware concurrency). They
-  /// serve multi-page batches; a single-page transfer runs on the calling
-  /// thread.
-  int io_threads = 0;
-  /// Preferred scheduler backend (degrades to the thread pool when
-  /// io_uring is unavailable).
-  IoBackend backend = IoBackend::kThreadPool;
+  /// Executors for a multi-page batch (a Prefetch or a WritePages), the
+  /// calling thread included; 0 = hardware concurrency. A single-page
+  /// transfer always runs on the calling thread, so the default of 1
+  /// starts no thread at all.
+  int io_threads = 1;
   /// Timing model used for EstimateTimeMs, so estimated device time is
   /// comparable with a SimulatedDisk run of the same workload. Measured
   /// wall time is reported separately (MeasuredStats).
   DiskCostParams cost;
-  /// Optional externally-owned IoScheduler shared with other devices
-  /// (non-owning; must outlive the device). When set, io_threads/backend
-  /// are ignored and every submit+Drain batch runs under the scheduler's
-  /// producer lock, so many file devices — the parallel experiment grid's
-  /// per-run backends — share one worker pool instead of spawning one
-  /// each. Null (the default) keeps a private scheduler.
-  IoScheduler* shared_scheduler = nullptr;
 };
 
-/// PageDevice over a real partition file: pread/pwrite through an
-/// IoScheduler, optional O_DIRECT, checksummed page frames, fsync
-/// barriers, and a read-ahead cache fed by Prefetch hints.
+/// PageDevice over a real partition file: pread/pwrite on the calling
+/// thread, multi-page batches fanned out over a ForkJoinPool, optional
+/// O_DIRECT, checksummed page frames, fsync barriers, and a read-ahead
+/// cache fed by Prefetch hints.
 ///
 /// Layout: page `p` lives in frame `p` at offset `p * frame_size`. A
 /// frame is a 512-byte header sector (magic, page id, payload CRC-32)
@@ -58,16 +49,21 @@ struct FileDeviceOptions {
 /// matching SimulatedDisk's zero-filled allocations. A frame with any
 /// other damage to its magic, page id, checksum or payload reads as
 /// Corruption — that is what an injected short/torn write leaves behind.
-/// The checksum does not cover the header's padding or the frame's tail
-/// padding.
+/// So does a frame the file no longer holds in full: AllocatePages extends
+/// the file over every frame it hands out, so end of file inside one means
+/// the file was truncated. The checksum does not cover the header's
+/// padding or the frame's tail padding.
 ///
 /// Determinism contract: the simulated transfer counters (CountRead/
 /// CountWrite and their sequential/random classification) are charged on
-/// the calling thread in request order — never from scheduler workers —
-/// so a run on this backend produces bit-identical simulated results to
-/// the same run on SimulatedDisk, regardless of thread count or
-/// completion order. Real I/O activity is tracked separately in
-/// MeasuredIoStats.
+/// the calling thread in request order — never from pool workers — so a
+/// run on this backend produces bit-identical simulated results to the
+/// same run on SimulatedDisk, regardless of thread count or completion
+/// order. A batch's frames cover disjoint file ranges (WritePages writes
+/// out what it holds before it takes a page a second time), so the file's
+/// bytes do not depend on them either, and a failed batch reports its
+/// first failing request in submission order. Real I/O activity is
+/// tracked separately in MeasuredIoStats.
 class FileDevice : public PageDevice {
  public:
   /// Opens (create + truncate) the partition file. Check `status()` after
@@ -103,9 +99,6 @@ class FileDevice : public PageDevice {
   bool direct_io_effective() const { return direct_io_effective_; }
 
   const FileDeviceOptions& options() const { return options_; }
-  const IoScheduler& scheduler() const { return *scheduler_ptr_; }
-  /// True when this device runs on an externally-owned scheduler.
-  bool shares_scheduler() const { return options_.shared_scheduler != nullptr; }
 
   /// Bytes of file backing one page (header sector + padded payload).
   size_t frame_size() const { return frame_size_; }
@@ -131,14 +124,16 @@ class FileDevice : public PageDevice {
   // measured I/O. Does NOT touch simulated counters or the cache.
   Status PhysicalRead(PageId page, std::span<std::byte> out);
 
-  uint64_t FrameOffset(PageId page) const { return page * frame_size_; }
+  // Whole-frame pread/pwrite of frame `page` to or from `frame`. Safe on
+  // any executor: they touch only the file and `frame`.
+  Status ReadFrame(PageId page, std::byte* frame) const;
+  Status WriteFrame(PageId page, const std::byte* frame) const;
 
-  // Serializes one whole submit+Drain batch against sibling devices on a
-  // shared scheduler. A no-op (empty lock) with a private scheduler.
-  std::unique_lock<std::mutex> BatchLock() {
-    return shares_scheduler() ? scheduler_ptr_->AcquireProducerLock()
-                              : std::unique_lock<std::mutex>();
-  }
+  // Runs transfer(0) .. transfer(n - 1) as one batch over pool_ and
+  // returns the first failure in index order, whichever executor hit it.
+  Status RunBatch(size_t n, const std::function<Status(size_t)>& transfer);
+
+  uint64_t FrameOffset(PageId page) const { return page * frame_size_; }
 
   void PublishBatch(bool is_write, uint64_t pages, bool completed,
                     uint64_t wall_ns);
@@ -151,10 +146,8 @@ class FileDevice : public PageDevice {
   size_t frame_size_ = 0;
   size_t num_pages_ = 0;
 
-  // Owned when options_.shared_scheduler is null; scheduler_ptr_ is the
-  // effective scheduler either way (every transfer goes through it).
-  std::unique_ptr<IoScheduler> scheduler_;
-  IoScheduler* scheduler_ptr_ = nullptr;
+  // Executors for multi-page batches (options_.io_threads of them).
+  ForkJoinPool pool_;
   ReadAhead readahead_;
 
   // Scratch frame buffer for synchronous single-page transfers, aligned

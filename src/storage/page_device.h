@@ -96,7 +96,7 @@ struct MeasuredIoStats {
   uint64_t reads = 0;
   uint64_t writes = 0;
   uint64_t fsyncs = 0;
-  /// Write batches submitted through the I/O scheduler.
+  /// Multi-page batches issued (WritePages and Prefetch).
   uint64_t batches = 0;
   /// Read-ahead cache outcomes across all ReadPage calls.
   uint64_t readahead_hits = 0;
@@ -155,8 +155,8 @@ class PageDevice {
   /// first error; `*written` (may be null) receives the number of pages
   /// accepted (== `count` iff the status is Ok). The default loops over
   /// WritePage — identical counters and fault schedule to `count` single
-  /// writes; FileDevice overrides it to run the physical writes
-  /// concurrently through its I/O scheduler and fsync once at the end.
+  /// writes; FileDevice overrides it to fan the physical writes out over
+  /// its batch executors and fsync once at the end.
   /// Transfer counting always happens on the calling thread, in request
   /// order, so simulated results do not depend on the backend or its
   /// thread count.

@@ -13,7 +13,7 @@ namespace odbgc {
 
 /// A bounded staging cache for prefetched pages, consulted by FileDevice
 /// on every ReadPage before touching the file. Pages enter via Install
-/// (the scheduler's prefetch batch lands here) and leave via Lookup
+/// (the device's prefetch batch lands here) and leave via Lookup
 /// (consume-on-hit — the page is about to be pinned in the buffer pool,
 /// which IS the long-term cache; keeping a second copy here would only
 /// risk staleness) or Invalidate (any write to the page makes the staged

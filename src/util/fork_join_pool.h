@@ -15,7 +15,8 @@ namespace odbgc {
 
 /// A fork-join pool for callers that fan one batch of independent jobs out
 /// from a single thread and wait for all of them (DESIGN.md §15): the heap
-/// service's tenant rounds and the experiment runner's (policy, seed) grid.
+/// service's tenant rounds, the experiment runner's (policy, seed) grid and
+/// a file device's multi-page batches.
 ///
 /// `ForkJoinPool(threads)` runs each batch on `threads` executors: the
 /// thread that calls Run plus `threads - 1` persistent workers, which park
@@ -26,8 +27,8 @@ namespace odbgc {
 ///
 /// The pool adds no determinism of its own: jobs run in any order on any
 /// executor. Each caller makes that order unobservable (tenant heaps are
-/// private and summed by an order-independent rule; grid cells write to
-/// fixed slots).
+/// private and summed by an order-independent rule; grid cells and batch
+/// transfers write to fixed slots).
 class ForkJoinPool {
  public:
   /// `threads` executors, the caller of Run included (0 counts as 1).

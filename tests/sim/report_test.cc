@@ -1,6 +1,8 @@
 #include "sim/report.h"
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -61,12 +63,40 @@ TEST(ReportTest, SummarizeComputesAggregates) {
   EXPECT_GT(updated.relative_max_storage.mean(), 1.0);
 }
 
+// The whitespace-separated cells of the row of `table` that starts with
+// `policy` (empty when there is none).
+std::vector<std::string> RowCells(const std::string& table,
+                                  const std::string& policy) {
+  std::istringstream lines(table);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind(policy, 0) != 0) continue;
+    std::istringstream words(line);
+    std::vector<std::string> cells;
+    for (std::string cell; words >> cell;) cells.push_back(cell);
+    return cells;
+  }
+  return {};
+}
+
 TEST(ReportTest, SummarizeWithoutBaselineSkipsRelative) {
   Experiment e = FakeExperiment();
   e.sets.erase(e.sets.begin());  // Drop MostGarbage.
   const auto summaries = Summarize(e);
   ASSERT_EQ(summaries.size(), 1u);
   EXPECT_EQ(summaries[0].relative_total_io.count(), 0u);
+
+  // With nothing to divide by, the relative cells print "-", not 0.
+  std::ostringstream throughput;
+  PrintThroughputTable(summaries, throughput);
+  const auto cells = RowCells(throughput.str(), "UpdatedPointer");
+  ASSERT_EQ(cells.size(), 8u) << throughput.str();
+  EXPECT_EQ(cells[6], "-");
+  EXPECT_EQ(cells[7], "-");
+  std::ostringstream efficiency;
+  PrintEfficiencyTable(summaries, efficiency);
+  const auto efficiency_cells = RowCells(efficiency.str(), "UpdatedPointer");
+  ASSERT_EQ(efficiency_cells.size(), 7u) << efficiency.str();
+  EXPECT_EQ(efficiency_cells.back(), "-");
 }
 
 TEST(ReportTest, FractionAndEfficiency) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
+#include <signal.h>
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -282,20 +284,133 @@ TEST(FileDeviceTest, WritePagesBatchCountsLikeSingleWrites) {
   ::unlink(device.options().path.c_str());
 }
 
+// A page written several times in one batch keeps its last write, and the
+// file's bytes do not depend on how many executors ran the batch. Each
+// page is written twice in a row, three times over: executors that took
+// both writes of a pair at once could land either one last. Such a race
+// is rare in any one batch, so each device runs the batch many times.
 TEST(FileDeviceTest, DuplicatePageInBatchKeepsLastWrite) {
-  FileDevice device(kPageSize, nullptr, Options("dup"));
+  constexpr size_t kPages = 64;
+  constexpr size_t kRequests = 3 * 2 * kPages;
+  constexpr size_t kRepeats = 20;
+  std::vector<std::vector<std::byte>> payloads;
+  for (size_t i = 0; i < kRequests; ++i) {
+    payloads.push_back(Page(static_cast<uint8_t>(i + 1)));
+  }
+  std::vector<PageWriteRequest> batch;
+  for (size_t i = 0; i < kRequests; ++i) {
+    batch.push_back({static_cast<PageId>(i / 2 % kPages), payloads[i]});
+  }
+
+  std::vector<std::vector<std::byte>> images;
+  for (const int threads : {1, 4}) {
+    FileDeviceOptions options = Options("dup" + std::to_string(threads));
+    options.io_threads = threads;
+    options.sync_on_barrier = false;
+    FileDevice device(kPageSize, nullptr, options);
+    ASSERT_TRUE(device.status().ok());
+    device.AllocatePages(kPages);
+    for (size_t repeat = 0; repeat < kRepeats; ++repeat) {
+      size_t written = 0;
+      ASSERT_TRUE(
+          device.WritePages(batch.data(), batch.size(), &written).ok());
+      EXPECT_EQ(written, batch.size());
+      images.push_back(
+          ReadRaw(device.options().path, 0, kPages * device.frame_size()));
+    }
+    EXPECT_EQ(device.stats().page_writes, kRepeats * batch.size());
+
+    auto buf = Page(0);
+    for (PageId page = 0; page < kPages; ++page) {
+      ASSERT_TRUE(device.ReadPage(page, buf).ok());
+      EXPECT_EQ(buf, payloads[kRequests - 2 * kPages + 2 * page + 1])
+          << "page " << page << ", " << threads << " executors";
+    }
+    ::unlink(device.options().path.c_str());
+  }
+  for (size_t i = 1; i < images.size(); ++i) {
+    EXPECT_TRUE(images[i] == images[0]) << "batch " << i << " of "
+                                        << images.size();
+  }
+}
+
+// A batch whose writes fail reports the first failing request in
+// submission order, whichever executor failed first on the clock. Writes
+// at or past RLIMIT_FSIZE fail with EFBIG (SIGXFSZ ignored), even inside
+// the file's current size.
+TEST(FileDeviceTest, FailedBatchReportsFirstFailureInSubmissionOrder) {
+  constexpr size_t kPages = 8;
+  FileDeviceOptions options = Options("efbig");
+  options.io_threads = 4;
+  FileDevice device(kPageSize, nullptr, options);
   ASSERT_TRUE(device.status().ok());
-  device.AllocatePages(2);
-  const auto first = Page(0x11);
-  const auto second = Page(0x22);
-  const auto other = Page(0x33);
-  PageWriteRequest batch[] = {{0, first}, {1, other}, {0, second}};
-  size_t written = 0;
-  ASSERT_TRUE(device.WritePages(batch, 3, &written).ok());
-  EXPECT_EQ(written, 3u);
+  device.AllocatePages(kPages);
+
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+  const auto old_handler = ::signal(SIGXFSZ, SIG_IGN);
+  rlimit limited = saved;
+  limited.rlim_cur = 4 * device.frame_size();  // Frames 4.. fail.
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &limited), 0);
+
+  const auto payload = Page(0x6b);
+  // Failing frames 6, 5 and 7 come after good ones, and before more.
+  const PageId order[] = {1, 6, 2, 5, 0, 7, 3};
+  std::vector<PageWriteRequest> batch;
+  for (const PageId page : order) batch.push_back({page, payload});
+  std::vector<Status> statuses;
+  for (int trial = 0; trial < 20; ++trial) {
+    statuses.push_back(device.WritePages(batch.data(), batch.size(), nullptr));
+  }
+  // A lone failing write reports the same way.
+  const Status single = device.WritePage(4, payload);
+
+  ::setrlimit(RLIMIT_FSIZE, &saved);
+  ::signal(SIGXFSZ, old_handler);
+
+  for (const Status& status : statuses) {
+    EXPECT_EQ(status.code(), StatusCode::kIoError) << status.ToString();
+    EXPECT_NE(status.message().find("pwrite of page 6 "), std::string::npos)
+        << status.ToString();
+  }
+  EXPECT_EQ(single.code(), StatusCode::kIoError);
+  EXPECT_NE(single.message().find("pwrite of page 4 "), std::string::npos)
+      << single.ToString();
+  // The good frames landed.
   auto buf = Page(0);
-  ASSERT_TRUE(device.ReadPage(0, buf).ok());
-  EXPECT_EQ(buf, second);
+  ASSERT_TRUE(device.ReadPage(2, buf).ok());
+  EXPECT_EQ(buf, payload);
+  ::unlink(device.options().path.c_str());
+}
+
+// AllocatePages extends the file over every frame it hands out, so a
+// frame the file no longer holds was truncated away: it reads as
+// Corruption naming the page, never as a fresh zero page.
+TEST(FileDeviceTest, TruncatedFileReadsAsCorruption) {
+  FileDeviceOptions options = Options("truncated");
+  options.readahead_pages = 8;
+  FileDevice device(kPageSize, nullptr, options);
+  ASSERT_TRUE(device.status().ok());
+  device.AllocatePages(4);
+  ASSERT_TRUE(device.WritePage(3, Page(0x3c)).ok());
+  ASSERT_TRUE(device.WritePage(1, Page(0x1c)).ok());
+  ASSERT_EQ(::truncate(device.options().path.c_str(),
+                       static_cast<off_t>(3 * device.frame_size())),
+            0);
+
+  auto buf = Page(0xff);
+  const Status status = device.ReadPage(3, buf);
+  EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
+  EXPECT_NE(status.message().find("page 3 "), std::string::npos)
+      << status.ToString();
+  // A prefetch over the cut stages nothing; the frames still in the file
+  // read as written.
+  const PageId pages[] = {1, 3};
+  device.Prefetch(pages);
+  EXPECT_EQ(device.MeasuredStats().prefetched_pages, 0u);
+  ASSERT_TRUE(device.ReadPage(1, buf).ok());
+  EXPECT_EQ(buf, Page(0x1c));
+  EXPECT_EQ(device.ReadPage(3, buf).code(), StatusCode::kCorruption);
   ::unlink(device.options().path.c_str());
 }
 
