@@ -1,6 +1,6 @@
-// Self-profiling harness for the simulator's hot paths. Runs six
-// simulation probes that stress different subsystems, and one probe of
-// the checksum under the file device's page frames:
+// Self-profiling harness for the simulator's hot paths: six simulation
+// probes that stress different subsystems, and one probe of the checksum
+// under the file device's page frames:
 //
 //   census_heavy   kMostGarbage + census at every 1000-event snapshot —
 //                  dominated by whole-database reachability marking
@@ -29,24 +29,28 @@
 //                  a build or dispatch that silently falls back on an
 //                  x86-64 CPU that has the instruction
 //
-// Each simulation probe reports events/sec, the process heap high-water
-// mark after the probe (ru_maxrss — monotonic across the run, so the last
-// probe's figure is the whole run's peak), plus the per-phase wall-clock
-// breakdown from the heap's wall-timer registry. The coarse phases (census,
-// collection) are always timed; --profile additionally enables the
-// per-event timers (index maintenance, trace apply), which cost a few
+// The seven probes run in five interleaved rounds (each round runs every
+// probe once), so a slow spell on the host falls on every probe alike.
+// Each probe reports its events/sec as the median with min and max over
+// the rounds and, from its median run, the process heap high-water mark
+// (ru_maxrss — monotonic across the run) and the per-phase wall-clock
+// breakdown from the heap's wall-timer registry. The coarse phases
+// (census, collection) are always timed; --profile additionally enables
+// the per-event timers (index maintenance, trace apply), which cost a few
 // clock reads per event and therefore distort the headline events/sec —
 // leave it off when comparing throughput numbers. Everything is written
-// to a JSON file for the CI artifact.
+// to a JSON file (BENCH_hotpath.json by default).
 //
 // Usage: hotpath [output.json] [--check baseline.json] [--profile]
 //
-// With --check, exits 1 if any probe's events/sec falls below 80% of the
-// baseline's value for that probe (a >20% regression). The checked-in
-// baseline holds deliberately conservative floors so routine CI-hardware
-// variance does not trip it; a trip means a real hot-path regression.
+// With --check, exits 1 if any probe's median events/sec falls below 80%
+// of the baseline's value for that probe (a >20% regression). The
+// checked-in baseline holds deliberately conservative floors so routine
+// CI-hardware variance does not trip it; a trip means a real hot-path
+// regression.
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -179,24 +183,28 @@ int main(int argc, char** argv) {
   bench::PrintHeader("Hot-path throughput probes",
                      "simulator engineering (no paper table)");
 
-  std::vector<ProbeResult> probes;
+  struct SimProbe {
+    const char* name;
+    SimulationConfig config;
+  };
+  std::vector<SimProbe> sim_probes;
   {
     SimulationConfig c = bench::BaseConfig();
     c.heap.policy = PolicyKind::kMostGarbage;
     c.snapshot_interval = 1000;
     c.census_at_snapshots = true;
-    probes.push_back(RunProbe("census_heavy", c));
+    sim_probes.push_back({"census_heavy", c});
   }
   {
     SimulationConfig c = bench::BaseConfig();
     c.heap.policy = PolicyKind::kUpdatedPointer;
     c.heap.store.placement = PlacementPolicy::kRoundRobin;
-    probes.push_back(RunProbe("index_heavy", c));
+    sim_probes.push_back({"index_heavy", c});
   }
   {
     SimulationConfig c = bench::BaseConfig();
     c.heap.policy = PolicyKind::kNoCollection;
-    probes.push_back(RunProbe("no_collection", c));
+    sim_probes.push_back({"no_collection", c});
   }
   {
     SimulationConfig c = bench::BaseConfig();
@@ -205,13 +213,13 @@ int main(int argc, char** argv) {
     c.heap.store.placement = PlacementPolicy::kRoundRobin;
     c.workload.visit_modify_prob = 0.20;
     c.workload.dense_edge_prob = 0.167;
-    probes.push_back(RunProbe("barrier_heavy", c));
+    sim_probes.push_back({"barrier_heavy", c});
   }
   {
     SimulationConfig c = bench::BaseConfig();
     c.heap.policy = PolicyKind::kUpdatedPointer;
     c.heap.buffer_pages = 8;
-    probes.push_back(RunProbe("buffer_churn", c));
+    sim_probes.push_back({"buffer_churn", c});
   }
   {
     SimulationConfig c = bench::BaseConfig();
@@ -220,21 +228,46 @@ int main(int argc, char** argv) {
     c.heap.buffer_pages = 192;
     c.heap.overwrite_trigger = 25;
     c.workload.large_space_fraction = 0.0;
-    probes.push_back(RunProbe("collection_heavy", c));
+    sim_probes.push_back({"collection_heavy", c});
   }
-  probes.push_back(ChecksumProbe());
 
+  // runs[p] holds probe p's result from every round; the checksum probe
+  // is last.
+  constexpr int kRounds = 5;
+  std::vector<std::vector<ProbeResult>> runs(sim_probes.size() + 1);
+  for (int round = 1; round <= kRounds; ++round) {
+    std::printf("-- round %d of %d\n", round, kRounds);
+    for (size_t p = 0; p < sim_probes.size(); ++p) {
+      runs[p].push_back(RunProbe(sim_probes[p].name, sim_probes[p].config));
+    }
+    runs.back().push_back(ChecksumProbe());
+  }
+
+  std::printf("\n%-16s %12s %12s %12s  (events/sec over %d rounds)\n",
+              "probe", "median", "min", "max", kRounds);
+  std::vector<bench::Spread> spreads;
   std::ofstream json(json_path);
   json << "{\n  \"bench\": \"hotpath\",\n";
   json << "  \"fast_mode\": " << (bench::FastMode() ? "true" : "false")
-       << ",\n  \"probes\": [\n";
-  for (size_t i = 0; i < probes.size(); ++i) {
-    const ProbeResult& p = probes[i];
+       << ",\n  \"rounds\": " << kRounds << ",\n  \"probes\": [\n";
+  for (size_t i = 0; i < runs.size(); ++i) {
+    // Sorted by rate, the middle run (kRounds is odd) is the median one; it
+    // supplies the wall time, the memory mark and the phases.
+    std::sort(runs[i].begin(), runs[i].end(),
+              [](const ProbeResult& a, const ProbeResult& b) {
+                return a.events_per_sec < b.events_per_sec;
+              });
+    const ProbeResult& p = runs[i][kRounds / 2];
+    spreads.push_back({p.events_per_sec, runs[i].front().events_per_sec,
+                       runs[i].back().events_per_sec});
+    const bench::Spread& spread = spreads.back();
+    std::printf("%-16s %12.0f %12.0f %12.0f\n", p.name.c_str(), spread.median,
+                spread.min, spread.max);
     json << "    {\n      \"name\": \"" << p.name << "\",\n";
     json << "      \"events\": " << p.events << ",\n";
-    json << "      \"wall_seconds\": " << p.wall_seconds << ",\n";
-    json << "      \"events_per_sec\": " << p.events_per_sec << ",\n";
-    json << "      \"max_rss_kb\": " << p.max_rss_kb << ",\n";
+    json << "      \"wall_seconds\": " << p.wall_seconds << ",\n      ";
+    bench::WriteSpread(json, "events_per_sec", spread);
+    json << ",\n      \"max_rss_kb\": " << p.max_rss_kb << ",\n";
     json << "      \"wall_phases_ns\": {";
     bool first = true;
     for (const MetricSample& sample : p.wall_phases) {
@@ -243,7 +276,7 @@ int main(int argc, char** argv) {
       first = false;
       json << "\"" << sample.name << "\": " << sample.total();
     }
-    json << "}\n    }" << (i + 1 < probes.size() ? "," : "") << "\n";
+    json << "}\n    }" << (i + 1 < runs.size() ? "," : "") << "\n";
   }
   // The whole run's heap high-water mark (KiB): memory wins and
   // regressions show up here alongside the throughput numbers.
@@ -262,13 +295,15 @@ int main(int argc, char** argv) {
     const std::string text = buffer.str();
 
     bool ok = true;
-    for (const ProbeResult& probe : probes) {
-      const double baseline = BaselineEventsPerSec(text, probe.name);
+    for (size_t i = 0; i < runs.size(); ++i) {
+      const std::string& name = runs[i].front().name;
+      const double baseline = BaselineEventsPerSec(text, name);
       if (baseline <= 0) continue;  // Probe not covered by the baseline.
       const double floor = baseline * 0.8;  // >20% regression fails.
-      const bool pass = probe.events_per_sec >= floor;
+      const double median = spreads[i].median;
+      const bool pass = median >= floor;
       std::printf("check %-14s %12.0f ev/s vs floor %12.0f (baseline %.0f) %s\n",
-                  probe.name.c_str(), probe.events_per_sec, floor, baseline,
+                  name.c_str(), median, floor, baseline,
                   pass ? "OK" : "REGRESSION");
       ok = ok && pass;
     }

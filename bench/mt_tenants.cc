@@ -1,15 +1,7 @@
-// Multi-tenant heap service probes (DESIGN.md §16-17), four experiments
+// Multi-tenant heap service probes (DESIGN.md §16-17), three experiments
 // in one binary:
 //
-// 1. Shared-vs-private identity: each fleet size run at one thread over
-//    the physically shared frame arena and again over private per-tenant
-//    pools, five times each, the two sides interleaved. The aggregates
-//    must match exactly (the §17 byte-identity contract); each side's
-//    median events/sec with its min and max shows what sharing the
-//    frames costs against private pools. Residency is per pool in both
-//    modes, so the only difference left is the arena's frame allocator.
-//
-// 2. Fleet scaling: fleets of 4/8/16 tenants (policies cycled across the
+// 1. Fleet scaling: fleets of 4/8/16 tenants (policies cycled across the
 //    registry, one seed per tenant) hosted unpressured at 1, 2 and 4
 //    service threads over the shared arena, with K-step round batching
 //    (steps_per_round = 8) amortizing barrier and wake/park overhead.
@@ -23,7 +15,7 @@
 //    the 1-thread wall; a critical-path model of it is kept beside it as
 //    big_fleet_speedup_modeled, never as the headline.
 //
-// 3. Pressure saturation: a fixed 8-tenant fleet with the admission
+// 2. Pressure saturation: a fixed 8-tenant fleet with the admission
 //    watermark armed at 0.5, swept across shared budgets from the full
 //    sum of tenant caps (no overcommit) down to half. Reported per row:
 //    admission stalls, collections forced by the cross-tenant scheduler,
@@ -31,7 +23,7 @@
 //    — peak <= watermark + the largest single-tenant allowance — on every
 //    row where no forced admission fired, and aborts on a violation.
 //
-// 4. Kilofleet: a 1024-tenant fleet (64 under ODBGC_FAST) with staggered
+// 3. Kilofleet: a 1024-tenant fleet (64 under ODBGC_FAST) with staggered
 //    arrivals and early departures, hosted over a shared arena holding a
 //    quarter of the fleet's summed quotas. The row proves a thousand
 //    tenants complete under one bounded physical frame budget (peak
@@ -226,49 +218,7 @@ int main(int argc, char** argv) {
   const std::vector<uint32_t> thread_counts = {1, 2, 4};
   constexpr uint64_t kStepsPerRound = 8;
 
-  // -- 1. Shared arena vs private pools (1 thread, identity-checked) --------
-  // Every repeat runs each fleet once per side, alternating which side
-  // goes first, so a slow spell on the host falls on both sides.
-  constexpr int kRepeats = 5;
-  std::printf("shared arena vs private pools (1 thread, %d runs per side, "
-              "interleaved; aggregates must be identical):\n", kRepeats);
-  struct IdentityRow {
-    uint32_t tenants = 0;
-    std::vector<double> shared, isolated;  // events/sec per run
-  };
-  std::vector<IdentityRow> identity_rows;
-  for (uint32_t tenants : fleets) identity_rows.push_back({tenants, {}, {}});
-  for (int rep = 0; rep < kRepeats; ++rep) {
-    for (IdentityRow& row : identity_rows) {
-      Row shared, isolated;
-      for (const bool shared_side : {rep % 2 == 0, rep % 2 != 0}) {
-        Row run = RunOnce(FleetSpec(row.tenants, 1, 0.0, 0.0)
-                              .WithStepsPerRound(kStepsPerRound)
-                              .WithSharedPool(shared_side));
-        (shared_side ? shared : isolated) = std::move(run);
-      }
-      if (!SameAggregate(shared.result.aggregate,
-                         isolated.result.aggregate)) {
-        std::fprintf(stderr,
-                     "shared-arena aggregate diverged from private pools at "
-                     "%u tenants — the §17 identity contract is broken\n",
-                     row.tenants);
-        return 1;
-      }
-      row.shared.push_back(shared.events_per_sec);
-      row.isolated.push_back(isolated.events_per_sec);
-    }
-  }
-  for (const IdentityRow& row : identity_rows) {
-    const bench::Spread shared = bench::SpreadOf(row.shared);
-    const bench::Spread isolated = bench::SpreadOf(row.isolated);
-    std::printf("  tenants=%-4u shared=%11.0f [%11.0f, %11.0f] ev/s"
-                "  private=%11.0f [%11.0f, %11.0f] ev/s  identical=yes\n",
-                row.tenants, shared.median, shared.min, shared.max,
-                isolated.median, isolated.min, isolated.max);
-  }
-
-  // -- 2. Fleet scaling (shared arena, invariance-checked) ------------------
+  // -- 1. Fleet scaling (shared arena, invariance-checked) ------------------
   std::printf("\nfleet scaling (shared arena, steps_per_round=%llu, "
               "watermark off; aggregate must be thread-count invariant):\n",
               static_cast<unsigned long long>(kStepsPerRound));
@@ -354,7 +304,7 @@ int main(int argc, char** argv) {
               fleets.back(), thread_counts.back(), cores, big_fleet_speedup,
               big_fleet_speedup_modeled);
 
-  // -- 3. Pressure saturation (admission-bound probe) -----------------------
+  // -- 2. Pressure saturation (admission-bound probe) -----------------------
   const uint32_t pressure_fleet = bench::FastMode() ? 4 : 8;
   const double kWatermark = 0.5;
   const std::vector<double> budget_fractions = {1.0, 0.75, 0.5};
@@ -386,7 +336,7 @@ int main(int argc, char** argv) {
     pressure.push_back(std::move(row));
   }
 
-  // -- 4. Kilofleet (arrival/departure churn at scale) ----------------------
+  // -- 3. Kilofleet (arrival/departure churn at scale) ----------------------
   const uint32_t kilo_tenants = bench::FastMode() ? 64 : 1024;
   std::printf("\nkilofleet (%u tenants, 4 threads, staggered arrivals, 1-in-4"
               " departs, budget = quotas/4):\n", kilo_tenants);
@@ -431,20 +381,7 @@ int main(int argc, char** argv) {
   std::ofstream json(json_path);
   json << "{\n  \"bench\": \"mt_tenants\",\n";
   json << "  \"fast_mode\": " << (bench::FastMode() ? "true" : "false")
-       << ",\n  \"shared_vs_private_repeats\": " << kRepeats
-       << ",\n  \"shared_vs_private\": [\n";
-  for (size_t i = 0; i < identity_rows.size(); ++i) {
-    const IdentityRow& row = identity_rows[i];
-    json << "    {\"tenants\": " << row.tenants << ", ";
-    bench::WriteSpread(json, "shared_events_per_sec",
-                       bench::SpreadOf(row.shared));
-    json << ", ";
-    bench::WriteSpread(json, "private_events_per_sec",
-                       bench::SpreadOf(row.isolated));
-    json << ", \"identical\": true}"
-         << (i + 1 < identity_rows.size() ? "," : "") << "\n";
-  }
-  json << "  ],\n  \"scaling\": [\n";
+       << ",\n  \"scaling\": [\n";
   for (size_t i = 0; i < scaling.size(); ++i) {
     const Row& r = scaling[i];
     json << "    {\"tenants\": " << r.tenants

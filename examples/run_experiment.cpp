@@ -8,8 +8,8 @@
 //       --alloc-mb=22 --partition-pages=64 --trigger=300 --csv  (one line)
 //   ./build/examples/run_experiment --connectivity=1.167 --seeds=3
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string>
@@ -68,8 +68,12 @@ int main(int argc, char** argv) {
   ExperimentSpec spec;
   spec.base = PaperBaseConfig();
   spec.num_seeds = 3;
+  HeapOptions& heap = spec.base.heap;
   bool csv = false;
   bool buffer_set = false;
+  bool ok = true;         // Cleared by a numeric value that does not parse.
+  uint32_t alloc_mb = 0;  // 32 bits, so the shift to bytes cannot overflow.
+  double connectivity = 0;
 
   for (int i = 1; i < argc; ++i) {
     std::string value;
@@ -96,41 +100,35 @@ int main(int argc, char** argv) {
         }
         return 1;
       }
-      spec.base.heap.device_spec = value;
+      heap.device_spec = value;
     } else if (std::strcmp(argv[i], "--list-devices") == 0) {
       for (const std::string& known : RegisteredDeviceNames()) {
         std::printf("%s\n", known.c_str());
       }
       return 0;
-    } else if (ParseFlag(argv[i], "--seeds", &value)) {
-      spec.num_seeds = std::atoi(value.c_str());
-    } else if (ParseFlag(argv[i], "--first-seed", &value)) {
-      spec.first_seed = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (ParseFlag(argv[i], "--alloc-mb", &value)) {
+    } else if (
+        ParseNumberFlag(argv[i], "--seeds", &spec.num_seeds, &ok) ||
+        ParseNumberFlag(argv[i], "--first-seed", &spec.first_seed, &ok) ||
+        ParseNumberFlag(argv[i], "--trigger", &heap.overwrite_trigger, &ok) ||
+        ParseNumberFlag(argv[i], "--mutator-threads",
+                        &spec.base.mutator_threads, &ok) ||
+        ParseNumberFlag(argv[i], "--trace-shards", &spec.base.trace_shards,
+                        &ok)) {
+      // Parsed in the condition.
+    } else if (ParseNumberFlag(argv[i], "--alloc-mb", &alloc_mb, &ok)) {
       spec.base.workload = spec.base.workload.WithTotalAllocation(
-          std::strtoull(value.c_str(), nullptr, 10) << 20);
-    } else if (ParseFlag(argv[i], "--connectivity", &value)) {
-      spec.base.workload =
-          spec.base.workload.WithConnectivity(std::atof(value.c_str()));
-    } else if (ParseFlag(argv[i], "--partition-pages", &value)) {
-      spec.base.heap.store.pages_per_partition = std::atoi(value.c_str());
-      if (!buffer_set) {
-        spec.base.heap.buffer_pages =
-            spec.base.heap.store.pages_per_partition;
-      }
-    } else if (ParseFlag(argv[i], "--buffer-pages", &value)) {
-      spec.base.heap.buffer_pages = std::atoi(value.c_str());
+          uint64_t{alloc_mb} << 20);
+    } else if (ParseNumberFlag(argv[i], "--connectivity", &connectivity,
+                               &ok)) {
+      spec.base.workload = spec.base.workload.WithConnectivity(connectivity);
+    } else if (ParseNumberFlag(argv[i], "--partition-pages",
+                               &heap.store.pages_per_partition, &ok)) {
+      if (!buffer_set) heap.buffer_pages = heap.store.pages_per_partition;
+    } else if (ParseNumberFlag(argv[i], "--buffer-pages", &heap.buffer_pages,
+                               &ok)) {
       buffer_set = true;
-    } else if (ParseFlag(argv[i], "--trigger", &value)) {
-      spec.base.heap.overwrite_trigger = std::atoi(value.c_str());
-    } else if (ParseFlag(argv[i], "--mutator-threads", &value)) {
-      spec.base.mutator_threads =
-          static_cast<uint32_t>(std::strtoul(value.c_str(), nullptr, 10));
-    } else if (ParseFlag(argv[i], "--trace-shards", &value)) {
-      spec.base.trace_shards =
-          static_cast<uint32_t>(std::strtoul(value.c_str(), nullptr, 10));
-    } else if (ParseFlag(argv[i], "--parallel-grid", &value)) {
-      spec.threads = std::atoi(value.c_str());
+    } else if (ParseNumberFlag(argv[i], "--parallel-grid", &spec.threads,
+                               &ok)) {
       spec.record_timing = true;
     } else if (std::strcmp(argv[i], "--parallel-grid") == 0) {
       spec.threads = 0;  // Hardware concurrency.
@@ -142,6 +140,7 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
+  if (!ok) return 1;
   if (spec.num_seeds <= 0 || spec.policies.empty()) {
     Usage(argv[0]);
     return 1;

@@ -15,8 +15,8 @@
 // watermark and an overcommitted budget the service stalls tenant batches
 // and forces collections to keep shared-pool occupancy bounded.
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string>
@@ -47,15 +47,13 @@ void Usage(const char* prog) {
       "  --alloc-mb=N          allocation volume per tenant (default 2)\n"
       "  --first-seed=N        tenant i runs seed N+i      (default 1)\n"
       "  --budget-frames=N     shared frame budget; overrides --overcommit\n"
-      "  --overcommit=F        budget = F * sum of tenant buffer caps\n"
-      "                        (default 0.75; 1.0 = no overcommit)\n"
+      "  --overcommit=F        budget = F * sum of tenant buffer caps, F in\n"
+      "                        (0, 1] (default 0.75; 1 = no overcommit)\n"
       "  --watermark=F         admission watermark fraction (default 0.5;\n"
       "                        0 disables admission control entirely)\n"
       "  --events-per-batch=N  events per tenant per round (default 256)\n"
       "  --steps-per-round=K   batches per tenant per round (default 1;\n"
       "                        higher K amortizes barrier overhead)\n"
-      "  --private-pools       per-tenant private pools instead of the\n"
-      "                        physically shared frame arena (the default)\n"
       "  --stagger-arrival=N   tenant i arrives at round (i/8)*N instead of\n"
       "                        all at round 0 (waves of 8)\n"
       "  --depart-after=R      staggered tenants also depart R rounds after\n"
@@ -73,52 +71,48 @@ int main(int argc, char** argv) {
   uint32_t threads = 2;
   std::vector<std::string> policies = {"UpdatedPointer", "MostGarbage",
                                        "WeightedPointer", "MutatedPartition"};
-  uint64_t alloc_mb = 2;
+  uint32_t alloc_mb = 2;  // 32 bits, so the shift to bytes cannot overflow.
   uint64_t first_seed = 1;
   uint64_t budget_frames = 0;
   double overcommit = 0.75;
   double watermark = 0.5;
   uint64_t events_per_batch = 256;
   uint64_t steps_per_round = 1;
-  bool shared_pool = true;
   uint64_t stagger_arrival = 0;
   uint64_t depart_after = 0;
   std::string manifest_dir;
   bool csv = false;
+  bool ok = true;  // Cleared by a numeric value that does not parse.
 
   for (int i = 1; i < argc; ++i) {
     std::string value;
-    if (ParseFlag(argv[i], "--tenants", &value)) {
-      tenants = std::atoi(value.c_str());
-    } else if (ParseFlag(argv[i], "--threads", &value)) {
-      threads = static_cast<uint32_t>(std::strtoul(value.c_str(), nullptr, 10));
-    } else if (ParseFlag(argv[i], "--policies", &value)) {
+    if (ParseFlag(argv[i], "--policies", &value)) {
       auto parsed = ParsePolicyList(value);
       if (!parsed.ok()) {
         std::fputs(parsed.status().message().c_str(), stderr);
         return 1;
       }
       policies = std::move(parsed).value();
-    } else if (ParseFlag(argv[i], "--alloc-mb", &value)) {
-      alloc_mb = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (ParseFlag(argv[i], "--first-seed", &value)) {
-      first_seed = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (ParseFlag(argv[i], "--budget-frames", &value)) {
-      budget_frames = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (ParseFlag(argv[i], "--overcommit", &value)) {
-      overcommit = std::atof(value.c_str());
-    } else if (ParseFlag(argv[i], "--watermark", &value)) {
-      watermark = std::atof(value.c_str());
-    } else if (ParseFlag(argv[i], "--events-per-batch", &value)) {
-      events_per_batch = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (ParseFlag(argv[i], "--steps-per-round", &value)) {
-      steps_per_round = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (std::strcmp(argv[i], "--private-pools") == 0) {
-      shared_pool = false;
-    } else if (ParseFlag(argv[i], "--stagger-arrival", &value)) {
-      stagger_arrival = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (ParseFlag(argv[i], "--depart-after", &value)) {
-      depart_after = std::strtoull(value.c_str(), nullptr, 10);
+    } else if (
+        ParseNumberFlag(argv[i], "--tenants", &tenants, &ok) ||
+        ParseNumberFlag(argv[i], "--threads", &threads, &ok) ||
+        ParseNumberFlag(argv[i], "--alloc-mb", &alloc_mb, &ok) ||
+        ParseNumberFlag(argv[i], "--first-seed", &first_seed, &ok) ||
+        ParseNumberFlag(argv[i], "--budget-frames", &budget_frames, &ok) ||
+        ParseNumberFlag(argv[i], "--watermark", &watermark, &ok) ||
+        ParseNumberFlag(argv[i], "--events-per-batch", &events_per_batch,
+                        &ok) ||
+        ParseNumberFlag(argv[i], "--steps-per-round", &steps_per_round,
+                        &ok) ||
+        ParseNumberFlag(argv[i], "--stagger-arrival", &stagger_arrival,
+                        &ok) ||
+        ParseNumberFlag(argv[i], "--depart-after", &depart_after, &ok)) {
+      // Parsed in the condition.
+    } else if (ParseNumberFlag(argv[i], "--overcommit", &overcommit, &ok)) {
+      if (!(overcommit > 0.0 && overcommit <= 1.0)) {
+        std::fprintf(stderr, "--overcommit must be in (0, 1]\n");
+        ok = false;
+      }
     } else if (ParseFlag(argv[i], "--manifest-dir", &value)) {
       manifest_dir = value;
     } else if (std::strcmp(argv[i], "--csv") == 0) {
@@ -128,6 +122,7 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
+  if (!ok) return 1;
   if (tenants <= 0 || threads == 0 || policies.empty() ||
       events_per_batch == 0 || steps_per_round == 0) {
     Usage(argv[0]);
@@ -139,7 +134,6 @@ int main(int argc, char** argv) {
                          .WithWatermark(watermark)
                          .WithEventsPerBatch(events_per_batch)
                          .WithStepsPerRound(steps_per_round)
-                         .WithSharedPool(shared_pool)
                          .WithManifestDir(manifest_dir);
   uint64_t cap_sum = 0;
   for (int i = 0; i < tenants; ++i) {
@@ -160,7 +154,7 @@ int main(int argc, char** argv) {
     cap_sum += tenant.config.heap.buffer_pages;
     spec.tenants.push_back(std::move(tenant));
   }
-  if (budget_frames == 0 && overcommit > 0 && overcommit < 1.0) {
+  if (budget_frames == 0 && overcommit < 1.0) {
     budget_frames = static_cast<uint64_t>(
         static_cast<double>(cap_sum) * overcommit);
   }
@@ -215,16 +209,13 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(result.admission_stalls),
       static_cast<unsigned long long>(result.forced_admissions));
   std::printf(
-      "shared pool: %s, budget %llu frames, watermark %llu, peak occupancy "
+      "shared pool: budget %llu frames, watermark %llu, peak occupancy "
       "%llu\n",
-      result.shared_pool ? "one shared arena" : "private per-tenant pools",
       static_cast<unsigned long long>(result.shared_frame_budget),
       static_cast<unsigned long long>(result.watermark_frames),
       static_cast<unsigned long long>(result.peak_occupancy_frames));
-  if (result.shared_pool) {
-    std::printf("arena: %llu squeezed evictions, %llu departures\n",
-                static_cast<unsigned long long>(result.squeezed_evictions),
-                static_cast<unsigned long long>(result.departures));
-  }
+  std::printf("arena: %llu squeezed evictions, %llu departures\n",
+              static_cast<unsigned long long>(result.squeezed_evictions),
+              static_cast<unsigned long long>(result.departures));
   return 0;
 }

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <utility>
 
-#include "buffer/frame_arena.h"
 #include "util/serde.h"
 
 namespace odbgc {
@@ -26,17 +25,20 @@ IoPhase FromMetricPhase(MetricPhase phase) {
 BufferPool::BufferPool(PageDevice* device, size_t frame_count,
                        ReplacementPolicyKind policy, SharedFrameArena* arena)
     : device_(device),
-      registry_(device ? device->metrics() : nullptr),
+      registry_(device->metrics()),
+      page_size_(device->page_size()),
       frame_count_(frame_count),
       policy_(MakeReplacementPolicy(policy, frame_count)),
       frames_(frame_count),
-      page_to_frame_(frame_count),
-      arena_(arena),
+      page_to_slot_(frame_count),
+      owned_arena_(arena == nullptr
+                       ? std::make_unique<SharedFrameArena>(frame_count)
+                       : nullptr),
+      arena_(arena != nullptr ? arena : owned_arena_.get()),
       hits_(registry_->Register("buffer.hits")),
       misses_(registry_->Register("buffer.misses")),
       reads_(registry_->Register("buffer.disk_reads")),
       writes_(registry_->Register("buffer.disk_writes")) {
-  assert(device_ != nullptr);
   assert(frame_count_ > 0);
 }
 
@@ -48,59 +50,83 @@ IoPhase BufferPool::phase() const {
   return FromMetricPhase(registry_->phase());
 }
 
-uint32_t BufferPool::AllocFrame() {
-  if (!free_frames_.empty()) {
-    const uint32_t frame = free_frames_.back();
-    free_frames_.pop_back();
-    return frame;
+uint32_t BufferPool::AllocSlot() {
+  if (!free_slots_.empty()) {
+    const uint32_t slot = free_slots_.back();
+    free_slots_.pop_back();
+    return slot;
   }
-  assert(used_frames_ < frame_count_);
-  return used_frames_++;
+  assert(used_slots_ < frame_count_);
+  return used_slots_++;
+}
+
+bool BufferPool::AttachFrame(Frame& frame) {
+  const uint32_t physical = arena_->TryAllocFrame();
+  if (physical == SharedFrameArena::kNoFrame) return false;
+  std::vector<std::byte>& bytes = arena_->FrameData(physical);
+  // Frames migrate between tenants whose devices may differ in page size.
+  if (bytes.size() != page_size_) bytes.resize(page_size_);
+  frame.arena_frame = physical;
+  frame.bytes = bytes.data();
+  return true;
 }
 
 Result<std::span<std::byte>> BufferPool::GetPage(PageId page,
                                                  AccessMode mode) {
   ODBGC_DCHECK_EXCLUSIVE(&access_check_, "BufferPool::GetPage");
-  // The hit path — residency, counters, policy calls — is identical in
-  // both modes, which is the byte-identity contract (DESIGN.md §17); only
-  // where a miss finds its frame differs.
-  const uint32_t resident = page_to_frame_.Find(page);
+  const uint32_t resident = page_to_slot_.Find(page);
   if (resident != OpenIndexMap::kEmptyValue) {
     registry_->Count(hits_);
     policy_->OnHit(resident);
     Frame& frame = frames_[resident];
     if (mode == AccessMode::kWrite) frame.dirty = true;
-    return std::span<std::byte>(FrameBytes(frame));
+    return Payload(frame);
   }
 
   registry_->Count(misses_);
-  if (arena_ != nullptr) return FillShared(page, mode);
-
-  // Evict the policy's victim if the pool is full; its frame is reused
-  // for the incoming page.
   uint32_t slot;
   if (resident_count_ >= frame_count_) {
+    // Quota full: evict the policy's victim; its frame is reused for the
+    // incoming page.
     ODBGC_RETURN_IF_ERROR(EvictVictim(&slot));
   } else {
-    slot = AllocFrame();
+    slot = AllocSlot();
+    if (!AttachFrame(frames_[slot])) {
+      // Squeeze: a shared arena is exhausted while this pool is under its
+      // quota (the fleet is overcommitted past the admission bound; an
+      // arena the pool owns always has a frame per free slot). Self-evict
+      // our own victim rather than stealing another tenant's frame —
+      // cross-tenant theft would wreck their determinism, not just ours.
+      // Counted: invariance gates require zero squeezes.
+      free_slots_.push_back(slot);
+      if (resident_count_ == 0) {
+        return Status::ResourceExhausted(
+            "shared frame arena exhausted and tenant holds no frame to "
+            "squeeze; raise the budget or arm the admission watermark");
+      }
+      ODBGC_RETURN_IF_ERROR(EvictVictim(&slot));
+      ++squeezed_evictions_;
+      arena_->NoteSqueezedEviction();
+    }
   }
 
   Frame& frame = frames_[slot];
-  if (frame.data.empty()) frame.data.resize(device_->page_size());
-  const Status read =
-      device_->ReadPage(page, std::span<std::byte>(frame.data));
+  const Status read = device_->ReadPage(page, Payload(frame));
   if (!read.ok()) {
-    // The page never became resident; return the frame to the free pool.
-    free_frames_.push_back(slot);
+    // The page never became resident; the slot returns to the free list
+    // and its frame to the arena.
+    arena_->ReleaseFrame(frame.arena_frame);
+    frame = Frame{};
+    free_slots_.push_back(slot);
     return read;
   }
   registry_->Count(reads_);
   frame.page = page;
   frame.dirty = (mode == AccessMode::kWrite);
   policy_->OnInsert(slot, page);
-  page_to_frame_.Insert(page, slot);
+  page_to_slot_.Insert(page, slot);
   ++resident_count_;
-  return std::span<std::byte>(frame.data);
+  return Payload(frame);
 }
 
 Status BufferPool::EvictVictim(uint32_t* slot) {
@@ -108,76 +134,16 @@ Status BufferPool::EvictVictim(uint32_t* slot) {
   Frame& evicted = frames_[victim];
   ODBGC_RETURN_IF_ERROR(WriteBack(evicted));
   policy_->OnEvict(victim);
-  page_to_frame_.Erase(evicted.page);
+  page_to_slot_.Erase(evicted.page);
   evicted.page = kInvalidPageId;
   --resident_count_;
-  *slot = victim;  // Its frame (or borrowed arena frame) stays attached.
+  *slot = victim;  // Its frame stays attached.
   return Status::Ok();
-}
-
-Result<std::span<std::byte>> BufferPool::FillShared(PageId page,
-                                                    AccessMode mode) {
-  uint32_t slot;
-  if (resident_count_ >= frame_count_) {
-    // Quota full: evict this tenant's own victim — the same decision, in
-    // the same order, a private pool of frame_count_ frames would make.
-    ODBGC_RETURN_IF_ERROR(EvictVictim(&slot));
-  } else {
-    slot = AllocFrame();
-    if (frames_[slot].arena_frame == UINT32_MAX) {
-      const uint32_t physical = arena_->TryAllocFrame();
-      if (physical != SharedFrameArena::kNoFrame) {
-        frames_[slot].arena_frame = physical;
-      } else {
-        // Squeeze: the arena is exhausted while this tenant is under its
-        // quota (the fleet is overcommitted past the admission bound).
-        // Self-evict our own victim rather than stealing another tenant's
-        // frame — cross-tenant theft would wreck their determinism, not
-        // just ours. Counted: invariance gates require zero squeezes.
-        free_frames_.push_back(slot);
-        if (resident_count_ == 0) {
-          return Status::ResourceExhausted(
-              "shared frame arena exhausted and tenant holds no frame to "
-              "squeeze; raise the budget or arm the admission watermark");
-        }
-        ODBGC_RETURN_IF_ERROR(EvictVictim(&slot));
-        ++squeezed_evictions_;
-        arena_->NoteSqueezedEviction();
-      }
-    }
-  }
-
-  Frame& frame = frames_[slot];
-  std::vector<std::byte>& bytes = arena_->FrameData(frame.arena_frame);
-  // Frames migrate between tenants whose devices may differ in page size.
-  if (bytes.size() != device_->page_size()) bytes.resize(device_->page_size());
-  const Status read = device_->ReadPage(page, std::span<std::byte>(bytes));
-  if (!read.ok()) {
-    // The page never became resident; the slot returns to the free pool
-    // and the borrowed frame goes back to the arena.
-    arena_->ReleaseFrame(frame.arena_frame);
-    frame.arena_frame = UINT32_MAX;
-    free_frames_.push_back(slot);
-    return read;
-  }
-  registry_->Count(reads_);
-  frame.page = page;
-  frame.dirty = (mode == AccessMode::kWrite);
-  policy_->OnInsert(slot, page);
-  page_to_frame_.Insert(page, slot);
-  ++resident_count_;
-  return std::span<std::byte>(bytes);
-}
-
-std::vector<std::byte>& BufferPool::FrameBytes(Frame& frame) {
-  return arena_ != nullptr ? arena_->FrameData(frame.arena_frame)
-                           : frame.data;
 }
 
 Status BufferPool::WriteBack(Frame& frame) {
   if (!frame.dirty) return Status::Ok();
-  ODBGC_RETURN_IF_ERROR(device_->WritePage(
-      frame.page, std::span<const std::byte>(FrameBytes(frame))));
+  ODBGC_RETURN_IF_ERROR(device_->WritePage(frame.page, Payload(frame)));
   registry_->Count(writes_);
   frame.dirty = false;
   return Status::Ok();
@@ -190,11 +156,10 @@ Status BufferPool::FlushAll() {
   // classification, fault schedule) is unchanged by batching.
   std::vector<PageWriteRequest> batch;
   std::vector<uint32_t> slots;
-  for (uint32_t slot = 0; slot < used_frames_; ++slot) {
+  for (uint32_t slot = 0; slot < used_slots_; ++slot) {
     Frame& frame = frames_[slot];
     if (frame.page == kInvalidPageId || !frame.dirty) continue;
-    batch.push_back(
-        {frame.page, std::span<const std::byte>(FrameBytes(frame))});
+    batch.push_back({frame.page, Payload(frame)});
     slots.push_back(slot);
   }
   if (batch.empty()) return Status::Ok();
@@ -225,47 +190,39 @@ void BufferPool::PrefetchExtent(const PageExtent& extent) {
 
 void BufferPool::DiscardExtent(const PageExtent& extent) {
   ODBGC_DCHECK_EXCLUSIVE(&access_check_, "BufferPool::DiscardExtent");
-  // In shared-arena mode discarded slots hand their borrowed frames
-  // straight back (one allocator lock for the whole extent) — a collected
-  // partition's residency becomes other tenants' headroom immediately.
+  // Discarded slots hand their frames straight back (one allocator lock
+  // for the whole extent) — in a shared arena a collected partition's
+  // residency becomes other tenants' headroom immediately.
   std::vector<uint32_t> released;
   for (PageId p = extent.first_page; p < extent.end_page(); ++p) {
-    const uint32_t slot = page_to_frame_.Find(p);
+    const uint32_t slot = page_to_slot_.Find(p);
     if (slot == OpenIndexMap::kEmptyValue) continue;
     policy_->OnErase(slot);
-    page_to_frame_.Erase(p);
-    Frame& frame = frames_[slot];
-    if (frame.arena_frame != UINT32_MAX) {
-      released.push_back(frame.arena_frame);
-      frame.arena_frame = UINT32_MAX;
-    }
-    frame.page = kInvalidPageId;
-    frame.dirty = false;
-    free_frames_.push_back(slot);
+    page_to_slot_.Erase(p);
+    released.push_back(frames_[slot].arena_frame);
+    frames_[slot] = Frame{};
+    free_slots_.push_back(slot);
     --resident_count_;
   }
-  if (arena_ != nullptr) arena_->ReleaseFrames(released);
+  arena_->ReleaseFrames(released);
 }
 
 void BufferPool::ReleaseArenaFrames() {
-  if (arena_ == nullptr) return;
   ODBGC_DCHECK_EXCLUSIVE(&access_check_, "BufferPool::ReleaseArenaFrames");
   std::vector<uint32_t> released;
   released.reserve(resident_count_);
-  for (uint32_t slot = 0; slot < used_frames_; ++slot) {
+  for (uint32_t slot = 0; slot < used_slots_; ++slot) {
     Frame& frame = frames_[slot];
-    if (frame.arena_frame != UINT32_MAX) {
+    if (frame.arena_frame != SharedFrameArena::kNoFrame) {
       released.push_back(frame.arena_frame);
-      frame.arena_frame = UINT32_MAX;
     }
-    frame.page = kInvalidPageId;
-    frame.dirty = false;
+    frame = Frame{};
   }
   arena_->ReleaseFrames(released);
-  page_to_frame_.Clear();
+  page_to_slot_.Clear();
   policy_->Clear();
-  free_frames_.clear();
-  used_frames_ = 0;
+  free_slots_.clear();
+  used_slots_ = 0;
   resident_count_ = 0;
 }
 
@@ -288,25 +245,22 @@ void BufferPool::ResetStats() {
 }
 
 bool BufferPool::IsResident(PageId page) const {
-  return page_to_frame_.Contains(page);
+  return page_to_slot_.Contains(page);
 }
 
 bool BufferPool::IsDirty(PageId page) const {
-  const uint32_t slot = page_to_frame_.Find(page);
+  const uint32_t slot = page_to_slot_.Find(page);
   return slot != OpenIndexMap::kEmptyValue && frames_[slot].dirty;
 }
 
 std::vector<PageId> BufferPool::LruOrder() const { return policy_->Order(); }
 
 void BufferPool::SaveState(std::ostream& out) const {
-  // Checkpointing a shared-arena pool is unsupported (the service forbids
-  // durability for its tenants); only private pools reach here.
-  assert(arena_ == nullptr && "SaveState unsupported in shared-arena mode");
   PutVarint(out, frame_count_);
   PutU8(out, static_cast<uint8_t>(policy_->kind()));
   std::vector<uint32_t> resident;
   resident.reserve(resident_count_);
-  for (uint32_t slot = 0; slot < used_frames_; ++slot) {
+  for (uint32_t slot = 0; slot < used_slots_; ++slot) {
     if (frames_[slot].page != kInvalidPageId) resident.push_back(slot);
   }
   std::sort(resident.begin(), resident.end(),
@@ -323,10 +277,6 @@ void BufferPool::SaveState(std::ostream& out) const {
 
 Status BufferPool::LoadState(std::istream& in) {
   ODBGC_DCHECK_EXCLUSIVE(&access_check_, "BufferPool::LoadState");
-  if (arena_ != nullptr) {
-    return Status::InvalidArgument(
-        "buffer state restore is unsupported in shared-arena mode");
-  }
   auto frame_count = GetVarint(in);
   ODBGC_RETURN_IF_ERROR(frame_count.status());
   if (*frame_count != frame_count_) {
@@ -357,7 +307,7 @@ Status BufferPool::LoadState(std::istream& in) {
   // deterministic; the transfers perturb device-model state and counters,
   // which the heap restores after this call.
   std::vector<uint32_t> dirty_slots;
-  for (uint32_t slot = 0; slot < used_frames_; ++slot) {
+  for (uint32_t slot = 0; slot < used_slots_; ++slot) {
     if (frames_[slot].page != kInvalidPageId && frames_[slot].dirty) {
       dirty_slots.push_back(slot);
     }
@@ -367,37 +317,31 @@ Status BufferPool::LoadState(std::istream& in) {
               return frames_[a].page < frames_[b].page;
             });
   for (uint32_t slot : dirty_slots) {
-    ODBGC_RETURN_IF_ERROR(device_->WritePage(
-        frames_[slot].page, std::span<const std::byte>(frames_[slot].data)));
+    ODBGC_RETURN_IF_ERROR(
+        device_->WritePage(frames_[slot].page, Payload(frames_[slot])));
   }
-  for (uint32_t slot = 0; slot < used_frames_; ++slot) {
-    frames_[slot].page = kInvalidPageId;
-    frames_[slot].dirty = false;
-  }
-  page_to_frame_.Clear();
-  free_frames_.clear();
-  used_frames_ = 0;
-  resident_count_ = 0;
-  policy_->Clear();
+  ReleaseArenaFrames();
 
   // Re-fault the checkpointed residency set in page order. The policy does
   // not see these inserts — its exact state is loaded below.
   for (const auto& [page, dirty] : entries) {
-    if (page_to_frame_.Contains(page)) {
+    if (page_to_slot_.Contains(page)) {
       return Status::Corruption("buffer state duplicate resident page");
     }
-    const uint32_t slot = AllocFrame();
+    const uint32_t slot = AllocSlot();
     Frame& frame = frames_[slot];
-    if (frame.data.empty()) frame.data.resize(device_->page_size());
-    ODBGC_RETURN_IF_ERROR(
-        device_->ReadPage(page, std::span<std::byte>(frame.data)));
+    if (!AttachFrame(frame)) {
+      return Status::ResourceExhausted(
+          "frame arena cannot hold the restored buffer residency");
+    }
+    ODBGC_RETURN_IF_ERROR(device_->ReadPage(page, Payload(frame)));
     frame.page = page;
     frame.dirty = dirty;
-    page_to_frame_.Insert(page, slot);
+    page_to_slot_.Insert(page, slot);
     ++resident_count_;
   }
   ODBGC_RETURN_IF_ERROR(policy_->Load(
-      in, [this](PageId page) { return page_to_frame_.Find(page); }));
+      in, [this](PageId page) { return page_to_slot_.Find(page); }));
 
   // The loaded replacement state must track exactly the resident set (the
   // resolver already rejects non-resident pages; this catches a state

@@ -8,6 +8,7 @@
 #include <span>
 #include <vector>
 
+#include "buffer/frame_arena.h"
 #include "buffer/replacement_policy.h"
 #include "storage/extent.h"
 #include "storage/page.h"
@@ -18,8 +19,6 @@
 #include "util/status.h"
 
 namespace odbgc {
-
-class SharedFrameArena;
 
 /// Who is driving I/O right now. The paper reports "Application I/Os" and
 /// "Collector I/Os" separately (Table 2); the pool attributes each device
@@ -52,35 +51,36 @@ struct BufferStats {
 /// Strict LRU is the default and matches the paper's cost model
 /// (Section 4.2) exactly.
 ///
-/// The pool owns frame memory; `GetPage` returns a span into the frame,
-/// valid only until the next call that may evict (any GetPage). This is the
-/// single point through which the object store and collector touch pages,
-/// so its counters are the experiment's I/O measurement. Counters live in
-/// the device's MetricsRegistry ("buffer.*" names); `stats()` snapshots
-/// them.
+/// `GetPage` returns a span into a frame, valid only until the next call
+/// that may evict (any GetPage). This is the single point through which
+/// the object store and collector touch pages, so its counters are the
+/// experiment's I/O measurement. Counters live in the device's
+/// MetricsRegistry ("buffer.*" names); `stats()` snapshots them.
+///
+/// Frames (DESIGN.md §17): `frame_count` is the pool's quota of logical
+/// slots. Replacement state, the page→slot residency map and every
+/// counter run over those slots; each resident slot borrows one physical
+/// frame from a SharedFrameArena and caches the frame's payload pointer,
+/// so a hit never touches the arena. A pool constructed without an arena
+/// owns one of exactly `frame_count` frames, which never runs dry; the
+/// multi-tenant service hands every tenant pool the fleet's one arena.
+/// Where the frame comes from never changes a decision, which is what
+/// makes an unpressured tenant's result byte-identical to a standalone
+/// run of its config.
 ///
 /// Threading: single-owner. The pool has no internal locking; exactly one
 /// thread may be inside its methods at a time. Handing an idle pool from
-/// one thread to another (with a happens-before edge, as the batch
-/// schedulers do for whole heaps) is fine. Debug builds enforce this with
-/// an ExclusiveAccessCheck — two threads caught inside mutating methods at
-/// once abort rather than corrupt the frame table silently.
-///
-/// Shared-arena mode (DESIGN.md §17): constructed with a SharedFrameArena,
-/// the pool stops owning physical frames. `frame_count` becomes the
-/// tenant's *logical quota*: replacement state, the page→slot residency
-/// map and every counter run over logical slots [0, frame_count) exactly
-/// as in private mode — which is what makes per-tenant results
-/// byte-identical to a private pool — while each resident slot borrows
-/// one physical frame from the arena. The pool itself stays single-owner;
-/// only the arena's frame allocator is touched by several tenants at once.
+/// one thread to another (with a happens-before edge, as the service's
+/// fork-join rounds do for whole heaps) is fine. Debug builds enforce
+/// this with an ExclusiveAccessCheck — two threads caught inside mutating
+/// methods at once abort rather than corrupt the frame table silently.
+/// Only the arena's frame allocator is touched by several pools at once.
 class BufferPool {
  public:
   /// `device` must outlive the pool. `frame_count` > 0 frames of
-  /// device->page_size() bytes each. With `arena` non-null (which must
-  /// then outlive the pool) the pool runs in shared-arena mode; frame
-  /// payloads then come from the arena and `frame_count` is the logical
-  /// quota.
+  /// device->page_size() bytes each. Frames come from `arena` when it is
+  /// non-null (it must then outlive the pool), else from an arena of
+  /// `frame_count` frames the pool owns.
   BufferPool(PageDevice* device, size_t frame_count,
              ReplacementPolicyKind policy = ReplacementPolicyKind::kLru,
              SharedFrameArena* arena = nullptr);
@@ -129,17 +129,15 @@ class BufferPool {
   size_t frame_count() const { return frame_count_; }
   size_t resident_pages() const { return resident_count_; }
 
-  /// True when the pool borrows frames from a shared arena.
-  bool shared_arena() const { return arena_ != nullptr; }
-  /// Evictions this pool performed *under* quota because the shared arena
-  /// had no free frame (always 0 in private mode; see SharedFrameArena).
+  /// Evictions this pool performed *under* quota because a shared arena
+  /// had no free frame (always 0 with an arena of its own; see
+  /// SharedFrameArena).
   uint64_t squeezed_evictions() const { return squeezed_evictions_; }
 
-  /// Shared-arena mode only: drops every resident page without write-back
-  /// or counter traffic and returns the borrowed frames to the arena. The
-  /// service calls this when a tenant finishes or departs, so parked
-  /// residency never pins physical frames against live tenants. No-op in
-  /// private mode.
+  /// Drops every resident page without write-back or counter traffic and
+  /// returns the borrowed frames to the arena. The service calls this when
+  /// a tenant finishes or departs, so parked residency never pins physical
+  /// frames against live tenants.
   void ReleaseArenaFrames();
 
   /// True if `page` is currently resident (test/inspection helper; does not
@@ -167,35 +165,36 @@ class BufferPool {
   /// is loaded. The transfers this issues perturb device-model state and
   /// counters; the caller (heap) restores the device state and the metrics
   /// registry *after* this, in that order. Corruption on a malformed
-  /// stream, a mismatched frame count, or a mismatched policy kind.
+  /// stream, a mismatched frame count, or a mismatched policy kind;
+  /// ResourceExhausted if a shared arena cannot hold the residency set.
   Status LoadState(std::istream& in);
 
  private:
-  /// One fixed slot of the pool. `page` is kInvalidPageId while the frame
-  /// is free; `data` is sized lazily on first use and then reused across
-  /// occupants. In shared-arena mode `data` stays empty and the payload is
-  /// the arena frame `arena_frame` (UINT32_MAX while none is borrowed).
+  /// One fixed slot of the pool. `page` is kInvalidPageId while the slot
+  /// is free. A resident slot holds the arena frame `arena_frame` and
+  /// caches its payload in `bytes`; a free slot holds no frame.
   struct Frame {
-    std::vector<std::byte> data;
+    std::byte* bytes = nullptr;
     PageId page = kInvalidPageId;
-    uint32_t arena_frame = UINT32_MAX;
+    uint32_t arena_frame = SharedFrameArena::kNoFrame;
     bool dirty = false;
   };
 
-  // The payload bytes of `frame`: its own buffer, or the borrowed arena
-  // frame's.
-  std::vector<std::byte>& FrameBytes(Frame& frame);
+  std::span<std::byte> Payload(const Frame& frame) const {
+    return {frame.bytes, page_size_};
+  }
 
   // Writes back `frame` if dirty (charging the current phase).
   Status WriteBack(Frame& frame);
 
-  // Picks the frame for a new resident page: a recycled free slot if one
+  // Picks the slot for a new resident page: a recycled free slot if one
   // exists, else the next never-used one. The caller evicts first when
   // the pool is full.
-  uint32_t AllocFrame();
+  uint32_t AllocSlot();
 
-  // Shared-arena miss path (GetPage's tail once the local lookup missed).
-  Result<std::span<std::byte>> FillShared(PageId page, AccessMode mode);
+  // Borrows a frame from the arena for `frame`, sized to the device's
+  // pages. False when the arena has none free.
+  bool AttachFrame(Frame& frame);
 
   // Evicts the slot the policy chose (write-back, policy + residency
   // drop) and returns it for reuse with its frame still attached.
@@ -203,21 +202,21 @@ class BufferPool {
 
   PageDevice* const device_;
   MetricsRegistry* const registry_;
+  const size_t page_size_;
   const size_t frame_count_;
   std::unique_ptr<ReplacementPolicy> policy_;
 
-  /// The frame array plus an open-addressed page→frame index — the dense
-  /// replacement for the old unordered_map<PageId, Frame>: residency
-  /// lookup is a couple of linear probes into a flat slot array, and the
-  /// frame payloads never move once allocated. Both modes keep residency
-  /// here; in shared-arena mode it maps pages to logical slots.
+  /// The slot array plus an open-addressed page→slot index: residency
+  /// lookup is a couple of linear probes into a flat slot array.
   std::vector<Frame> frames_;
-  OpenIndexMap page_to_frame_;
-  std::vector<uint32_t> free_frames_;
-  uint32_t used_frames_ = 0;  // High-water mark of ever-touched frames.
+  OpenIndexMap page_to_slot_;
+  std::vector<uint32_t> free_slots_;
+  uint32_t used_slots_ = 0;  // High-water mark of ever-touched slots.
   size_t resident_count_ = 0;
 
-  /// Shared-arena mode (null in private mode): the physical frames.
+  /// The physical frames: the arena given at construction, or
+  /// `owned_arena_`.
+  std::unique_ptr<SharedFrameArena> owned_arena_;
   SharedFrameArena* const arena_;
   uint64_t squeezed_evictions_ = 0;
 

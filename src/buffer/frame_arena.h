@@ -10,22 +10,23 @@
 
 namespace odbgc {
 
-/// One physically shared frame arena backing every tenant BufferPool of a
-/// multi-tenant heap service (DESIGN.md §17): `frame_count` page payloads
-/// handed out through a mutex-protected free list. The allocator is the
-/// only structure several tenants touch at once. A frame belongs to
-/// exactly one tenant pool at a time and its bytes are touched only by
-/// that owner, so the payloads themselves need no locking.
+/// The physical frames behind BufferPools (DESIGN.md §17): `frame_count`
+/// page payloads handed out through a mutex-protected free list. A
+/// standalone pool owns one holding exactly its quota; a multi-tenant
+/// heap service gives every tenant pool the fleet's one arena, whose
+/// allocator is then the only structure several tenants touch at once. A
+/// frame belongs to exactly one pool at a time and its bytes are touched
+/// only by that owner, so the payloads themselves need no locking.
 ///
 /// Residency is NOT shared: each pool maps its own pages to its own
 /// logical slots, and no tenant ever looks up another tenant's pages.
-/// Replacement state is per tenant too — the service's determinism
+/// Replacement state is per pool too — the service's determinism
 /// contract requires each tenant's eviction decisions (and hence its
-/// hit/miss/eviction counters) to be byte-identical to a private pool of
-/// `buffer_pages` frames. A page lookup therefore takes no lock at all;
-/// only a frame changing hands (a fill under quota, a discard, a release)
-/// takes the allocator lock. See BufferPool for the per-tenant half of
-/// the protocol.
+/// hit/miss/eviction counters) to be byte-identical to a standalone run
+/// of its config. A page lookup therefore takes no lock at all; only a
+/// frame changing hands (a fill under quota, a discard, a release) takes
+/// the allocator lock. See BufferPool for the per-pool half of the
+/// protocol.
 class SharedFrameArena {
  public:
   /// "No frame" sentinel for TryAllocFrame.

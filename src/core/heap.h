@@ -62,11 +62,11 @@ struct HeapOptions {
   /// partition size.
   size_t buffer_pages = 48;
   /// Physically shared frame arena (non-owning; must outlive the heap).
-  /// Null — the default, and every standalone run — gives the heap a
-  /// private pool. The multi-tenant service sets it so all tenant pools
-  /// draw frames from one arena, with `buffer_pages` as this heap's
-  /// logical quota; residency stays in the heap's own pool. See
-  /// DESIGN.md §17.
+  /// Null — the default, and every standalone run — gives the heap's pool
+  /// an arena of its own holding exactly `buffer_pages` frames. The
+  /// multi-tenant service sets it so all tenant pools draw frames from one
+  /// arena, with `buffer_pages` as this heap's logical quota; residency
+  /// stays in the heap's own pool. See DESIGN.md §17.
   SharedFrameArena* shared_arena = nullptr;
   /// Storage backend the heap runs on. The default reproduces the paper's
   /// seek/rotation/transfer disk.

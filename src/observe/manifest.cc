@@ -218,7 +218,12 @@ Json BuildManifest(const SimulationConfig& config,
                    const ManifestServiceInfo* service) {
   Json manifest = Json::Obj();
   manifest.Set("schema_version", Json::UInt(kManifestSchemaVersion));
-  manifest.Set("config", ConfigJson(config));
+  // The kind the run instantiated: a policy chosen by registry name leaves
+  // `config.heap.policy` at its default (the digest ignores both).
+  Json config_json = ConfigJson(config);
+  config_json.object().at("heap").Set("policy_kind",
+                                      Json::Str(PolicyName(result.policy)));
+  manifest.Set("config", std::move(config_json));
   manifest.Set("config_digest", Json::UInt(ConfigDigest(config)));
   manifest.Set("policy", Json::Str(result.policy_name));
   manifest.Set("seed", Json::UInt(result.seed));
@@ -262,7 +267,6 @@ Json BuildManifest(const SimulationConfig& config,
     section.Set("peak_resident_frames",
                 Json::UInt(service->peak_resident_frames));
     section.Set("admission_stalls", Json::UInt(service->admission_stalls));
-    section.Set("shared_pool", Json::Bool(service->shared_pool));
     manifest.Set("service", std::move(section));
   }
   return manifest;
@@ -358,10 +362,6 @@ Status ValidateManifest(const Json& manifest) {
     if (!service->is_object()) return Missing("service", "object");
     for (const char* key : {"peak_resident_frames", "admission_stalls"}) {
       ODBGC_RETURN_IF_ERROR(RequireNumber(*service, key));
-    }
-    const Json* shared = service->Get("shared_pool");
-    if (shared == nullptr || !shared->is_bool()) {
-      return Missing("service.shared_pool", "boolean");
     }
   }
   return Status::Ok();

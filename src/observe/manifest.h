@@ -43,14 +43,13 @@ uint32_t ConfigDigest(const SimulationConfig& config);
 
 /// Per-tenant service telemetry for manifests written by a HeapService
 /// run: the tenant's peak barrier residency, how many rounds the
-/// admission watermark stalled it, and whether the fleet shared one
-/// physical frame arena. Lands in the OPTIONAL top-level `service`
-/// section — same placement rule as `measured`: a sibling of `result`,
-/// excluded from the config digest, absent from standalone manifests.
+/// admission watermark stalled it. Lands in the OPTIONAL top-level
+/// `service` section — same placement rule as `measured`: a sibling of
+/// `result`, excluded from the config digest, absent from standalone
+/// manifests.
 struct ManifestServiceInfo {
   uint64_t peak_resident_frames = 0;
   uint64_t admission_stalls = 0;
-  bool shared_pool = false;
 };
 
 /// Builds the manifest document for one finished run. `service` non-null

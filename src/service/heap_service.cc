@@ -138,11 +138,9 @@ Status HeapService::PrepareTenants() {
     run->config.mutator_threads = 1;
     run->config.trace_shards = 0;
     run->config.heap.file_device.io_threads = 1;
-    if (arena_ != nullptr) {
-      // Physically shared frames: the tenant's pool becomes a logical
-      // quota over the arena.
-      run->config.heap.shared_arena = arena_.get();
-    }
+    // Physically shared frames: the tenant's pool is a logical quota over
+    // the fleet's arena.
+    run->config.heap.shared_arena = arena_.get();
     // The service observer (or the tenant's own sink) watches every
     // tenant through a serializing wrapper tagged tenant index + 1, so 0
     // stays "standalone serial run".
@@ -177,7 +175,7 @@ void HeapService::RunTenantRound(TenantRun* run) {
   if (run->done && run->sim != nullptr) {
     // A finished tenant's borrowed frames return to the arena right away
     // (no counter moves — its result is already finalized), so parked
-    // residency never pins the shared budget. No-op for private pools.
+    // residency never pins the shared budget.
     run->sim->heap().mutable_buffer().ReleaseArenaFrames();
   }
 }
@@ -375,7 +373,6 @@ Status HeapService::WriteManifests() const {
     ManifestServiceInfo service;
     service.peak_resident_frames = budget_.peak_resident(i);
     service.admission_stalls = tenant_stalls_[i];
-    service.shared_pool = arena_ != nullptr;
     const Json manifest = BuildManifest(run.config, run.result, &service);
     const std::string path =
         spec_.manifest_dir + "/" + run.name + "-" +
@@ -399,9 +396,7 @@ Status HeapService::Run() {
   // The arena is sized to the budget: physical capacity and the ledger's
   // denominator are the same number, so "over budget" means "the frames
   // physically ran out", not just an accounting overdraft.
-  if (spec_.shared_pool) {
-    arena_ = std::make_unique<SharedFrameArena>(budget_frames);
-  }
+  arena_ = std::make_unique<SharedFrameArena>(budget_frames);
   ODBGC_RETURN_IF_ERROR(PrepareTenants());
   budget_.Configure(budget_frames, spec_.admission_watermark, n);
   RefreshBudget();  // Caps registered; occupancy 0.
@@ -475,9 +470,7 @@ ServiceResult HeapService::Finish() {
   out.shared_frame_budget = budget_.total_frames();
   out.watermark_frames = budget_.watermark_frames();
   out.peak_occupancy_frames = budget_.peak_occupancy();
-  out.shared_pool = arena_ != nullptr;
-  out.squeezed_evictions =
-      arena_ != nullptr ? arena_->squeezed_evictions() : 0;
+  out.squeezed_evictions = arena_->squeezed_evictions();
   out.departures = departures_;
   out.tenant_admission_stalls = tenant_stalls_;
   out.tenant_peak_resident_frames.reserve(runs_.size());

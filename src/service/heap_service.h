@@ -50,12 +50,9 @@ struct ServiceResult {
   uint64_t watermark_frames = 0;
   uint64_t peak_occupancy_frames = 0;
 
-  /// Whether the fleet ran over one physically shared frame arena
-  /// (ServiceSpec::shared_pool) rather than per-tenant pools.
-  bool shared_pool = false;
   /// Under-quota evictions tenants performed because the shared arena was
-  /// physically exhausted (0 in private mode, and 0 whenever the budget
-  /// covers the admission bound — the invariance-gated regime).
+  /// physically exhausted (0 whenever the budget covers the admission
+  /// bound — the invariance-gated regime).
   uint64_t squeezed_evictions = 0;
   /// Tenants retired mid-run by their departure_round.
   uint64_t departures = 0;
@@ -69,9 +66,9 @@ struct ServiceResult {
 
 /// A multi-tenant heap service: N TenantSpecs — each an independent
 /// CollectedHeap + Simulator replaying its own deterministic workload
-/// stream — hosted over one shared frame budget, one worker pool, and (by
-/// default) one physically shared BufferPool arena: a single frame array
-/// that every tenant pool borrows frames from, with each tenant's
+/// stream — hosted over one shared frame budget, one worker pool, and one
+/// physically shared frame arena sized to that budget: a single frame
+/// array that every tenant pool borrows frames from, with each tenant's
 /// buffer_pages as its logical quota and its page residency kept in its
 /// own pool (DESIGN.md §17).
 /// Tenants may arrive (TenantSpec::arrival_round) and depart
@@ -148,7 +145,7 @@ class HeapService {
 
   Status Validate() const;
   /// Serial per-tenant setup: resolved name, rewritten device spec,
-  /// observer wrapper, shared-arena binding.
+  /// observer wrapper, arena binding.
   Status PrepareTenants();
   /// True once the service's round clock has reached the tenant's
   /// arrival_round (always true for arrival_round 0).
@@ -172,9 +169,8 @@ class HeapService {
   Status WriteManifests() const;
 
   ServiceSpec spec_;
-  // The physically shared frame arena (null when spec_.shared_pool is
-  // off). Declared before runs_: tenant pools hold non-owning pointers
-  // into it, so it must outlive them.
+  // The physically shared frame arena. Declared before runs_: tenant
+  // pools hold non-owning pointers into it, so it must outlive them.
   std::unique_ptr<SharedFrameArena> arena_;
   // Serializes tenant observer wrappers into spec_.observer (or a
   // tenant's own sink) across workers.

@@ -8,12 +8,13 @@
 namespace odbgc {
 
 /// Frame accounting for a shared buffer budget across N single-owner
-/// tenant pools (service/heap_service.h). Tenant heaps keep their own
-/// BufferPool — frames are never literally shared, which is what preserves
-/// per-tenant determinism — but the *budget* is global: the service
-/// refreshes each tenant's residency here at its round barriers, and the
-/// admission controller and cross-tenant scheduler read occupancy,
-/// per-tenant headroom and pressure from this one ledger.
+/// tenant pools (service/heap_service.h). Each tenant heap keeps its own
+/// BufferPool — its residency and replacement decisions, which is what
+/// preserves per-tenant determinism — while the frames come from the
+/// fleet's one arena and the *budget* is global: the service refreshes
+/// each tenant's residency here at its round barriers, and the admission
+/// controller and cross-tenant scheduler read occupancy, per-tenant
+/// headroom and pressure from this one ledger.
 ///
 /// Pure deterministic accounting: no locking, no clocks. All mutation
 /// happens at the service's barriers (single-threaded by construction), so

@@ -125,19 +125,17 @@ Status ConcurrentSimulator::Run() {
     tenants.push_back(
         TenantSpec::Base(ShardConfig(i)).Named("shard" + std::to_string(i)));
   }
-  // Shards share nothing, so the fleet shares nothing either: no
-  // admission control, one private buffer pool per shard (with admission
-  // off there is no frame budget to enforce, so a shared arena would buy
-  // nothing, and a private pool builds each shard heap exactly as the
-  // serial oracle's standalone Simulator does), and one round that runs
-  // every shard to completion (a barrier per batch would idle the
-  // workers at each step).
+  // Shards share nothing but the fleet's frame arena: no admission
+  // control, an arena whose budget is the sum of the shard quotas (so it
+  // never squeezes, and each shard heap decides exactly as the serial
+  // oracle's standalone Simulator does), and one round that runs every
+  // shard to completion (a barrier per batch would idle the workers at
+  // each step).
   // The service observer tags each shard's events with its index + 1.
   HeapService service(
       ServiceSpec::Hosting(std::move(tenants))
           .WithThreads(config_.mutator_threads)
           .WithWatermark(0.0)
-          .WithSharedPool(false)
           .WithStepsPerRound(std::numeric_limits<uint64_t>::max())
           .WithObserver(config_.heap.observer));
   ODBGC_RETURN_IF_ERROR(service.Run());

@@ -146,8 +146,9 @@ struct TenantSpec {
 };
 
 /// A multi-tenant heap service run (service/heap_service.h): N tenants
-/// over one shared frame budget and worker pool, with admission control
-/// and cross-tenant collection scheduling at the round barriers.
+/// over one frame arena sized to the shared budget and one worker pool,
+/// with admission control and cross-tenant collection scheduling at the
+/// round barriers.
 struct ServiceSpec {
   std::vector<TenantSpec> tenants;
   /// Worker threads applying tenant batches; 1 = fully serial (and
@@ -182,14 +183,6 @@ struct ServiceSpec {
   /// across K batches. Like events_per_batch this shapes the admission /
   /// forced-collection schedule, so it is part of the spec.
   uint64_t steps_per_round = 1;
-  /// One physically shared BufferPool arena for the whole fleet (the
-  /// default): a single frame array sized to the shared budget that every
-  /// tenant pool borrows frames from, with each tenant's buffer_pages as
-  /// its logical quota and its residency map kept in its own pool. At
-  /// threads == 1 per-tenant results are byte-identical to private pools;
-  /// false reverts to one private pool per tenant (the ledger shared, the
-  /// frames not).
-  bool shared_pool = true;
 
   // ---- Builder -----------------------------------------------------------
   static ServiceSpec Hosting(std::vector<TenantSpec> specs) {
@@ -227,10 +220,6 @@ struct ServiceSpec {
   }
   ServiceSpec&& WithStepsPerRound(uint64_t steps) && {
     steps_per_round = steps;
-    return std::move(*this);
-  }
-  ServiceSpec&& WithSharedPool(bool shared) && {
-    shared_pool = shared;
     return std::move(*this);
   }
 };

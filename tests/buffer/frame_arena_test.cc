@@ -1,8 +1,9 @@
 // SharedFrameArena contract (buffer/frame_arena.h, DESIGN.md §17):
 //
-//  1. Behavioural identity — a BufferPool borrowing frames from an arena
-//     produces the same hits/misses/order/write-back as a private pool of
-//     the same quota, as long as the arena never runs dry.
+//  1. Behavioural identity — a BufferPool borrowing frames from a shared
+//     arena produces the same hits/misses/order/write-back as a pool of
+//     the same quota built without one, as long as the arena never runs
+//     dry.
 //  2. Squeeze — when the arena IS dry, a pool under quota evicts its own
 //     victim (never another tenant's) and counts the squeeze; a pool with
 //     nothing resident gets ResourceExhausted rather than deadlock.
@@ -63,9 +64,9 @@ struct Tenant {
 };
 
 TEST(FrameArenaPoolTest, SharedPoolMatchesPrivatePoolWhenArenaIsAmple) {
-  SimulatedDisk private_disk(64);
-  private_disk.AllocatePages(16);
-  BufferPool private_pool(&private_disk, 3);
+  SimulatedDisk own_disk(64);
+  own_disk.AllocatePages(16);
+  BufferPool own_pool(&own_disk, 3);  // Owns an arena of its 3 frames.
 
   SharedFrameArena arena(8);
   Tenant tenant(&arena);
@@ -73,26 +74,25 @@ TEST(FrameArenaPoolTest, SharedPoolMatchesPrivatePoolWhenArenaIsAmple) {
   const PageId trace[] = {0, 1, 2, 0, 3, 1, 4, 4, 2, 0};
   for (PageId page : trace) {
     const AccessMode mode = page % 2 ? AccessMode::kWrite : AccessMode::kRead;
-    ASSERT_TRUE(private_pool.GetPage(page, mode).ok());
+    ASSERT_TRUE(own_pool.GetPage(page, mode).ok());
     ASSERT_TRUE(tenant.pool.GetPage(page, mode).ok());
   }
-  EXPECT_TRUE(tenant.pool.shared_arena());
-  EXPECT_EQ(tenant.pool.LruOrder(), private_pool.LruOrder());
-  EXPECT_EQ(tenant.pool.stats().hits, private_pool.stats().hits);
-  EXPECT_EQ(tenant.pool.stats().misses, private_pool.stats().misses);
-  EXPECT_EQ(tenant.pool.stats().writes_app, private_pool.stats().writes_app);
+  EXPECT_EQ(tenant.pool.LruOrder(), own_pool.LruOrder());
+  EXPECT_EQ(tenant.pool.stats().hits, own_pool.stats().hits);
+  EXPECT_EQ(tenant.pool.stats().misses, own_pool.stats().misses);
+  EXPECT_EQ(tenant.pool.stats().writes_app, own_pool.stats().writes_app);
   EXPECT_EQ(tenant.pool.squeezed_evictions(), 0u);
   // At quota the tenant borrows exactly quota frames, no more.
   EXPECT_EQ(arena.FramesInUse(), 3u);
 
-  // Dirty bytes drain to the tenant's own device, same as private.
+  // Dirty bytes drain to the tenant's own device, same as the other's.
   ASSERT_TRUE(tenant.pool.FlushAll().ok());
-  ASSERT_TRUE(private_pool.FlushAll().ok());
+  ASSERT_TRUE(own_pool.FlushAll().ok());
   for (PageId page : {1, 3}) {
-    std::vector<std::byte> shared_bytes(64), private_bytes(64);
+    std::vector<std::byte> shared_bytes(64), own_bytes(64);
     ASSERT_TRUE(tenant.disk.ReadPage(page, shared_bytes).ok());
-    ASSERT_TRUE(private_disk.ReadPage(page, private_bytes).ok());
-    EXPECT_EQ(shared_bytes, private_bytes) << "page " << page;
+    ASSERT_TRUE(own_disk.ReadPage(page, own_bytes).ok());
+    EXPECT_EQ(shared_bytes, own_bytes) << "page " << page;
   }
 }
 

@@ -9,10 +9,13 @@
 
 #include <filesystem>
 #include <string>
+#include <utility>
 
 #include "recovery/recover.h"
+#include "service/heap_service.h"
 #include "sim/runner.h"
 #include "sim/simulator.h"
+#include "sim/spec.h"
 #include "storage/disk.h"
 
 namespace odbgc {
@@ -38,6 +41,11 @@ std::string FreshDir(const std::string& name) {
   const std::string dir = ::testing::TempDir() + "odbgc_manifest_test/" + name;
   std::filesystem::remove_all(dir);
   return dir;
+}
+
+std::string PolicyKindOf(const Json& manifest) {
+  const Json* heap = manifest.Get("config")->Get("heap");
+  return heap->Get("policy_kind")->string_value();
 }
 
 SimulationResult RunOnce(SimulationConfig config) {
@@ -147,6 +155,8 @@ TEST(ManifestTest, RunnerEmitsOneManifestPerRun) {
                                  << manifest.status().ToString();
       EXPECT_EQ(manifest->Get("policy")->string_value(), policy);
       EXPECT_EQ(manifest->Get("seed")->uint_value(), seed);
+      // The kind that ran, not the unset enum's default.
+      EXPECT_EQ(PolicyKindOf(*manifest), policy);
     }
   }
 
@@ -161,6 +171,21 @@ TEST(ManifestTest, RunnerEmitsOneManifestPerRun) {
   auto emitted = LoadManifestFile(dir + "/" + ManifestFileName("Random", 2));
   ASSERT_TRUE(emitted.ok());
   EXPECT_EQ(emitted->Dump(), rebuilt.Dump());
+}
+
+// A service tenant's manifest names its tenant, carries the service
+// section, and records the policy kind the tenant ran.
+TEST(ManifestTest, ServiceWritesOneManifestPerTenant) {
+  const std::string dir = FreshDir("service");
+  ServiceSpec spec = ServiceSpec::Hosting(
+      {TenantSpec::Base(TinyConfig()).Named("t0").WithPolicy("MostGarbage")});
+  ASSERT_TRUE(RunService(std::move(spec).WithManifestDir(dir)).ok());
+
+  auto manifest =
+      LoadManifestFile(dir + "/t0-" + ManifestFileName("MostGarbage", 1));
+  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+  EXPECT_NE(manifest->Get("service"), nullptr);
+  EXPECT_EQ(PolicyKindOf(*manifest), "MostGarbage");
 }
 
 // The acceptance property: kill a durable run mid-flight with an injected

@@ -1,10 +1,10 @@
 // The shared-arena determinism contract (DESIGN.md §17):
 //
 //  1. Byte-identity — at threads == 1 with the arena never exhausted, a
-//     fleet over one physically shared BufferPool arena produces
-//     per-tenant results bitwise identical to the same fleet over private
-//     per-tenant pools, for all six paper policies. Physical sharing is
-//     invisible to the simulation.
+//     fleet over one physically shared frame arena produces per-tenant
+//     results bitwise identical to a standalone Simulator run of each
+//     tenant's config (whose pool owns its frames), for all six paper
+//     policies. Physical sharing is invisible to the simulation.
 //  2. K-step batching (ServiceSpec::steps_per_round) amortizes barrier
 //     overhead without changing any unpressured tenant result.
 //  3. Arrival/departure — tenants may join and leave mid-run; a dormant
@@ -20,6 +20,7 @@
 
 #include "core/selection_policy.h"
 #include "service/heap_service.h"
+#include "sim/simulator.h"
 #include "sim/spec.h"
 
 namespace odbgc {
@@ -85,34 +86,32 @@ void ExpectResultsIdentical(const SimulationResult& a,
 }
 
 /// A 4-tenant single-policy fleet with distinct seeds and no watermark.
-ServiceSpec SmallFleet(const std::string& policy, bool shared) {
+ServiceSpec SmallFleet(const std::string& policy) {
   ServiceSpec spec;
   for (size_t i = 0; i < 4; ++i) {
     spec.tenants.push_back(
         TenantSpec::Base(SmallTenant(policy, 20 + i))
             .Named(std::string("t").append(std::to_string(i))));
   }
-  return std::move(spec).WithSharedPool(shared);
+  return spec;
 }
 
 class SharedPoolIdentityTest : public ::testing::TestWithParam<std::string> {};
 
-// The tentpole identity: shared arena vs private pools, threads == 1,
-// bitwise-equal per-tenant results for every paper policy.
+// The tentpole identity: a fleet over the shared arena vs standalone runs,
+// threads == 1, bitwise-equal per-tenant results for every paper policy.
 TEST_P(SharedPoolIdentityTest, SharedArenaMatchesPrivatePoolsByteForByte) {
-  auto shared = RunService(SmallFleet(GetParam(), /*shared=*/true));
-  auto isolated = RunService(SmallFleet(GetParam(), /*shared=*/false));
+  const ServiceSpec spec = SmallFleet(GetParam());
+  auto shared = RunService(spec);
   ASSERT_TRUE(shared.status().ok()) << shared.status().message();
-  ASSERT_TRUE(isolated.status().ok()) << isolated.status().message();
 
-  EXPECT_TRUE(shared->shared_pool);
-  EXPECT_FALSE(isolated->shared_pool);
   EXPECT_GT(shared->aggregate.app_events, 0u);  // Not a vacuous pass.
-  ASSERT_EQ(shared->tenants.size(), isolated->tenants.size());
-  for (size_t t = 0; t < shared->tenants.size(); ++t) {
-    ExpectResultsIdentical(shared->tenants[t], isolated->tenants[t]);
+  ASSERT_EQ(shared->tenants.size(), spec.tenants.size());
+  for (size_t t = 0; t < spec.tenants.size(); ++t) {
+    Simulator solo(spec.tenants[t].config);
+    ASSERT_TRUE(solo.Run().ok());
+    ExpectResultsIdentical(shared->tenants[t], solo.Finish());
   }
-  ExpectResultsIdentical(shared->aggregate, isolated->aggregate);
   // No watermark and an uncapped budget: no squeezes, so the identity
   // held unconditionally rather than by luck.
   EXPECT_EQ(shared->squeezed_evictions, 0u);
@@ -121,7 +120,7 @@ TEST_P(SharedPoolIdentityTest, SharedArenaMatchesPrivatePoolsByteForByte) {
 INSTANTIATE_TEST_SUITE_P(PaperPolicies, SharedPoolIdentityTest,
                          ::testing::ValuesIn(PaperPolicyNames()));
 
-ServiceSpec PressuredFleet(size_t tenants, uint32_t threads, bool shared,
+ServiceSpec PressuredFleet(size_t tenants, uint32_t threads,
                            uint64_t steps_per_round = 1) {
   const std::vector<std::string>& policies = PaperPolicyNames();
   ServiceSpec spec;
@@ -141,28 +140,21 @@ ServiceSpec PressuredFleet(size_t tenants, uint32_t threads, bool shared,
       .WithThreads(threads)
       .WithFrameBudget(cap_sum * 3 / 4)
       .WithWatermark(0.5)
-      .WithSharedPool(shared)
       .WithStepsPerRound(steps_per_round);
 }
 
-// Admission control on: pressure engages (stalls, forced collections) and
-// the shared arena still changes nothing observable.
+// Admission control on: pressure engages (stalls, forced collections)
+// without a single squeeze, so the arena changes nothing observable (this
+// fleet's per-tenant results matched the per-tenant private pools the
+// arena replaced, field for field, when those were deleted).
 TEST(SharedPoolPressureTest, PressuredFleetIdenticalToPrivatePools) {
-  auto shared = RunService(PressuredFleet(8, 1, /*shared=*/true));
-  auto isolated = RunService(PressuredFleet(8, 1, /*shared=*/false));
+  auto shared = RunService(PressuredFleet(8, 1));
   ASSERT_TRUE(shared.status().ok()) << shared.status().message();
-  ASSERT_TRUE(isolated.status().ok()) << isolated.status().message();
 
   EXPECT_GT(shared->admission_stalls, 0u);
+  EXPECT_GT(shared->forced_collections, 0u);
   EXPECT_EQ(shared->squeezed_evictions, 0u);
-  ASSERT_EQ(shared->tenants.size(), isolated->tenants.size());
-  for (size_t t = 0; t < shared->tenants.size(); ++t) {
-    ExpectResultsIdentical(shared->tenants[t], isolated->tenants[t]);
-  }
-  EXPECT_EQ(shared->rounds, isolated->rounds);
-  EXPECT_EQ(shared->forced_collections, isolated->forced_collections);
-  EXPECT_EQ(shared->admission_stalls, isolated->admission_stalls);
-  EXPECT_EQ(shared->peak_occupancy_frames, isolated->peak_occupancy_frames);
+  ASSERT_EQ(shared->tenants.size(), 8u);
   // The per-tenant telemetry agrees with the service-level totals.
   uint64_t stall_sum = 0, peak_max = 0;
   ASSERT_EQ(shared->tenant_admission_stalls.size(), shared->tenants.size());
@@ -185,7 +177,7 @@ TEST(SharedPoolPressureTest, PressuredFleetIdenticalToPrivatePools) {
 TEST(SharedPoolPressureTest, SharedArenaFleetIsThreadCountInvariant) {
   std::vector<ServiceResult> results;
   for (uint32_t threads : {1u, 2u, 4u}) {
-    auto result = RunService(PressuredFleet(8, threads, /*shared=*/true));
+    auto result = RunService(PressuredFleet(8, threads));
     ASSERT_TRUE(result.status().ok()) << result.status().message();
     EXPECT_EQ(result->squeezed_evictions, 0u);
     results.push_back(*std::move(result));
@@ -208,10 +200,8 @@ TEST(SharedPoolPressureTest, SharedArenaFleetIsThreadCountInvariant) {
 // watermark the barrier does no scheduling, so batching must be invisible
 // in every tenant result.
 TEST(SharedPoolBatchingTest, StepBatchingPreservesUnpressuredResults) {
-  auto one = RunService(
-      SmallFleet("UpdatedPointer", true).WithStepsPerRound(1));
-  auto eight = RunService(
-      SmallFleet("UpdatedPointer", true).WithStepsPerRound(8));
+  auto one = RunService(SmallFleet("UpdatedPointer").WithStepsPerRound(1));
+  auto eight = RunService(SmallFleet("UpdatedPointer").WithStepsPerRound(8));
   ASSERT_TRUE(one.status().ok()) << one.status().message();
   ASSERT_TRUE(eight.status().ok()) << eight.status().message();
   ASSERT_EQ(one->tenants.size(), eight->tenants.size());
@@ -228,8 +218,8 @@ TEST(SharedPoolBatchingTest, StepBatchingPreservesUnpressuredResults) {
 TEST(SharedPoolBatchingTest, BatchedPressuredFleetIsThreadInvariant) {
   std::vector<ServiceResult> results;
   for (uint32_t threads : {1u, 4u}) {
-    auto result = RunService(
-        PressuredFleet(8, threads, /*shared=*/true, /*steps_per_round=*/4));
+    auto result =
+        RunService(PressuredFleet(8, threads, /*steps_per_round=*/4));
     ASSERT_TRUE(result.status().ok()) << result.status().message();
     results.push_back(*std::move(result));
   }
@@ -246,14 +236,14 @@ TEST(SharedPoolBatchingTest, BatchedPressuredFleetIsThreadInvariant) {
 TEST(SharedPoolFleetTest, LateArrivalRunsToCompletionUnchanged) {
   // A tenant that arrives at round 50 must produce the same result as one
   // that was there from the start: arrival delays, it never perturbs.
-  ServiceSpec spec = SmallFleet("UpdatedPointer", true);
+  ServiceSpec spec = SmallFleet("UpdatedPointer");
   spec.tenants.push_back(TenantSpec::Base(SmallTenant("WeightedPointer", 99))
                              .Named("late")
                              .ArrivingAtRound(50));
   auto staggered = RunService(std::move(spec));
   ASSERT_TRUE(staggered.status().ok()) << staggered.status().message();
 
-  ServiceSpec punctual_spec = SmallFleet("UpdatedPointer", true);
+  ServiceSpec punctual_spec = SmallFleet("UpdatedPointer");
   punctual_spec.tenants.push_back(
       TenantSpec::Base(SmallTenant("WeightedPointer", 99)).Named("late"));
   auto punctual = RunService(std::move(punctual_spec));
@@ -267,7 +257,7 @@ TEST(SharedPoolFleetTest, LateArrivalRunsToCompletionUnchanged) {
 }
 
 TEST(SharedPoolFleetTest, DepartureRetiresTheTenantAndCountsIt) {
-  ServiceSpec spec = SmallFleet("UpdatedPointer", true);
+  ServiceSpec spec = SmallFleet("UpdatedPointer");
   spec.tenants.push_back(TenantSpec::Base(SmallTenant("WeightedPointer", 7))
                              .Named("brief")
                              .ArrivingAtRound(2)
@@ -291,7 +281,7 @@ TEST(SharedPoolFleetTest, ArrivalPastFleetEndStillRetiresCleanly) {
   // round before its immediate departure: the round clock keeps ticking
   // through idle rounds, the retirement finalizes a barely-started run,
   // and the service terminates rather than wedging on the straggler.
-  ServiceSpec spec = SmallFleet("UpdatedPointer", true);
+  ServiceSpec spec = SmallFleet("UpdatedPointer");
   spec.tenants.push_back(TenantSpec::Base(SmallTenant("WeightedPointer", 7))
                              .Named("straggler")
                              .ArrivingAtRound(10000)
@@ -305,7 +295,7 @@ TEST(SharedPoolFleetTest, ArrivalPastFleetEndStillRetiresCleanly) {
 }
 
 TEST(SharedPoolFleetTest, RejectsDepartureNotAfterArrival) {
-  ServiceSpec spec = SmallFleet("UpdatedPointer", true);
+  ServiceSpec spec = SmallFleet("UpdatedPointer");
   spec.tenants.push_back(TenantSpec::Base(SmallTenant("WeightedPointer", 7))
                              .Named("bad")
                              .ArrivingAtRound(5)
@@ -322,7 +312,7 @@ TEST(SharedPoolSqueezeTest, OvercommittedArenaCompletesViaSqueezes) {
   // the squeeze path carries the run to completion rather than an error.
   // (Budgets small enough to leave a tenant empty-handed are the
   // documented ResourceExhausted regime; see SqueezeBelowFloorErrs.)
-  ServiceSpec spec = SmallFleet("UpdatedPointer", true);
+  ServiceSpec spec = SmallFleet("UpdatedPointer");
   auto result = RunService(std::move(spec).WithFrameBudget(49));
   ASSERT_TRUE(result.status().ok()) << result.status().message();
   EXPECT_GT(result->squeezed_evictions, 0u);
@@ -338,7 +328,7 @@ TEST(SharedPoolSqueezeTest, SqueezeBelowFloorErrs) {
   // with ResourceExhausted rather than stealing another tenant's frame
   // (the error message tells the operator to raise the budget or arm
   // the watermark).
-  ServiceSpec spec = SmallFleet("UpdatedPointer", true);
+  ServiceSpec spec = SmallFleet("UpdatedPointer");
   auto result = RunService(std::move(spec).WithFrameBudget(8));
   ASSERT_FALSE(result.status().ok());
   EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);

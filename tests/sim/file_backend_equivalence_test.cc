@@ -230,8 +230,8 @@ TEST(FileBackendEquivalenceTest, ExperimentManifestsCarryMeasuredSection) {
 }
 
 // Byte-level determinism of the medium itself: two identical runs leave
-// byte-identical partition files behind (the scheduler's disjoint-range
-// guarantee, surfaced end to end).
+// byte-identical partition files behind (FileDevice::WritePages's
+// disjoint-range guarantee, surfaced end to end).
 TEST(FileBackendEquivalenceTest, IdenticalRunsLeaveIdenticalFiles) {
   const std::string dir = FreshDir("file_bytes");
   std::vector<std::string> paths;

@@ -31,8 +31,8 @@ TEST(AccessCheckTest, SecondThreadIsRejectedWhileHeld) {
 }
 
 TEST(AccessCheckTest, IdleHandoffBetweenThreadsIsAllowed) {
-  // The batch schedulers migrate a quiescent heap (and its pool) across
-  // workers with a happens-before edge; the check must permit that.
+  // The service's fork-join rounds migrate a quiescent heap (and its pool)
+  // across workers with a happens-before edge; the check must permit that.
   ExclusiveAccessCheck check;
   ASSERT_TRUE(check.TryEnter());
   check.Exit();

@@ -749,10 +749,10 @@ int main(int argc, char** argv) {
   double tolerance_pct = 0.0;
   bool tolerance_set = false;
   bool write = false;
+  bool ok = true;  // Cleared by a numeric value that does not parse.
   for (int i = 2; i < argc; ++i) {
     std::string value;
-    if (ParseFlag(argv[i], "--tolerance", &value)) {
-      tolerance_pct = std::atof(value.c_str());
+    if (ParseNumberFlag(argv[i], "--tolerance", &tolerance_pct, &ok)) {
       tolerance_set = true;
     } else if (ParseFlag(argv[i], "--baseline", &value)) {
       baseline_path = value;
@@ -764,6 +764,7 @@ int main(int argc, char** argv) {
       positional.push_back(argv[i]);
     }
   }
+  if (!ok) return 2;
 
   if (command == "tables" && positional.size() == 1) {
     return RunTables(positional[0]);
