@@ -4,8 +4,6 @@
 #include <cassert>
 #include <utility>
 
-#include "util/serde.h"
-
 namespace odbgc {
 
 namespace {
@@ -153,7 +151,7 @@ Status BufferPool::FlushAll() {
   ODBGC_DCHECK_EXCLUSIVE(&access_check_, "BufferPool::FlushAll");
   // Dirty frames in slot order — the same order the per-frame loop used,
   // so the device's request-order accounting (sequential/random
-  // classification, fault schedule) is unchanged by batching.
+  // classification) is unchanged by batching.
   std::vector<PageWriteRequest> batch;
   std::vector<uint32_t> slots;
   for (uint32_t slot = 0; slot < used_slots_; ++slot) {
@@ -254,102 +252,5 @@ bool BufferPool::IsDirty(PageId page) const {
 }
 
 std::vector<PageId> BufferPool::LruOrder() const { return policy_->Order(); }
-
-void BufferPool::SaveState(std::ostream& out) const {
-  PutVarint(out, frame_count_);
-  PutU8(out, static_cast<uint8_t>(policy_->kind()));
-  std::vector<uint32_t> resident;
-  resident.reserve(resident_count_);
-  for (uint32_t slot = 0; slot < used_slots_; ++slot) {
-    if (frames_[slot].page != kInvalidPageId) resident.push_back(slot);
-  }
-  std::sort(resident.begin(), resident.end(),
-            [this](uint32_t a, uint32_t b) {
-              return frames_[a].page < frames_[b].page;
-            });
-  PutVarint(out, resident.size());
-  for (uint32_t slot : resident) {
-    PutVarint(out, frames_[slot].page);
-    PutBool(out, frames_[slot].dirty);
-  }
-  policy_->Save(out);
-}
-
-Status BufferPool::LoadState(std::istream& in) {
-  ODBGC_DCHECK_EXCLUSIVE(&access_check_, "BufferPool::LoadState");
-  auto frame_count = GetVarint(in);
-  ODBGC_RETURN_IF_ERROR(frame_count.status());
-  if (*frame_count != frame_count_) {
-    return Status::Corruption("buffer state frame count mismatch");
-  }
-  auto kind = GetU8(in);
-  ODBGC_RETURN_IF_ERROR(kind.status());
-  if (*kind != static_cast<uint8_t>(policy_->kind())) {
-    return Status::Corruption("buffer state replacement policy mismatch");
-  }
-  auto resident = GetVarint(in);
-  ODBGC_RETURN_IF_ERROR(resident.status());
-  if (*resident > frame_count_) {
-    return Status::Corruption("buffer state resident count exceeds capacity");
-  }
-  std::vector<std::pair<PageId, bool>> entries;
-  entries.reserve(*resident);
-  for (uint64_t i = 0; i < *resident; ++i) {
-    auto page = GetVarint(in);
-    ODBGC_RETURN_IF_ERROR(page.status());
-    auto dirty = GetBool(in);
-    ODBGC_RETURN_IF_ERROR(dirty.status());
-    entries.emplace_back(*page, *dirty);
-  }
-
-  // Persist current dirty frames so the device holds their rematerialized
-  // bytes before residency changes. Sorted order keeps restoration
-  // deterministic; the transfers perturb device-model state and counters,
-  // which the heap restores after this call.
-  std::vector<uint32_t> dirty_slots;
-  for (uint32_t slot = 0; slot < used_slots_; ++slot) {
-    if (frames_[slot].page != kInvalidPageId && frames_[slot].dirty) {
-      dirty_slots.push_back(slot);
-    }
-  }
-  std::sort(dirty_slots.begin(), dirty_slots.end(),
-            [this](uint32_t a, uint32_t b) {
-              return frames_[a].page < frames_[b].page;
-            });
-  for (uint32_t slot : dirty_slots) {
-    ODBGC_RETURN_IF_ERROR(
-        device_->WritePage(frames_[slot].page, Payload(frames_[slot])));
-  }
-  ReleaseArenaFrames();
-
-  // Re-fault the checkpointed residency set in page order. The policy does
-  // not see these inserts — its exact state is loaded below.
-  for (const auto& [page, dirty] : entries) {
-    if (page_to_slot_.Contains(page)) {
-      return Status::Corruption("buffer state duplicate resident page");
-    }
-    const uint32_t slot = AllocSlot();
-    Frame& frame = frames_[slot];
-    if (!AttachFrame(frame)) {
-      return Status::ResourceExhausted(
-          "frame arena cannot hold the restored buffer residency");
-    }
-    ODBGC_RETURN_IF_ERROR(device_->ReadPage(page, Payload(frame)));
-    frame.page = page;
-    frame.dirty = dirty;
-    page_to_slot_.Insert(page, slot);
-    ++resident_count_;
-  }
-  ODBGC_RETURN_IF_ERROR(policy_->Load(
-      in, [this](PageId page) { return page_to_slot_.Find(page); }));
-
-  // The loaded replacement state must track exactly the resident set (the
-  // resolver already rejects non-resident pages; this catches a state
-  // that tracks too few).
-  if (policy_->tracked() != resident_count_) {
-    return Status::Corruption("buffer state policy/residency size mismatch");
-  }
-  return Status::Ok();
-}
 
 }  // namespace odbgc

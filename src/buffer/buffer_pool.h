@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <span>
 #include <vector>
@@ -150,24 +149,6 @@ class BufferPool {
   /// Resident pages in the policy's replacement order (for strict LRU,
   /// most recent first — see ReplacementPolicy::Order).
   std::vector<PageId> LruOrder() const;
-
-  /// Serializes the residency set and the replacement policy's state
-  /// without touching frames or counters. Counters are NOT included — they
-  /// live in the metrics registry, which the heap checkpoints separately.
-  /// Frame bytes are not included either: page contents are rematerialized
-  /// from the store image, and no component reads object data back out of
-  /// page bytes.
-  void SaveState(std::ostream& out) const;
-
-  /// Restores state written by SaveState: current dirty frames are written
-  /// to the device (in page order), the pool is emptied, the recorded
-  /// residency set is re-faulted in page order, and the replacement state
-  /// is loaded. The transfers this issues perturb device-model state and
-  /// counters; the caller (heap) restores the device state and the metrics
-  /// registry *after* this, in that order. Corruption on a malformed
-  /// stream, a mismatched frame count, or a mismatched policy kind;
-  /// ResourceExhausted if a shared arena cannot hold the residency set.
-  Status LoadState(std::istream& in);
 
  private:
   /// One fixed slot of the pool. `page` is kInvalidPageId while the slot

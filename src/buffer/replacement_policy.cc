@@ -3,7 +3,6 @@
 #include <cassert>
 
 #include "util/open_hash_map.h"
-#include "util/serde.h"
 
 namespace odbgc {
 
@@ -123,35 +122,6 @@ class LruPolicy : public ReplacementPolicy {
     size_ = 0;
   }
 
-  void Save(std::ostream& out) const override {
-    PutVarint(out, size_);
-    for (uint32_t i = links_.next[sentinel_]; i != sentinel_;
-         i = links_.next[i]) {
-      PutVarint(out, page_[i]);  // MRU first.
-    }
-  }
-
-  Status Load(std::istream& in, const FrameResolver& frame_of) override {
-    Clear();
-    auto count = GetVarint(in);
-    ODBGC_RETURN_IF_ERROR(count.status());
-    for (uint64_t i = 0; i < *count; ++i) {
-      auto page = GetVarint(in);
-      ODBGC_RETURN_IF_ERROR(page.status());
-      const FrameIndex frame = frame_of(*page);
-      if (frame == kNoFrame) {
-        return Status::Corruption("lru state page not resident");
-      }
-      if (links_.Linked(frame)) {
-        return Status::Corruption("lru state duplicate page");
-      }
-      page_[frame] = *page;
-      links_.InsertBefore(sentinel_, frame);  // Push back: stream is MRU first.
-      ++size_;
-    }
-    return Status::Ok();
-  }
-
  private:
   const FrameIndex sentinel_;
   LinkArray links_;
@@ -234,40 +204,6 @@ class ClockPolicy : public ReplacementPolicy {
     referenced_.assign(referenced_.size(), false);
     hand_ = sentinel_;
     size_ = 0;
-  }
-
-  void Save(std::ostream& out) const override {
-    // Hand-first ring order; Load re-anchors the hand at the front.
-    PutVarint(out, size_);
-    ForEachInHandOrder([&out](PageId page, bool referenced) {
-      PutVarint(out, page);
-      PutBool(out, referenced);
-    });
-  }
-
-  Status Load(std::istream& in, const FrameResolver& frame_of) override {
-    Clear();
-    auto count = GetVarint(in);
-    ODBGC_RETURN_IF_ERROR(count.status());
-    for (uint64_t i = 0; i < *count; ++i) {
-      auto page = GetVarint(in);
-      ODBGC_RETURN_IF_ERROR(page.status());
-      auto referenced = GetBool(in);
-      ODBGC_RETURN_IF_ERROR(referenced.status());
-      const FrameIndex frame = frame_of(*page);
-      if (frame == kNoFrame) {
-        return Status::Corruption("clock state page not resident");
-      }
-      if (links_.Linked(frame)) {
-        return Status::Corruption("clock state duplicate page");
-      }
-      page_[frame] = *page;
-      referenced_[frame] = *referenced;
-      links_.InsertBefore(sentinel_, frame);  // Push back.
-      ++size_;
-    }
-    hand_ = links_.next[sentinel_];  // Front; the sentinel when empty.
-    return Status::Ok();
   }
 
  private:
@@ -408,41 +344,6 @@ class TwoQPolicy : public ReplacementPolicy {
     RefillGhostSlots();
   }
 
-  void Save(std::ostream& out) const override {
-    SaveList(out, links_, in_sentinel_, in_count_, page_);
-    SaveList(out, links_, am_sentinel_, am_count_, page_);
-    SaveList(out, ghost_links_, ghost_sentinel_,
-             kout_ - ghost_free_.size(), ghost_page_);
-  }
-
-  Status Load(std::istream& in, const FrameResolver& frame_of) override {
-    Clear();
-    ODBGC_RETURN_IF_ERROR(LoadResidentList(in, frame_of, in_sentinel_,
-                                           /*probation=*/true, &in_count_));
-    ODBGC_RETURN_IF_ERROR(LoadResidentList(in, frame_of, am_sentinel_,
-                                           /*probation=*/false, &am_count_));
-    auto ghosts = GetVarint(in);
-    ODBGC_RETURN_IF_ERROR(ghosts.status());
-    // The eviction path caps the ghost list at kout_; a longer one can
-    // only come from a damaged stream.
-    if (*ghosts > kout_) {
-      return Status::Corruption("2q state ghost list exceeds capacity");
-    }
-    for (uint64_t i = 0; i < *ghosts; ++i) {
-      auto page = GetVarint(in);
-      ODBGC_RETURN_IF_ERROR(page.status());
-      if (ghost_pos_.Contains(*page)) {
-        return Status::Corruption("2q state duplicate ghost page");
-      }
-      const uint32_t slot = ghost_free_.back();
-      ghost_free_.pop_back();
-      ghost_page_[slot] = *page;
-      ghost_links_.InsertBefore(ghost_sentinel_, slot);  // Push back.
-      ghost_pos_.Insert(*page, slot);
-    }
-    return Status::Ok();
-  }
-
  private:
   void RemoveResident(FrameIndex frame) {
     links_.Unlink(frame);
@@ -475,38 +376,6 @@ class TwoQPolicy : public ReplacementPolicy {
          i = links_.next[i]) {
       order->push_back(page_[i]);
     }
-  }
-
-  static void SaveList(std::ostream& out, const LinkArray& links,
-                       uint32_t sentinel, size_t count,
-                       const std::vector<PageId>& pages) {
-    PutVarint(out, count);
-    for (uint32_t i = links.next[sentinel]; i != sentinel;
-         i = links.next[i]) {
-      PutVarint(out, pages[i]);
-    }
-  }
-
-  Status LoadResidentList(std::istream& in, const FrameResolver& frame_of,
-                          uint32_t sentinel, bool probation, size_t* count) {
-    auto entries = GetVarint(in);
-    ODBGC_RETURN_IF_ERROR(entries.status());
-    for (uint64_t i = 0; i < *entries; ++i) {
-      auto page = GetVarint(in);
-      ODBGC_RETURN_IF_ERROR(page.status());
-      const FrameIndex frame = frame_of(*page);
-      if (frame == kNoFrame) {
-        return Status::Corruption("2q state page not resident");
-      }
-      if (links_.Linked(frame)) {
-        return Status::Corruption("2q state duplicate page");
-      }
-      page_[frame] = *page;
-      in_probation_[frame] = probation;
-      links_.InsertBefore(sentinel, frame);  // Push back.
-      ++*count;
-    }
-    return Status::Ok();
   }
 
   const size_t kin_;

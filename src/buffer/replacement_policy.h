@@ -3,13 +3,10 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <iosfwd>
 #include <memory>
 #include <vector>
 
 #include "storage/page.h"
-#include "util/status.h"
 
 namespace odbgc {
 
@@ -36,25 +33,16 @@ const char* ReplacementPolicyName(ReplacementPolicyKind kind);
 /// intrusive index-linked lists over a flat per-frame node array, so a
 /// hit or insert is a couple of indexed stores with no hashing or node
 /// allocation. The page id is recorded per frame at OnInsert purely so
-/// Order() and Save() can speak the page-level language the checkpoint
-/// format and the tests use.
+/// Order() can speak the page-level language the tests use.
 ///
 /// The pool guarantees: OnInsert for every frame becoming resident,
 /// OnHit for every access to a resident frame, exactly one of
 /// OnEvict/OnErase when a frame's page leaves, and ChooseVictim only
 /// when at least one frame is resident. Implementations must be
-/// deterministic — runs are replayed for crash recovery and compared
-/// across thread counts.
+/// deterministic — runs are compared across thread counts.
 class ReplacementPolicy {
  public:
   using FrameIndex = uint32_t;
-  /// "No such frame" — matches OpenIndexMap::kEmptyValue so the pool's
-  /// page table doubles as the Load-time resolver.
-  static constexpr FrameIndex kNoFrame = UINT32_MAX;
-
-  /// Maps a page id from a serialized state back to the frame the pool
-  /// re-faulted it into (kNoFrame if the page is not resident).
-  using FrameResolver = std::function<FrameIndex(PageId)>;
 
   virtual ~ReplacementPolicy() = default;
 
@@ -76,7 +64,7 @@ class ReplacementPolicy {
   virtual void OnEvict(FrameIndex frame) { OnErase(frame); }
 
   /// `frame`'s page was removed without eviction semantics
-  /// (DiscardExtent, restore rebuilds).
+  /// (DiscardExtent).
   virtual void OnErase(FrameIndex frame) = 0;
 
   /// Resident pages, most-recently-valuable first. For LRU this is exact
@@ -84,21 +72,8 @@ class ReplacementPolicy {
   /// entry is always the current victim candidate's region.
   virtual std::vector<PageId> Order() const = 0;
 
-  size_t tracked() const { return Order().size(); }
-
   /// Drops all state (residency went away wholesale).
   virtual void Clear() = 0;
-
-  /// Serializes the full replacement state (exactly enough for Load to
-  /// reproduce future decisions bit-for-bit). The format is page-keyed
-  /// and unchanged from the node-based implementation, so old
-  /// checkpoints restore into the dense layout.
-  virtual void Save(std::ostream& out) const = 0;
-
-  /// Restores state written by Save onto an empty policy. `frame_of`
-  /// resolves each serialized page id to the frame the pool re-faulted
-  /// it into; a page the pool does not hold is Corruption.
-  virtual Status Load(std::istream& in, const FrameResolver& frame_of) = 0;
 };
 
 /// Constructs the given policy for a pool of `frame_count` frames.

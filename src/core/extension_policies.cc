@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "core/policies.h"
-#include "util/serde.h"
 
 namespace odbgc {
 
@@ -26,18 +25,6 @@ double LeastRecentlyCollectedPolicy::Score(PartitionId partition) const {
   // Higher score = better victim = longer since collected.
   return time == 0 ? static_cast<double>(clock_ + 1)
                    : static_cast<double>(clock_ - time);
-}
-
-void LeastRecentlyCollectedPolicy::SaveState(std::ostream& out) const {
-  PutVarint(out, clock_);
-  last_collected_.Save(out);
-}
-
-Status LeastRecentlyCollectedPolicy::LoadState(std::istream& in) {
-  auto clock = GetVarint(in);
-  ODBGC_RETURN_IF_ERROR(clock.status());
-  clock_ = *clock;
-  return last_collected_.Load(in);
 }
 
 void CostBenefitPolicy::OnPointerStore(const SlotWriteEvent& event,
@@ -65,14 +52,6 @@ double CostBenefitPolicy::Score(PartitionId partition) const {
   // benefit/cost; a fully-garbage prediction is unbeatable.
   if (live <= 0.0) return 1e18;
   return predicted_garbage / live;
-}
-
-void CostBenefitPolicy::SaveState(std::ostream& out) const {
-  overwrites_into_.Save(out);
-}
-
-Status CostBenefitPolicy::LoadState(std::istream& in) {
-  return overwrites_into_.Load(in);
 }
 
 PartitionId CostBenefitPolicy::Select(const SelectionContext& context) {

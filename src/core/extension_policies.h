@@ -33,8 +33,6 @@ class LeastRecentlyCollectedPolicy : public SelectionPolicy {
   }
   PartitionId Select(const SelectionContext& context) override;
   double Score(PartitionId partition) const override;
-  void SaveState(std::ostream& out) const override;
-  Status LoadState(std::istream& in) override;
 
  private:
   uint64_t clock_ = 0;
@@ -79,8 +77,6 @@ class CostBenefitPolicy : public SelectionPolicy {
   }
   PartitionId Select(const SelectionContext& context) override;
   double Score(PartitionId partition) const override;
-  void SaveState(std::ostream& out) const override;
-  Status LoadState(std::istream& in) override;
 
  private:
   const ObjectStore* const* store_;

@@ -7,7 +7,6 @@
 
 #include "core/reachability.h"
 #include "storage/device_registry.h"
-#include "util/serde.h"
 
 namespace odbgc {
 
@@ -71,19 +70,6 @@ CollectedHeap::CollectedHeap(const HeapOptions& options) : options_(options) {
                                          options_.shared_arena);
   store_ = std::make_unique<ObjectStore>(options_.store, device_.get(),
                                          buffer_.get());
-  WireComponents();
-}
-
-CollectedHeap::CollectedHeap(const HeapOptions& options, RestoreTag)
-    : options_(options) {
-  metrics_ = std::make_unique<MetricsRegistry>();
-  device_ = MakeConfiguredDevice(options_, metrics_.get());
-  buffer_ = std::make_unique<BufferPool>(device_.get(), options_.buffer_pages,
-                                         options_.replacement,
-                                         options_.shared_arena);
-}
-
-void CollectedHeap::WireComponents() {
   wall_metrics_ = std::make_unique<MetricsRegistry>();
   wall_timers_ = std::make_unique<WallPhaseTimers>(wall_metrics_.get());
   policy_store_view_ = store_.get();
@@ -127,36 +113,6 @@ void CollectedHeap::WireComponents() {
   store_->set_slot_write_observer(this);
   last_seen_partition_count_ = store_->partition_count();
   NoteFootprint();
-}
-
-Result<std::unique_ptr<CollectedHeap>> CollectedHeap::FromImage(
-    const HeapOptions& options, const StoreImage& image) {
-  HeapOptions effective = options;
-  effective.store.page_size = image.page_size;
-  effective.store.pages_per_partition = image.pages_per_partition;
-  effective.store.reserve_empty_partition = image.reserve_empty_partition;
-
-  auto heap = std::unique_ptr<CollectedHeap>(
-      new CollectedHeap(effective, RestoreTag{}));
-  auto store =
-      ObjectStore::Restore(image, heap->device_.get(), heap->buffer_.get(),
-                           effective.store.placement);
-  ODBGC_RETURN_IF_ERROR(store.status());
-  heap->store_ = std::move(store).value();
-  heap->index_ = BuildIndexFromStore(*heap->store_);
-  heap->WireComponents();
-
-  // Recompute derivable weight state for WeightedPointer heaps.
-  if (heap->weights_ != nullptr) {
-    WeightTracker* weights = heap->weights_.get();
-    for (ObjectId root : heap->store_->roots()) {
-      ODBGC_RETURN_IF_ERROR(weights->OnRootAdded(root));
-    }
-  }
-  // Restoration I/O (page materialization, weight recomputation) is not
-  // part of any experiment.
-  heap->ResetMeasurement();
-  return heap;
 }
 
 CollectedHeap::~CollectedHeap() { store_->set_slot_write_observer(nullptr); }
@@ -445,104 +401,6 @@ void CollectedHeap::NoteFootprint() {
     stats_.max_total_bytes = total;
     stats_.max_partitions = store_->partition_count();
   }
-}
-
-void CollectedHeap::SaveRuntimeState(std::ostream& out) const {
-  PutVarint(out, stats_.collections);
-  PutVarint(out, stats_.full_collections);
-  PutVarint(out, stats_.pointer_stores);
-  PutVarint(out, stats_.pointer_overwrites);
-  PutVarint(out, stats_.objects_allocated);
-  PutVarint(out, stats_.bytes_allocated);
-  PutVarint(out, stats_.garbage_bytes_reclaimed);
-  PutVarint(out, stats_.garbage_objects_reclaimed);
-  PutVarint(out, stats_.live_bytes_copied);
-  PutVarint(out, stats_.live_objects_copied);
-  PutVarint(out, stats_.max_total_bytes);
-  PutVarint(out, stats_.max_partitions);
-
-  PutVarint(out, overwrites_since_collection_);
-  PutVarint(out, allocated_since_collection_);
-  PutVarint(out, last_seen_partition_count_);
-  PutVarint(out, newborn_.value);
-  PutBool(out, collection_pending_);
-  // Placement cursors live in the store but are not part of the image
-  // (the image records where objects *are*, not where the next one goes).
-  PutVarint(out, store_->current_alloc_partition());
-  PutVarint(out, store_->round_robin_cursor());
-
-  policy_->SaveState(out);
-  PutBool(out, weights_ != nullptr);
-  if (weights_ != nullptr) weights_->SaveState(out);
-  barrier_->SaveState(out);
-  buffer_->SaveState(out);
-  // Device-model state, then the registry, go last: buffer reconstruction
-  // issues real transfers (perturbing both), so LoadRuntimeState restores
-  // the device model after the buffer and every counter after that.
-  device_->SaveState(out);
-  metrics_->Save(out);
-}
-
-Status CollectedHeap::LoadRuntimeState(std::istream& in) {
-  auto get = [&in](uint64_t* out_value) -> Status {
-    auto v = GetVarint(in);
-    ODBGC_RETURN_IF_ERROR(v.status());
-    *out_value = *v;
-    return Status::Ok();
-  };
-  HeapStats stats;
-  ODBGC_RETURN_IF_ERROR(get(&stats.collections));
-  ODBGC_RETURN_IF_ERROR(get(&stats.full_collections));
-  ODBGC_RETURN_IF_ERROR(get(&stats.pointer_stores));
-  ODBGC_RETURN_IF_ERROR(get(&stats.pointer_overwrites));
-  ODBGC_RETURN_IF_ERROR(get(&stats.objects_allocated));
-  ODBGC_RETURN_IF_ERROR(get(&stats.bytes_allocated));
-  ODBGC_RETURN_IF_ERROR(get(&stats.garbage_bytes_reclaimed));
-  ODBGC_RETURN_IF_ERROR(get(&stats.garbage_objects_reclaimed));
-  ODBGC_RETURN_IF_ERROR(get(&stats.live_bytes_copied));
-  ODBGC_RETURN_IF_ERROR(get(&stats.live_objects_copied));
-  ODBGC_RETURN_IF_ERROR(get(&stats.max_total_bytes));
-  ODBGC_RETURN_IF_ERROR(get(&stats.max_partitions));
-
-  uint64_t overwrites = 0;
-  uint64_t allocated = 0;
-  uint64_t partitions = 0;
-  uint64_t newborn = 0;
-  ODBGC_RETURN_IF_ERROR(get(&overwrites));
-  ODBGC_RETURN_IF_ERROR(get(&allocated));
-  ODBGC_RETURN_IF_ERROR(get(&partitions));
-  ODBGC_RETURN_IF_ERROR(get(&newborn));
-  auto pending = GetBool(in);
-  ODBGC_RETURN_IF_ERROR(pending.status());
-  uint64_t alloc_cursor = 0;
-  uint64_t round_robin = 0;
-  ODBGC_RETURN_IF_ERROR(get(&alloc_cursor));
-  ODBGC_RETURN_IF_ERROR(get(&round_robin));
-  ODBGC_RETURN_IF_ERROR(store_->RestoreAllocCursors(
-      static_cast<PartitionId>(alloc_cursor),
-      static_cast<PartitionId>(round_robin)));
-
-  ODBGC_RETURN_IF_ERROR(policy_->LoadState(in));
-  auto has_weights = GetBool(in);
-  ODBGC_RETURN_IF_ERROR(has_weights.status());
-  if (*has_weights != (weights_ != nullptr)) {
-    return Status::Corruption("heap state weight-mode mismatch");
-  }
-  if (weights_ != nullptr) {
-    ODBGC_RETURN_IF_ERROR(weights_->LoadState(in));
-  }
-  ODBGC_RETURN_IF_ERROR(barrier_->LoadState(in));
-  ODBGC_RETURN_IF_ERROR(buffer_->LoadState(in));
-  ODBGC_RETURN_IF_ERROR(device_->LoadState(in));
-  ODBGC_RETURN_IF_ERROR(metrics_->Load(in));
-
-  stats_ = stats;
-  overwrites_since_collection_ = static_cast<uint32_t>(overwrites);
-  allocated_since_collection_ = allocated;
-  last_seen_partition_count_ = static_cast<size_t>(partitions);
-  newborn_ = ObjectId{newborn};
-  collection_pending_ = *pending;
-  return Status::Ok();
 }
 
 }  // namespace odbgc

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
 #include <memory>
 #include <vector>
 
@@ -142,9 +141,9 @@ struct HeapOptions {
   /// results (see wall_metrics()).
   bool profile_hot_paths = false;
   /// Run-telemetry sink (non-owning; must outlive the heap). The heap
-  /// publishes collection events, the device fault events; the simulator
-  /// and durable engine publish run/phase/checkpoint events through the
-  /// same pointer. Null (the default) disables publishing entirely.
+  /// publishes collection and phase events, the device its batch and sync
+  /// events; the simulator publishes run events through the same pointer.
+  /// Null (the default) disables publishing entirely.
   SimObserver* observer = nullptr;
 };
 
@@ -183,19 +182,6 @@ class CollectedHeap : private SlotWriteObserver {
  public:
   explicit CollectedHeap(const HeapOptions& options);
   ~CollectedHeap() override;
-
-  /// Reconstructs a heap from a checkpoint image (see
-  /// ObjectStore::Restore): the store is re-materialized, the
-  /// inter-partition index rebuilt from the object graph, and all
-  /// measurements start from zero. The image's geometry overrides
-  /// `options.store`'s; policy/trigger/barrier options apply as usual.
-  /// Root-distance weights are derivable but history-free: a restored
-  /// WeightedPointer heap recomputes them from the roots.
-  static Result<std::unique_ptr<CollectedHeap>> FromImage(
-      const HeapOptions& options, const StoreImage& image);
-
-  /// Captures the database state for checkpointing.
-  StoreImage ExtractImage() const { return store_->ExtractImage(); }
 
   CollectedHeap(const CollectedHeap&) = delete;
   CollectedHeap& operator=(const CollectedHeap&) = delete;
@@ -252,8 +238,8 @@ class CollectedHeap : private SlotWriteObserver {
   MetricsRegistry* metrics() const { return metrics_.get(); }
   /// Wall-clock self-profiling counters ("wall.*_ns"): how long the
   /// *simulator itself* spends in each phase. Deliberately a separate
-  /// registry — the main one feeds SimulationResult and checkpoints, both
-  /// bit-identical across runs, which wall time never is.
+  /// registry — the main one feeds SimulationResult, which is
+  /// bit-identical across runs, as wall time never is.
   MetricsRegistry* wall_metrics() const { return wall_metrics_.get(); }
   /// Pre-registered handles into wall_metrics() for hot-path scopes.
   WallPhaseTimers* wall_timers() const { return wall_timers_.get(); }
@@ -285,30 +271,7 @@ class CollectedHeap : private SlotWriteObserver {
   /// database, reset, and measure only the mutation phase.
   void ResetMeasurement();
 
-  /// Serializes all heap runtime state that is NOT derivable from the
-  /// store image: measurement counters, trigger progress, policy hints,
-  /// weights, deferred barrier work, buffer residency, device-model state
-  /// and the metrics registry.
-  /// Together with ExtractImage this captures the heap exactly — a heap
-  /// restored via FromImage + LoadRuntimeState behaves bit-identically to
-  /// the checkpointed one on any further event sequence. The collection
-  /// log (introspection only) is intentionally excluded.
-  void SaveRuntimeState(std::ostream& out) const;
-
-  /// Restores state written by SaveRuntimeState on a heap rebuilt from the
-  /// matching store image with the same HeapOptions. Corruption on a
-  /// malformed stream or an options/geometry mismatch.
-  Status LoadRuntimeState(std::istream& in);
-
  private:
-  struct RestoreTag {};
-  // Builds only the disk and buffer; FromImage fills in the rest.
-  CollectedHeap(const HeapOptions& options, RestoreTag);
-
-  // Constructs weights/policy/barrier/collectors around store_ and
-  // installs the write-barrier observer.
-  void WireComponents();
-
   void OnSlotWrite(const SlotWriteEvent& event) override;
 
   // Runs the deferred collection if the trigger fired.
@@ -329,7 +292,7 @@ class CollectedHeap : private SlotWriteObserver {
 
   HeapOptions options_;
   std::unique_ptr<MetricsRegistry> metrics_;
-  // Wall-clock self-profiling (see wall_metrics()); never checkpointed.
+  // Wall-clock self-profiling (see wall_metrics()).
   std::unique_ptr<MetricsRegistry> wall_metrics_;
   std::unique_ptr<WallPhaseTimers> wall_timers_;
   std::unique_ptr<PageDevice> device_;

@@ -2,13 +2,10 @@
 #define ODBGC_CORE_PARTITION_COUNTERS_H_
 
 #include <cstdint>
-#include <iosfwd>
 #include <type_traits>
 #include <vector>
 
 #include "odb/object_id.h"
-#include "util/serde.h"
-#include "util/status.h"
 
 namespace odbgc {
 
@@ -19,10 +16,6 @@ namespace odbgc {
 /// hashing. The zero value doubles as "absent" — collection resets a
 /// partition's entry to zero, which is exactly the old map's erase, since
 /// live hint values are always positive.
-///
-/// Serialization is byte-compatible with the old sorted-map encoding:
-/// non-zero entries are emitted in ascending partition order with the
-/// same varint/double value coding.
 template <typename V>
 class PartitionCounterTable {
   static_assert(std::is_same_v<V, uint64_t> || std::is_same_v<V, double>,
@@ -46,57 +39,6 @@ class PartitionCounterTable {
   }
 
   void Clear() { values_.clear(); }
-
-  size_t NonZeroCount() const {
-    size_t count = 0;
-    for (const V& value : values_) count += (value != V{}) ? 1 : 0;
-    return count;
-  }
-
-  void Save(std::ostream& out) const {
-    PutVarint(out, NonZeroCount());
-    for (PartitionId p = 0; p < values_.size(); ++p) {
-      if (values_[p] == V{}) continue;
-      PutVarint(out, p);
-      if constexpr (std::is_same_v<V, double>) {
-        PutDouble(out, values_[p]);
-      } else {
-        PutVarint(out, values_[p]);
-      }
-    }
-  }
-
-  Status Load(std::istream& in) {
-    auto count = GetVarint(in);
-    ODBGC_RETURN_IF_ERROR(count.status());
-    values_.clear();
-    std::vector<bool> seen;
-    for (uint64_t i = 0; i < *count; ++i) {
-      auto partition = GetVarint(in);
-      ODBGC_RETURN_IF_ERROR(partition.status());
-      // The dense table is indexed by partition id, so an absurd id from
-      // a damaged stream must fail cleanly instead of exhausting memory.
-      if (*partition >= (1u << 20)) {
-        return Status::Corruption("policy state partition id implausible");
-      }
-      const PartitionId p = static_cast<PartitionId>(*partition);
-      if (p < seen.size() && seen[p]) {
-        return Status::Corruption("policy state duplicate partition");
-      }
-      if (p >= seen.size()) seen.resize(p + 1, false);
-      seen[p] = true;
-      if constexpr (std::is_same_v<V, double>) {
-        auto value = GetDouble(in);
-        ODBGC_RETURN_IF_ERROR(value.status());
-        At(p) = *value;
-      } else {
-        auto value = GetVarint(in);
-        ODBGC_RETURN_IF_ERROR(value.status());
-        At(p) = *value;
-      }
-    }
-    return Status::Ok();
-  }
 
  private:
   std::vector<V> values_;

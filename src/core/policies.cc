@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "core/weights.h"
-#include "util/serde.h"
 
 namespace odbgc {
 
@@ -54,14 +53,6 @@ PartitionId MutatedPartitionPolicy::Select(const SelectionContext& context) {
                 [this](PartitionId p) { return Score(p); });
 }
 
-void MutatedPartitionPolicy::SaveState(std::ostream& out) const {
-  stores_into_partition_.Save(out);
-}
-
-Status MutatedPartitionPolicy::LoadState(std::istream& in) {
-  return stores_into_partition_.Load(in);
-}
-
 // ---------------------------------------------------------------- Updated
 
 void UpdatedPointerPolicy::OnPointerStore(const SlotWriteEvent& event,
@@ -83,14 +74,6 @@ double UpdatedPointerPolicy::Score(PartitionId partition) const {
 PartitionId UpdatedPointerPolicy::Select(const SelectionContext& context) {
   return ArgMax(context.candidates,
                 [this](PartitionId p) { return Score(p); });
-}
-
-void UpdatedPointerPolicy::SaveState(std::ostream& out) const {
-  overwrites_into_partition_.Save(out);
-}
-
-Status UpdatedPointerPolicy::LoadState(std::istream& in) {
-  return overwrites_into_partition_.Load(in);
 }
 
 // --------------------------------------------------------------- Weighted
@@ -119,34 +102,11 @@ PartitionId WeightedPointerPolicy::Select(const SelectionContext& context) {
                 [this](PartitionId p) { return Score(p); });
 }
 
-void WeightedPointerPolicy::SaveState(std::ostream& out) const {
-  weighted_sum_.Save(out);
-}
-
-Status WeightedPointerPolicy::LoadState(std::istream& in) {
-  return weighted_sum_.Load(in);
-}
-
 // ----------------------------------------------------------------- Random
 
 PartitionId RandomPolicy::Select(const SelectionContext& context) {
   if (context.candidates.empty()) return kInvalidPartition;
   return context.candidates[rng_.UniformInt(context.candidates.size())];
-}
-
-void RandomPolicy::SaveState(std::ostream& out) const {
-  for (uint64_t word : rng_.GetState()) PutU64(out, word);
-}
-
-Status RandomPolicy::LoadState(std::istream& in) {
-  std::array<uint64_t, 4> state;
-  for (auto& word : state) {
-    auto w = GetU64(in);
-    ODBGC_RETURN_IF_ERROR(w.status());
-    word = *w;
-  }
-  rng_.SetState(state);
-  return Status::Ok();
 }
 
 // ------------------------------------------------------------ MostGarbage

@@ -1,8 +1,6 @@
 #ifndef ODBGC_CORE_POLICIES_H_
 #define ODBGC_CORE_POLICIES_H_
 
-#include <iosfwd>
-
 #include "core/partition_counters.h"
 #include "core/selection_policy.h"
 #include "util/random.h"
@@ -22,8 +20,6 @@ class MutatedPartitionPolicy : public SelectionPolicy {
   void OnPartitionCollected(PartitionId partition) override;
   PartitionId Select(const SelectionContext& context) override;
   double Score(PartitionId partition) const override;
-  void SaveState(std::ostream& out) const override;
-  Status LoadState(std::istream& in) override;
 
  private:
   PartitionCounterTable<uint64_t> stores_into_partition_;
@@ -41,8 +37,6 @@ class UpdatedPointerPolicy : public SelectionPolicy {
   void OnPartitionCollected(PartitionId partition) override;
   PartitionId Select(const SelectionContext& context) override;
   double Score(PartitionId partition) const override;
-  void SaveState(std::ostream& out) const override;
-  Status LoadState(std::istream& in) override;
 
  private:
   PartitionCounterTable<uint64_t> overwrites_into_partition_;
@@ -60,8 +54,6 @@ class WeightedPointerPolicy : public SelectionPolicy {
   void OnPartitionCollected(PartitionId partition) override;
   PartitionId Select(const SelectionContext& context) override;
   double Score(PartitionId partition) const override;
-  void SaveState(std::ostream& out) const override;
-  Status LoadState(std::istream& in) override;
 
  private:
   PartitionCounterTable<double> weighted_sum_;
@@ -74,8 +66,6 @@ class RandomPolicy : public SelectionPolicy {
   explicit RandomPolicy(uint64_t seed) : rng_(seed) {}
   PolicyKind kind() const override { return PolicyKind::kRandom; }
   PartitionId Select(const SelectionContext& context) override;
-  void SaveState(std::ostream& out) const override;
-  Status LoadState(std::istream& in) override;
 
  private:
   Rng rng_;

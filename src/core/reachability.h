@@ -69,12 +69,11 @@ struct GarbageAnatomy {
 /// reused across calls.
 ///
 /// The analyzer is measurement machinery only — it reads the shadow
-/// object graph, charges no simulated I/O and holds no simulation state,
-/// so it is deliberately *not* part of any checkpoint. All results are
-/// bit-identical to the original set-based implementation (every output
-/// is an order-independent sum over the same live/dead classification);
-/// tests/core/census_equivalence_test.cc pins that equivalence against a
-/// reference implementation.
+/// object graph, charges no simulated I/O and holds no simulation state.
+/// All results are bit-identical to the original set-based implementation
+/// (every output is an order-independent sum over the same live/dead
+/// classification); tests/core/census_equivalence_test.cc pins that
+/// equivalence against a reference implementation.
 class ReachabilityAnalyzer {
  public:
   ReachabilityAnalyzer() = default;

@@ -147,27 +147,6 @@ const OutPointerList* InterPartitionIndex::OutPointersOfSource(
                                              : &it->second.out_pointers;
 }
 
-InterPartitionIndex BuildIndexFromStore(const ObjectStore& store) {
-  InterPartitionIndex index;
-  for (size_t pid = 0; pid < store.partition_count(); ++pid) {
-    for (const auto& [offset, id] : store.partition(pid).objects_by_offset()) {
-      const ObjectStore::ObjectInfo* info = store.Lookup(id);
-      for (uint32_t s = 0; s < info->num_slots; ++s) {
-        const ObjectId target = info->slots[s];
-        if (target.is_null()) continue;
-        const ObjectStore::ObjectInfo* target_info = store.Lookup(target);
-        if (target_info == nullptr ||
-            target_info->partition == info->partition) {
-          continue;
-        }
-        index.AddReference(id, info->partition, s, target,
-                           target_info->partition);
-      }
-    }
-  }
-  return index;
-}
-
 size_t InterPartitionIndex::EntryCountForPartition(
     PartitionId partition) const {
   size_t n = 0;

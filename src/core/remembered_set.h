@@ -159,11 +159,6 @@ class InterPartitionIndex {
   size_t entry_count_ = 0;
 };
 
-/// Rebuilds the complete index by scanning the store's shadow graph — the
-/// index is derivable state, so checkpoint images do not carry it and a
-/// restored heap reconstructs it with this.
-InterPartitionIndex BuildIndexFromStore(const ObjectStore& store);
-
 }  // namespace odbgc
 
 #endif  // ODBGC_CORE_REMEMBERED_SET_H_

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
 #include <memory>
 #include <string>
 #include <vector>
@@ -25,7 +24,7 @@ class ObjectStore;  // Bound into registry-built policies that need it.
 /// heap consults `kind()` only for the two behavioural special cases
 /// (kNoCollection disables the trigger, kMostGarbage runs the oracle
 /// census). The enum is kept as a thin alias layer so the paper's six
-/// policies remain configurable (and checkpoint-compatible) by kind.
+/// policies remain configurable by kind.
 enum class PolicyKind {
   /// Never collect; grow the database instead (upper space bound).
   kNoCollection,
@@ -84,9 +83,9 @@ class SelectionPolicy {
   /// six return the kind whose trigger/census behaviour they want.
   virtual PolicyKind kind() const = 0;
 
-  /// The policy's identity: the registry name manifests, reports and
-  /// checkpoint directories key on. Defaults to the paper name of
-  /// `kind()`; every policy beyond the six must override it.
+  /// The policy's identity: the registry name manifests and reports key
+  /// on. Defaults to the paper name of `kind()`; every policy beyond the
+  /// six must override it.
   virtual std::string name() const { return PolicyName(kind()); }
 
   /// Notification of one pointer store. `old_target_weight` is the
@@ -114,16 +113,6 @@ class SelectionPolicy {
   virtual double Score(PartitionId partition) const {
     (void)partition;
     return 0.0;
-  }
-
-  /// Serializes the policy's accumulated hint state for checkpointing.
-  /// Stateless policies write nothing.
-  virtual void SaveState(std::ostream& out) const { (void)out; }
-
-  /// Restores state written by SaveState on a policy of the same kind.
-  virtual Status LoadState(std::istream& in) {
-    (void)in;
-    return Status::Ok();
   }
 };
 

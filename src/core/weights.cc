@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "util/serde.h"
 
 namespace odbgc {
 
@@ -55,49 +54,6 @@ Status WeightTracker::Relax(ObjectId object, uint8_t w) {
         queue.push_back({child, next});
       }
     }
-  }
-  return Status::Ok();
-}
-
-void WeightTracker::SaveState(std::ostream& out) const {
-  // A scan in id order reproduces the sorted-entry encoding the map-based
-  // tracker wrote, byte for byte.
-  PutVarint(out, tracked_);
-  for (uint64_t id = 0; id < weights_.size(); ++id) {
-    if (weights_[id] == kMaxWeight) continue;
-    PutVarint(out, id);
-    PutU8(out, weights_[id]);
-  }
-}
-
-Status WeightTracker::LoadState(std::istream& in) {
-  auto count = GetVarint(in);
-  ODBGC_RETURN_IF_ERROR(count.status());
-  weights_.clear();
-  tracked_ = 0;
-  for (uint64_t i = 0; i < *count; ++i) {
-    auto object = GetVarint(in);
-    ODBGC_RETURN_IF_ERROR(object.status());
-    auto weight = GetU8(in);
-    ODBGC_RETURN_IF_ERROR(weight.status());
-    if (*weight < kRootWeight || *weight > kMaxWeight) {
-      return Status::Corruption("weight out of range");
-    }
-    if (*object >= store_->id_limit()) {
-      // The dense table is bounded by the store's id horizon; an id past
-      // it cannot come from a checkpoint of this store.
-      return Status::Corruption("weight state id beyond store");
-    }
-    if (ObjectId{*object}.is_null()) {
-      return Status::Corruption("weight state null object");
-    }
-    if (*object < weights_.size() && weights_[*object] != kMaxWeight) {
-      return Status::Corruption("weight state duplicate object");
-    }
-    // A kMaxWeight entry is representable in the old format but never
-    // produced (Relax only stores lower weights); it means "untracked".
-    if (*weight == kMaxWeight) continue;
-    SetWeight(ObjectId{*object}, *weight);
   }
   return Status::Ok();
 }

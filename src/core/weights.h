@@ -2,7 +2,6 @@
 #define ODBGC_CORE_WEIGHTS_H_
 
 #include <cstdint>
-#include <iosfwd>
 #include <vector>
 
 #include "odb/object_id.h"
@@ -63,16 +62,6 @@ class WeightTracker {
   }
 
   size_t tracked_count() const { return tracked_; }
-
-  /// Serializes the weight map (sorted by object id) for checkpointing.
-  /// Weights cannot be recomputed from the heap image: maintenance is
-  /// one-sided (decreases only), so the incremental history matters.
-  void SaveState(std::ostream& out) const;
-
-  /// Restores state written by SaveState. Fills the mirror directly — no
-  /// header I/O is charged, since the checkpointed cost counters already
-  /// include the original updates.
-  Status LoadState(std::istream& in);
 
  private:
   // Sets object's weight to `w` if lower, charging a header write, and

@@ -3,7 +3,6 @@
 #include <cassert>
 
 #include "odb/object_layout.h"
-#include "util/serde.h"
 
 namespace odbgc {
 
@@ -165,73 +164,6 @@ void WriteBarrier::OnPartitionEmptied(PartitionId partition) {
       ++it;
     }
   }
-}
-
-void WriteBarrier::SaveState(std::ostream& out) const {
-  PutU8(out, static_cast<uint8_t>(mode_));
-  PutVarint(out, ssb_.size());
-  for (const PointerLocation& loc : ssb_) {  // Log order matters for drain.
-    PutVarint(out, loc.source.value);
-    PutVarint(out, loc.slot);
-  }
-  PutVarint(out, dirty_cards_.size());
-  for (const Card& card : dirty_cards_) {  // std::set: already sorted.
-    PutVarint(out, card.partition);
-    PutVarint(out, card.index);
-  }
-  PutVarint(out, stats_.stores_observed);
-  PutVarint(out, stats_.ssb_entries_logged);
-  PutVarint(out, stats_.ssb_entries_drained);
-  PutVarint(out, stats_.cards_marked);
-  PutVarint(out, stats_.cards_scanned);
-  PutVarint(out, stats_.cards_left_dirty);
-}
-
-Status WriteBarrier::LoadState(std::istream& in) {
-  auto mode = GetU8(in);
-  ODBGC_RETURN_IF_ERROR(mode.status());
-  if (*mode != static_cast<uint8_t>(mode_)) {
-    return Status::Corruption("barrier state mode mismatch");
-  }
-  auto ssb_size = GetVarint(in);
-  ODBGC_RETURN_IF_ERROR(ssb_size.status());
-  std::vector<PointerLocation> ssb;
-  ssb.reserve(*ssb_size);
-  for (uint64_t i = 0; i < *ssb_size; ++i) {
-    auto source = GetVarint(in);
-    ODBGC_RETURN_IF_ERROR(source.status());
-    auto slot = GetVarint(in);
-    ODBGC_RETURN_IF_ERROR(slot.status());
-    ssb.push_back({ObjectId{*source}, static_cast<uint32_t>(*slot)});
-  }
-  auto card_count = GetVarint(in);
-  ODBGC_RETURN_IF_ERROR(card_count.status());
-  std::set<Card> cards;
-  for (uint64_t i = 0; i < *card_count; ++i) {
-    auto partition = GetVarint(in);
-    ODBGC_RETURN_IF_ERROR(partition.status());
-    auto index = GetVarint(in);
-    ODBGC_RETURN_IF_ERROR(index.status());
-    cards.insert({static_cast<PartitionId>(*partition),
-                  static_cast<uint32_t>(*index)});
-  }
-  BarrierStats stats;
-  auto get = [&in](uint64_t* out_value) -> Status {
-    auto v = GetVarint(in);
-    ODBGC_RETURN_IF_ERROR(v.status());
-    *out_value = *v;
-    return Status::Ok();
-  };
-  ODBGC_RETURN_IF_ERROR(get(&stats.stores_observed));
-  ODBGC_RETURN_IF_ERROR(get(&stats.ssb_entries_logged));
-  ODBGC_RETURN_IF_ERROR(get(&stats.ssb_entries_drained));
-  ODBGC_RETURN_IF_ERROR(get(&stats.cards_marked));
-  ODBGC_RETURN_IF_ERROR(get(&stats.cards_scanned));
-  ODBGC_RETURN_IF_ERROR(get(&stats.cards_left_dirty));
-  ssb_ = std::move(ssb);
-  dirty_cards_ = std::move(cards);
-  stats_ = stats;
-  return Status::Ok();
 }
 
 }  // namespace odbgc

@@ -2,7 +2,6 @@
 #define ODBGC_CORE_WRITE_BARRIER_H_
 
 #include <cstdint>
-#include <iosfwd>
 #include <set>
 #include <vector>
 
@@ -76,13 +75,6 @@ class WriteBarrier {
   size_t pending_work() const {
     return ssb_.size() + dirty_cards_.size();
   }
-
-  /// Serializes the deferred work (store buffer in log order, dirty card
-  /// set) and the counters for checkpointing.
-  void SaveState(std::ostream& out) const;
-
-  /// Restores state written by SaveState on a barrier of the same mode.
-  Status LoadState(std::istream& in);
 
  private:
   struct Card {

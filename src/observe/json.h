@@ -15,7 +15,7 @@ namespace odbgc {
 /// emission**. Dump() of equal documents is byte-identical — object keys
 /// sort lexicographically (std::map), layout is fixed (2-space indent,
 /// LF), and numbers print in shortest-round-trip form — so run manifests
-/// can be compared with string equality and diffed across crash/resume.
+/// can be compared with string equality and diffed across reruns.
 ///
 /// Numbers: integers without sign print as unsigned decimals; doubles use
 /// the shortest "%.Ng" string that strtod()s back to the same bits. An

@@ -24,9 +24,9 @@ Json TimeSeriesJson(const TimeSeries& series) {
 }
 
 /// The result-determining configuration fields, as a canonical document.
-/// Durability knobs (wal_dir, checkpoint_every_rounds), wall-clock
-/// profiling, the observer, and the per-run seed are deliberately absent:
-/// none of them changes what the run computes (see header contract).
+/// Wall-clock profiling, the observer, and the per-run seed are
+/// deliberately absent: none of them changes what the run computes (see
+/// header contract).
 /// Enums with stable string names use them; the rest serialize as their
 /// numeric values.
 Json ConfigJson(const SimulationConfig& config) {
@@ -231,7 +231,7 @@ Json BuildManifest(const SimulationConfig& config,
   // Measured wall-clock I/O, only for backends that perform real system
   // calls. A top-level sibling of `result` — never inside it — so the
   // deterministic surface (config, digest, result) stays byte-identical
-  // across machines and crash/resume; in-memory manifests are unchanged.
+  // across machines and reruns; in-memory manifests are unchanged.
   if (result.measured.measured) {
     const MeasuredIoStats& m = result.measured;
     Json measured = Json::Obj();

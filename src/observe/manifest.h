@@ -20,16 +20,15 @@ namespace odbgc {
 /// Determinism contract: the `config`, `config_digest` and `result`
 /// sections are a pure function of (result-determining config,
 /// SimulationResult). Since simulation results are bit-identical across
-/// crash/resume (the recovery engine's replay guarantee) and Json::Dump()
-/// is canonical, those sections of a resumed run are **byte-identical** to
-/// an uninterrupted one's. Wall-clock measurements never enter them — they
-/// flow through SimObserver::OnPhase and the heap's wall_metrics()
-/// registry, and, for real-I/O backends ("file"), into the OPTIONAL
-/// top-level `measured` section: physical transfer/fsync counts, read-ahead
-/// outcomes and wall milliseconds, plus the per-run device spec. `measured`
-/// is absent for in-memory backends (their manifests are unchanged) and
-/// excluded from the digest. Durability knobs (wal_dir, checkpoint cadence)
-/// are likewise excluded from both the config section and the digest.
+/// reruns of the same (config, seed) and Json::Dump() is canonical, those
+/// sections of a rerun are **byte-identical** to the first run's.
+/// Wall-clock measurements never enter them — they flow through
+/// SimObserver::OnPhase and the heap's wall_metrics() registry, and, for
+/// real-I/O backends ("file"), into the OPTIONAL top-level `measured`
+/// section: physical transfer/fsync counts, read-ahead outcomes and wall
+/// milliseconds, plus the per-run device spec. `measured` is absent for
+/// in-memory backends (their manifests are unchanged) and excluded from
+/// the digest.
 
 /// Bumped whenever a field is added, removed, or changes meaning.
 inline constexpr uint64_t kManifestSchemaVersion = 1;

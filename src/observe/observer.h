@@ -10,13 +10,12 @@
 namespace odbgc {
 
 /// Typed run-telemetry events. Every layer of the stack publishes into one
-/// SimObserver sink per run: the simulator (run lifecycle, phase timing),
-/// the heap (collections), the device (injected faults) and the durable
-/// engine (checkpoints). Payload fields other than wall_ns are pure
-/// functions of the simulated run, so for a fixed (config, seed) the event
-/// sequence a run publishes is deterministic — independent of thread
-/// count, machine, and crash/resume *within* the surviving process (a
-/// resumed process re-publishes only the portion it re-executes).
+/// SimObserver sink per run: the simulator (run lifecycle), the heap
+/// (collections, phase timing) and the device (batches, syncs,
+/// read-ahead). Payload fields other than wall_ns are pure functions of
+/// the simulated run, so for a fixed (config, seed) the event sequence a
+/// run publishes is deterministic — independent of thread count and
+/// machine.
 
 /// A run began: identity is the registry policy name plus the seed.
 struct RunStartedEvent {
@@ -52,24 +51,6 @@ struct CollectionEvent {
   uint64_t live_bytes_copied = 0;
   uint64_t page_reads = 0;
   uint64_t page_writes = 0;
-  /// Shard or tenant index + 1 in a sharded run or service fleet
-  /// (stamped by SynchronizedObserver); 0 in a standalone run.
-  uint32_t thread = 0;
-};
-
-/// The durable engine wrote a snapshot and rotated the WAL.
-struct CheckpointEvent {
-  uint64_t round = 0;
-  /// Shard or tenant index + 1 in a sharded run or service fleet
-  /// (stamped by SynchronizedObserver); 0 in a standalone run.
-  uint32_t thread = 0;
-};
-
-/// An armed FaultPlan failed a transfer.
-struct FaultEvent {
-  bool is_write = false;
-  /// 1-based count of faults fired by the device so far.
-  uint64_t ordinal = 0;
   /// Shard or tenant index + 1 in a sharded run or service fleet
   /// (stamped by SynchronizedObserver); 0 in a standalone run.
   uint32_t thread = 0;
@@ -146,8 +127,6 @@ class SimObserver {
   virtual void OnRunStarted(const RunStartedEvent& event) { (void)event; }
   virtual void OnRunFinished(const RunFinishedEvent& event) { (void)event; }
   virtual void OnCollection(const CollectionEvent& event) { (void)event; }
-  virtual void OnCheckpoint(const CheckpointEvent& event) { (void)event; }
-  virtual void OnFault(const FaultEvent& event) { (void)event; }
   virtual void OnPhase(const PhaseEvent& event) { (void)event; }
   virtual void OnDeviceBatch(const DeviceBatchEvent& event) { (void)event; }
   virtual void OnDeviceSync(const DeviceSyncEvent& event) { (void)event; }
@@ -177,12 +156,6 @@ class SynchronizedObserver : public SimObserver {
   }
   void OnCollection(const CollectionEvent& event) override {
     Publish(event, &SimObserver::OnCollection);
-  }
-  void OnCheckpoint(const CheckpointEvent& event) override {
-    Publish(event, &SimObserver::OnCheckpoint);
-  }
-  void OnFault(const FaultEvent& event) override {
-    Publish(event, &SimObserver::OnFault);
   }
   void OnPhase(const PhaseEvent& event) override {
     Publish(event, &SimObserver::OnPhase);

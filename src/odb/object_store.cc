@@ -17,170 +17,6 @@ ObjectStore::ObjectStore(const StoreOptions& options, PageDevice* disk,
   }
 }
 
-ObjectStore::ObjectStore(const StoreOptions& options, PageDevice* disk,
-                         BufferPool* buffer, RestoreTag)
-    : options_(options), disk_(disk), buffer_(buffer) {
-  assert(disk_ != nullptr && buffer_ != nullptr);
-}
-
-StoreImage ObjectStore::ExtractImage() const {
-  StoreImage image;
-  image.page_size = options_.page_size;
-  image.pages_per_partition = options_.pages_per_partition;
-  image.reserve_empty_partition = options_.reserve_empty_partition;
-  image.empty_partition = empty_partition_;
-  image.next_id = next_id_;
-  for (const Partition& partition : partitions_) {
-    image.partitions.push_back({partition.allocated_bytes()});
-  }
-  for (const Partition& partition : partitions_) {
-    for (const auto& [offset, id] : partition.objects_by_offset()) {
-      const ObjectInfo& info = *Lookup(id);
-      StoreImage::ObjectImage object;
-      object.id = id;
-      object.partition = info.partition;
-      object.offset = info.offset;
-      object.size = info.size;
-      object.num_slots = info.num_slots;
-      object.flags = info.flags;
-      object.slots = info.slots;
-      image.objects.push_back(std::move(object));
-    }
-  }
-  image.roots = roots_;
-  return image;
-}
-
-Result<std::unique_ptr<ObjectStore>> ObjectStore::Restore(
-    const StoreImage& image, PageDevice* disk, BufferPool* buffer,
-    PlacementPolicy placement) {
-  StoreOptions options;
-  options.page_size = image.page_size;
-  options.pages_per_partition = image.pages_per_partition;
-  options.reserve_empty_partition = image.reserve_empty_partition;
-  options.placement = placement;
-  if (options.page_size == 0 || options.pages_per_partition == 0) {
-    return Status::Corruption("image: bad geometry");
-  }
-  if (disk->num_pages() != 0) {
-    return Status::InvalidArgument("Restore requires an empty disk");
-  }
-
-  auto store = std::unique_ptr<ObjectStore>(
-      new ObjectStore(options, disk, buffer, RestoreTag{}));
-
-  for (const auto& partition_image : image.partitions) {
-    const PartitionId id = store->AddPartition();
-    if (partition_image.alloc_offset >
-        store->partitions_[id].capacity_bytes()) {
-      return Status::Corruption("image: partition alloc beyond capacity");
-    }
-    store->partitions_[id].RestoreAllocOffset(partition_image.alloc_offset);
-  }
-  if (image.empty_partition != kInvalidPartition &&
-      image.empty_partition >= store->partitions_.size()) {
-    return Status::Corruption("image: bad empty partition");
-  }
-  store->empty_partition_ = image.empty_partition;
-  if (image.next_id == 0 || image.next_id > (1ull << 40)) {
-    // The slot directory is indexed by id, so an absurd next_id from a
-    // damaged image must fail cleanly instead of exhausting memory.
-    return Status::Corruption("image: implausible next_id");
-  }
-  store->next_id_ = image.next_id;
-  store->id_to_slot_.assign(image.next_id, kNoSlot);
-
-  // First pass: register every object (bounds + uniqueness checks).
-  for (const auto& object : image.objects) {
-    if (object.id.is_null() || object.id.value >= image.next_id) {
-      return Status::Corruption("image: object id out of range");
-    }
-    if (object.partition >= store->partitions_.size()) {
-      return Status::Corruption("image: object in unknown partition");
-    }
-    Partition& partition = store->partitions_[object.partition];
-    if (object.size < MinObjectSize(object.num_slots) ||
-        static_cast<uint64_t>(object.offset) + object.size >
-            partition.allocated_bytes()) {
-      return Status::Corruption("image: object bounds invalid");
-    }
-    if (object.slots.size() != object.num_slots) {
-      return Status::Corruption("image: slot count mismatch");
-    }
-    if (store->id_to_slot_[object.id.value] != kNoSlot) {
-      return Status::Corruption("image: duplicate object id");
-    }
-    const uint32_t slot = store->ClaimSlot();
-    store->id_to_slot_[object.id.value] = slot;
-    ObjectInfo& info = store->slots_[slot];
-    info.partition = object.partition;
-    info.offset = object.offset;
-    info.size = object.size;
-    info.num_slots = object.num_slots;
-    info.flags = object.flags;
-    info.slots = object.slots;
-    partition.AddObject(object.offset, object.id);
-    store->live_bytes_ += object.size;
-    ++store->live_count_;
-  }
-
-  // Overlap check per partition (roster is offset-ordered; two objects
-  // registered at the same offset surface as an overlap here, since
-  // every object is at least a header long).
-  for (const Partition& partition : store->partitions_) {
-    uint32_t prev_end = 0;
-    for (const auto& [offset, id] : partition.objects_by_offset()) {
-      if (offset < prev_end) {
-        return Status::Corruption("image: overlapping objects");
-      }
-      prev_end = offset + store->Lookup(id)->size;
-    }
-  }
-
-  // Slot referents and roots must exist.
-  for (const auto& object : image.objects) {
-    for (ObjectId target : object.slots) {
-      if (!target.is_null() && !store->Exists(target)) {
-        return Status::Corruption("image: dangling slot reference");
-      }
-    }
-  }
-  for (ObjectId root : image.roots) {
-    if (!store->Exists(root)) {
-      return Status::Corruption("image: dangling root");
-    }
-    ODBGC_RETURN_IF_ERROR(store->AddRoot(root));
-  }
-
-  // Second pass: re-materialize headers and slots into pages.
-  for (const auto& object : image.objects) {
-    std::vector<std::byte> bytes(MinObjectSize(object.num_slots));
-    ObjectHeader header;
-    header.id = object.id;
-    header.size = object.size;
-    header.num_slots = object.num_slots;
-    header.flags = object.flags;
-    EncodeObjectHeader(header, bytes);
-    for (uint32_t s = 0; s < object.num_slots; ++s) {
-      EncodeSlot(object.slots[s], std::span<std::byte>(bytes).subspan(
-                                      SlotOffset(s), kSlotSize));
-    }
-    ODBGC_RETURN_IF_ERROR(
-        store->WriteBytes(object.partition, object.offset, bytes));
-  }
-  return store;
-}
-
-Status ObjectStore::RestoreAllocCursors(PartitionId current,
-                                        PartitionId round_robin) {
-  if (current >= partitions_.size() || round_robin >= partitions_.size()) {
-    return Status::Corruption("allocation cursor names unknown partition");
-  }
-  current_alloc_partition_ = current;
-  round_robin_cursor_ = round_robin;
-  return Status::Ok();
-}
-
 PartitionId ObjectStore::AddPartition() {
   const PartitionId id = static_cast<PartitionId>(partitions_.size());
   PageExtent extent = disk_->AllocatePages(options_.pages_per_partition);

@@ -57,37 +57,6 @@ enum class PlacementPolicy {
   kRoundRobin,
 };
 
-/// A serializable snapshot of an ObjectStore's complete logical state:
-/// configuration, partition directory, object table (with shadow slots)
-/// and root set. Page bytes are not stored — headers and slots are
-/// re-materialized on restore, and payloads carry no information in the
-/// simulator. See odb/store_image.h for the file format.
-struct StoreImage {
-  struct PartitionImage {
-    uint32_t alloc_offset = 0;
-  };
-  struct ObjectImage {
-    ObjectId id;
-    PartitionId partition = kInvalidPartition;
-    uint32_t offset = 0;
-    uint32_t size = 0;
-    uint32_t num_slots = 0;
-    uint8_t flags = 0;
-    std::vector<ObjectId> slots;
-  };
-
-  // Options fields that shape the store (page size, partition size,
-  // reservation, placement).
-  size_t page_size = kDefaultPageSize;
-  size_t pages_per_partition = 48;
-  bool reserve_empty_partition = true;
-  std::vector<PartitionImage> partitions;
-  PartitionId empty_partition = kInvalidPartition;
-  std::vector<ObjectImage> objects;  // Ascending (partition, offset).
-  std::vector<ObjectId> roots;
-  uint64_t next_id = 1;
-};
-
 /// Configuration for ObjectStore.
 struct StoreOptions {
   /// Page size in bytes. The paper uses 8 KB pages throughout.
@@ -295,44 +264,6 @@ class ObjectStore {
   /// Decodes serialized slot `slot` of `object` from its pages (charges
   /// read I/O).
   Result<ObjectId> ReadSlotFromPages(ObjectId object, uint32_t slot);
-
-  // -- Checkpointing ---------------------------------------------------------
-
-  /// Captures the store's complete logical state.
-  StoreImage ExtractImage() const;
-
-  /// Reconstructs a store from an image onto a fresh disk/buffer pair
-  /// (both must be empty and outlive the store). Object headers and slots
-  /// are re-materialized into pages (charging buffer I/O; callers
-  /// typically reset statistics afterwards). `placement` is behavioral
-  /// configuration, not database state, so it comes from the caller's
-  /// options rather than the image. Fails with Corruption on an
-  /// inconsistent image (out-of-bounds or overlapping objects, dangling
-  /// slots or roots, duplicate ids).
-  static Result<std::unique_ptr<ObjectStore>> Restore(
-      const StoreImage& image, PageDevice* disk, BufferPool* buffer,
-      PlacementPolicy placement = PlacementPolicy::kNearParent);
-
-  /// Placement cursors — behavioral state that the image does not carry
-  /// (it is not derivable from the object layout): which partition most
-  /// recently accepted an allocation, and the round-robin rotation point.
-  /// Checkpointing saves them so a restored store places the next
-  /// allocation exactly where the original would have.
-  PartitionId current_alloc_partition() const {
-    return current_alloc_partition_;
-  }
-  PartitionId round_robin_cursor() const { return round_robin_cursor_; }
-
-  /// Restores the placement cursors captured by the accessors above.
-  /// Both must name existing partitions.
-  Status RestoreAllocCursors(PartitionId current, PartitionId round_robin);
-
- private:
-  // Restore path: constructs an empty store without the initial
-  // partitions.
-  struct RestoreTag {};
-  ObjectStore(const StoreOptions& options, PageDevice* disk,
-              BufferPool* buffer, RestoreTag);
 
   // Bump-allocates in `partition`; returns true and sets *offset on success.
   bool TryPlace(PartitionId partition, uint32_t size, uint32_t* offset);

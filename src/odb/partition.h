@@ -57,8 +57,8 @@ class Partition {
 
   /// Registers an object residing at `offset` (allocation or relocation).
   /// Bump allocation makes appending past the current tail the common
-  /// case; out-of-order registration (checkpoint restore) drops dead
-  /// entries, then falls back to a binary-search insert.
+  /// case; out-of-order registration drops dead entries, then falls back
+  /// to a binary-search insert.
   void AddObject(uint32_t offset, ObjectId id) {
     assert(!id.is_null());
     ++live_count_;
@@ -111,10 +111,6 @@ class Partition {
     assert(objects_by_offset_.empty());
     alloc_offset_ = 0;
   }
-
-  /// Restores the bump pointer when loading a checkpoint image. Must not
-  /// shrink below the highest registered object end.
-  void RestoreAllocOffset(uint32_t offset) { alloc_offset_ = offset; }
 
   /// Objects resident in this partition, sorted by byte offset — the
   /// physical scan order, which keeps collection deterministic. Never

@@ -96,30 +96,15 @@ Status HeapService::Validate() const {
           label + ": service tenants run serially (the service is the "
                   "concurrency layer); drop mutator_threads/trace_shards");
     }
-    if (!config.wal_dir.empty() || config.checkpoint_every_rounds != 0) {
-      return Status::InvalidArgument(
-          label + ": the service does not support durability (wal_dir / "
-                  "checkpoint_every_rounds)");
-    }
-    if (config.heap.buffer_pages == 0) {
-      return Status::InvalidArgument(label + ": buffer_pages must be >= 1");
-    }
     if (tenant.departure_round != 0 &&
         tenant.departure_round <= tenant.arrival_round) {
       return Status::InvalidArgument(
           label + ": departure_round must be after arrival_round");
     }
-    if (!config.heap.policy_name.empty() &&
-        !IsPolicyRegistered(config.heap.policy_name)) {
-      return Status::InvalidArgument(label + ": unknown policy \"" +
-                                     config.heap.policy_name + "\"");
+    const Status valid = odbgc::Validate(config);
+    if (!valid.ok()) {
+      return Status(valid.code(), label + ": " + valid.message());
     }
-    if (!config.heap.device_spec.empty() &&
-        !IsDeviceRegistered(config.heap.device_spec)) {
-      return Status::InvalidArgument(label + ": unknown device spec \"" +
-                                     config.heap.device_spec + "\"");
-    }
-    ODBGC_RETURN_IF_ERROR(config.workload.Validate());
   }
   return Status::Ok();
 }

@@ -95,11 +95,6 @@ Status ConcurrentSimulator::ValidateConcurrency() const {
         ") exceeds trace shard count (" + std::to_string(shard_count()) +
         "); raise trace_shards or lower mutator_threads");
   }
-  if (!config_.wal_dir.empty() || config_.checkpoint_every_rounds != 0) {
-    return Status::InvalidArgument(
-        "concurrent mode does not support durability (wal_dir / "
-        "checkpoint_every_rounds); run serially or disable checkpointing");
-  }
   if (!config_.shard_weights.empty()) {
     if (config_.shard_weights.size() != shard_count()) {
       return Status::InvalidArgument(

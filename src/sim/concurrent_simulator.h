@@ -36,9 +36,7 @@ namespace odbgc {
 /// merge through MergeMetricSamples. Time series are a per-shard notion
 /// and stay empty in the aggregate.
 ///
-/// Not supported (rejected by Run): durability (wal_dir /
-/// checkpoint_every_rounds — checkpointing a multi-heap run is future
-/// work), and mutator_threads > shard count.
+/// Not supported (rejected by Run): mutator_threads > shard count.
 class ConcurrentSimulator {
  public:
   explicit ConcurrentSimulator(const SimulationConfig& config);

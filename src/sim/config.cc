@@ -2,7 +2,32 @@
 
 #include <algorithm>
 
+#include "storage/device_registry.h"
+
 namespace odbgc {
+
+Status Validate(const SimulationConfig& config) {
+  const HeapOptions& heap = config.heap;
+  if (heap.store.pages_per_partition == 0) {
+    return Status::InvalidArgument(
+        "heap.store.pages_per_partition must be >= 1");
+  }
+  if (heap.buffer_pages == 0) {
+    return Status::InvalidArgument("heap.buffer_pages must be >= 1");
+  }
+  // A policy factory takes precedence over the name, which it leaves
+  // unused.
+  if (!heap.policy_factory && !heap.policy_name.empty() &&
+      !IsPolicyRegistered(heap.policy_name)) {
+    return Status::InvalidArgument("unknown policy name: " +
+                                   heap.policy_name);
+  }
+  if (!heap.device_spec.empty() && !IsDeviceRegistered(heap.device_spec)) {
+    return Status::InvalidArgument("unknown device spec: " +
+                                   heap.device_spec);
+  }
+  return config.workload.Validate();
+}
 
 SimulationConfig PaperBaseConfig() {
   SimulationConfig config;

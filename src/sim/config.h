@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/heap.h"
+#include "util/status.h"
 #include "workload/workload_config.h"
 
 namespace odbgc {
@@ -29,13 +30,6 @@ struct SimulationConfig {
   /// starts and argued the choice only lessens policy differentiation —
   /// the warm_start ablation checks that claim.
   bool warm_start = false;
-  /// Durability (src/recovery/): snapshot the full simulation state every
-  /// this-many workload rounds and rotate the write-ahead log. 0 disables
-  /// checkpointing (the WAL alone still allows replay from the start).
-  uint32_t checkpoint_every_rounds = 0;
-  /// Directory for WAL segments and checkpoint files. Empty disables
-  /// durability entirely (the default: plain in-memory simulation).
-  std::string wal_dir;
   /// Concurrency (DESIGN.md §14): worker threads replaying the run's
   /// workload shards, each against its own heap. 1 (the default) is plain
   /// serial simulation through Simulator; >1 routes through
@@ -61,6 +55,14 @@ struct SimulationConfig {
   /// deliberately not part of manifests.
   std::vector<double> shard_weights;
 };
+
+/// Rejects a configuration no run can execute: a zero-page partition or
+/// buffer (`heap.store.pages_per_partition`, `heap.buffer_pages`), a
+/// policy name or device spec missing from its registry, or a workload
+/// that fails WorkloadConfig::Validate. InvalidArgument naming the field.
+/// RunExperiment checks it before building any heap and Simulator::Run
+/// before replaying; the heap service checks each tenant's config.
+Status Validate(const SimulationConfig& config);
 
 /// The paper's base configuration (Tables 2-4): 48-page partitions and
 /// buffer, ~5 MB live / ~11 MB allocated, trigger = 200 overwrites,

@@ -44,12 +44,13 @@ Result<Experiment> RunExperiment(const ExperimentSpec& spec) {
 
 Result<Experiment> RunExperimentWith(const ExperimentSpec& spec,
                                      const RunSimulationFn& run_one) {
-  // Fail fast on unknown names: a worker thread aborting inside the heap
-  // is a far worse failure mode than an error here.
+  // Fail fast on a configuration no run can execute, before any heap is
+  // built: a worker thread aborting or crashing inside the heap is a far
+  // worse failure mode than an error here.
   for (const std::string& name : spec.policies) {
-    if (!IsPolicyRegistered(name)) {
-      return Status::InvalidArgument("unknown policy name: " + name);
-    }
+    SimulationConfig config = spec.base;
+    config.heap.policy_name = name;
+    ODBGC_RETURN_IF_ERROR(Validate(config));
   }
 
   struct Task {

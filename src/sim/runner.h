@@ -141,14 +141,15 @@ struct Experiment {
 };
 
 /// Executes the experiment (parallel across runs). Returns the first
-/// error if any run fails. Unknown policy names fail fast with
-/// InvalidArgument before any run starts.
+/// error if any run fails. A configuration Validate rejects (an unknown
+/// policy name among them) fails fast with InvalidArgument before any
+/// heap is built.
 Result<Experiment> RunExperiment(const ExperimentSpec& spec);
 
 /// Executes one fully specified simulation run (policy and seed already
-/// set on `config`). RunExperiment's default; RunExperimentWith swaps it
-/// for a durable engine (see recovery/recover.h) without a dependency
-/// cycle between the layers.
+/// set on `config`). RunExperiment's default runs the configured workload
+/// through a Simulator; RunExperimentWith swaps in another run function
+/// (the OO1 sweep replays OO1Generator traces this way).
 using RunSimulationFn =
     std::function<Result<SimulationResult>(const SimulationConfig& config)>;
 

@@ -1,43 +1,12 @@
 #include "sim/simulator.h"
 
-#include <algorithm>
 #include <chrono>
-#include <utility>
-#include <vector>
 
 #include "core/reachability.h"
-#include "odb/store_image.h"
 #include "util/phase_timer.h"
-#include "util/serde.h"
 #include "workload/generator.h"
 
 namespace odbgc {
-
-namespace {
-
-void SaveTimeSeries(std::ostream& out, const TimeSeries& series) {
-  PutVarint(out, series.points().size());
-  for (const TimeSeries::Point& point : series.points()) {
-    PutDouble(out, point.x);
-    PutDouble(out, point.y);
-  }
-}
-
-Result<TimeSeries> LoadTimeSeries(std::istream& in, const char* name) {
-  auto count = GetVarint(in);
-  ODBGC_RETURN_IF_ERROR(count.status());
-  TimeSeries series{std::string(name)};
-  for (uint64_t i = 0; i < *count; ++i) {
-    auto x = GetDouble(in);
-    ODBGC_RETURN_IF_ERROR(x.status());
-    auto y = GetDouble(in);
-    ODBGC_RETURN_IF_ERROR(y.status());
-    series.Add(*x, *y);
-  }
-  return series;
-}
-
-}  // namespace
 
 Simulator::Simulator(const SimulationConfig& config) : config_(config) {
   HeapOptions heap_options = config_.heap;
@@ -196,79 +165,13 @@ void Simulator::ResetMeasurementForWarmStart() {
 }
 
 Status Simulator::Run() {
+  ODBGC_RETURN_IF_ERROR(Validate(config_));
   WorkloadGenerator generator(config_.workload, config_.seed);
   if (config_.warm_start) {
     ODBGC_RETURN_IF_ERROR(generator.BuildInitialDatabase(this));
     ResetMeasurementForWarmStart();
   }
   return generator.Generate(this);
-}
-
-Status Simulator::SaveCheckpointState(std::ostream& out) const {
-  ODBGC_RETURN_IF_ERROR(WriteStoreImage(heap_->ExtractImage(), &out));
-  heap_->SaveRuntimeState(out);
-
-  std::vector<std::pair<uint64_t, uint64_t>> ids;
-  ids.reserve(id_map_.size());
-  for (const auto& [logical, object] : id_map_) {
-    ids.emplace_back(logical, object.value);
-  }
-  std::sort(ids.begin(), ids.end());
-  PutVarint(out, ids.size());
-  for (const auto& [logical, object] : ids) {
-    PutVarint(out, logical);
-    PutVarint(out, object);
-  }
-
-  PutVarint(out, events_);
-  PutVarint(out, next_snapshot_);
-  SaveTimeSeries(out, unreclaimed_garbage_kb_);
-  SaveTimeSeries(out, database_size_kb_);
-  return out.good() ? Status::Ok()
-                    : Status::IoError("checkpoint state write failed");
-}
-
-Result<std::unique_ptr<Simulator>> Simulator::FromCheckpoint(
-    const SimulationConfig& config, std::istream& in) {
-  auto image = ReadStoreImage(&in);
-  ODBGC_RETURN_IF_ERROR(image.status());
-
-  HeapOptions heap_options = config.heap;
-  heap_options.seed = config.seed;
-  auto heap = CollectedHeap::FromImage(heap_options, *image);
-  ODBGC_RETURN_IF_ERROR(heap.status());
-
-  auto sim = std::unique_ptr<Simulator>(new Simulator(config, RestoreTag{}));
-  sim->heap_ = std::move(heap).value();
-  ODBGC_RETURN_IF_ERROR(sim->heap_->LoadRuntimeState(in));
-
-  auto id_count = GetVarint(in);
-  ODBGC_RETURN_IF_ERROR(id_count.status());
-  sim->id_map_.reserve(*id_count);
-  for (uint64_t i = 0; i < *id_count; ++i) {
-    auto logical = GetVarint(in);
-    ODBGC_RETURN_IF_ERROR(logical.status());
-    auto object = GetVarint(in);
-    ODBGC_RETURN_IF_ERROR(object.status());
-    if (!sim->id_map_.emplace(*logical, ObjectId{*object}).second) {
-      return Status::Corruption("checkpoint duplicate logical id");
-    }
-  }
-
-  auto events = GetVarint(in);
-  ODBGC_RETURN_IF_ERROR(events.status());
-  sim->events_ = *events;
-  auto next_snapshot = GetVarint(in);
-  ODBGC_RETURN_IF_ERROR(next_snapshot.status());
-  sim->next_snapshot_ = *next_snapshot;
-
-  auto garbage = LoadTimeSeries(in, "unreclaimed_garbage_kb");
-  ODBGC_RETURN_IF_ERROR(garbage.status());
-  sim->unreclaimed_garbage_kb_ = std::move(garbage).value();
-  auto size = LoadTimeSeries(in, "database_size_kb");
-  ODBGC_RETURN_IF_ERROR(size.status());
-  sim->database_size_kb_ = std::move(size).value();
-  return sim;
 }
 
 SimulationResult Simulator::Finish() {

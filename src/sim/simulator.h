@@ -2,7 +2,6 @@
 #define ODBGC_SIM_SIMULATOR_H_
 
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <unordered_map>
 
@@ -42,28 +41,11 @@ class Simulator : public TraceSink {
   uint64_t events_applied() const { return events_; }
 
   /// The warm-start measurement reset Run() performs after the build
-  /// phase, exposed so a durable engine driving the generator round by
-  /// round (src/recovery/) can reproduce Run()'s behaviour exactly.
+  /// phase, exposed so a caller stepping the generator itself (the heap
+  /// service) can reproduce Run()'s behaviour exactly.
   void ResetMeasurementForWarmStart();
 
-  /// Serializes the complete simulation state — the heap's store image and
-  /// runtime state, the logical-id map, event/snapshot counters and the
-  /// time series — such that FromCheckpoint yields a simulator whose
-  /// remaining run is bit-identical to this one's. IoError on stream
-  /// failure.
-  Status SaveCheckpointState(std::ostream& out) const;
-
-  /// Reconstructs a simulator from SaveCheckpointState bytes. `config`
-  /// must match the checkpointed run's configuration (geometry and policy
-  /// are cross-checked; the rest is the caller's contract, as with any
-  /// seed-determinism argument). Corruption on malformed bytes.
-  static Result<std::unique_ptr<Simulator>> FromCheckpoint(
-      const SimulationConfig& config, std::istream& in);
-
  private:
-  struct RestoreTag {};
-  Simulator(const SimulationConfig& config, RestoreTag) : config_(config) {}
-
   void MaybeSnapshot();
 
   // Runs a census into census_scratch_ and refreshes the cache fields.
@@ -79,11 +61,10 @@ class Simulator : public TraceSink {
 
   // Census machinery reused across snapshots, plus a cache so Finish()
   // skips the duplicate census when a snapshot census already ran at the
-  // current event count. The census is a pure function of store state, so
-  // neither the engine nor the cache is checkpointed: a resumed run
-  // recomputes identical values. The cache records the heap counters it
-  // was computed under and is discarded if any of them moved (e.g. a
-  // driver collecting or mutating the heap directly between events).
+  // current event count. The census is a pure function of store state.
+  // The cache records the heap counters it was computed under and is
+  // discarded if any of them moved (e.g. a caller collecting or mutating
+  // the heap directly between events).
   ReachabilityAnalyzer census_engine_;
   GarbageCensus census_scratch_;
   bool census_cache_valid_ = false;

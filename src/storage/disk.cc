@@ -3,8 +3,6 @@
 #include <cassert>
 #include <cstring>
 
-#include "util/serde.h"
-
 namespace odbgc {
 
 SimulatedDisk::SimulatedDisk(size_t page_size, MetricsRegistry* registry,
@@ -32,7 +30,6 @@ Status SimulatedDisk::ReadPage(PageId page, std::span<std::byte> out) {
   if (out.size() != page_size()) {
     return Status::InvalidArgument("ReadPage: buffer size mismatch");
   }
-  ODBGC_RETURN_IF_ERROR(CheckFault(/*is_write=*/false));
   std::memcpy(out.data(), pages_[page].get(), page_size());
   CountRead(page);
   return Status::Ok();
@@ -47,36 +44,8 @@ Status SimulatedDisk::WritePage(PageId page, std::span<const std::byte> in) {
   if (in.size() != page_size()) {
     return Status::InvalidArgument("WritePage: buffer size mismatch");
   }
-  ODBGC_RETURN_IF_ERROR(CheckFault(/*is_write=*/true));
   std::memcpy(pages_[page].get(), in.data(), page_size());
   CountWrite(page);
-  return Status::Ok();
-}
-
-void SimulatedDisk::SaveState(std::ostream& out) const {
-  PutU8(out, static_cast<uint8_t>(kind()));
-  PutVarint(out, page_size());
-  PutVarint(out, pages_.size());
-  PutU64(out, last_accessed());
-}
-
-Status SimulatedDisk::LoadState(std::istream& in) {
-  auto stored_kind = GetU8(in);
-  ODBGC_RETURN_IF_ERROR(stored_kind.status());
-  if (*stored_kind != static_cast<uint8_t>(kind())) {
-    return Status::Corruption("device state kind mismatch");
-  }
-  auto stored_page_size = GetVarint(in);
-  ODBGC_RETURN_IF_ERROR(stored_page_size.status());
-  auto stored_num_pages = GetVarint(in);
-  ODBGC_RETURN_IF_ERROR(stored_num_pages.status());
-  if (*stored_page_size != page_size() ||
-      *stored_num_pages != pages_.size()) {
-    return Status::Corruption("disk state geometry mismatch");
-  }
-  auto last = GetU64(in);
-  ODBGC_RETURN_IF_ERROR(last.status());
-  set_last_accessed(*last);
   return Status::Ok();
 }
 

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <vector>
 
@@ -50,16 +49,6 @@ class SimulatedDisk : public PageDevice {
     return EstimateDiskTimeMs(stats(), cost_);
   }
   const DiskCostParams& cost_params() const { return cost_; }
-
-  /// Serializes the timing-model state (the last-accessed page that drives
-  /// sequential/random classification) plus the geometry for a
-  /// cross-check. Counters live in the metrics registry; page contents are
-  /// rematerialized by the store image.
-  void SaveState(std::ostream& out) const override;
-
-  /// Restores state written by SaveState. Corruption if the stream is
-  /// malformed or describes a different disk geometry.
-  Status LoadState(std::istream& in) override;
 
  private:
   const DiskCostParams cost_;

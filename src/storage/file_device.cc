@@ -15,7 +15,6 @@
 
 #include "observe/observer.h"
 #include "util/crc32.h"
-#include "util/serde.h"
 
 namespace odbgc {
 
@@ -177,8 +176,7 @@ Status FileDevice::DecodeFrame(PageId page, const std::byte* frame,
 }
 
 Status FileDevice::ValidateTransfer(const char* op, PageId page,
-                                    size_t buffer_size, bool is_write) {
-  (void)is_write;
+                                    size_t buffer_size) {
   if (!status_.ok()) return status_;
   if (page >= num_pages_) {
     return Status::OutOfRange(std::string(op) + ": page " +
@@ -250,8 +248,7 @@ Status FileDevice::PhysicalRead(PageId page, std::span<std::byte> out) {
 
 Status FileDevice::ReadPage(PageId page, std::span<std::byte> out) {
   ODBGC_RETURN_IF_ERROR(
-      ValidateTransfer("ReadPage", page, out.size(), /*is_write=*/false));
-  ODBGC_RETURN_IF_ERROR(CheckFault(/*is_write=*/false));
+      ValidateTransfer("ReadPage", page, out.size()));
   if (readahead_.capacity() > 0 && readahead_.Lookup(page, out)) {
     // Staged by a prefetch: no physical transfer, but it is still one
     // simulated page read — the cost model must not depend on whether a
@@ -264,51 +261,9 @@ Status FileDevice::ReadPage(PageId page, std::span<std::byte> out) {
   return Status::Ok();
 }
 
-void FileDevice::ApplyWriteFaultDamage(PageId page,
-                                       std::span<const std::byte> in) {
-  const FaultPlan* plan = armed_faults();
-  if (plan == nullptr || plan->write_fault_style == WriteFaultStyle::kClean ||
-      !status_.ok()) {
-    return;
-  }
-  // Reconstruct what an interrupted physical write leaves behind, then
-  // persist that damaged frame in one aligned write (O_DIRECT-safe: a raw
-  // partial pwrite would need unaligned sizes and buffers). Fault-path I/O
-  // is not tracked in measured stats.
-  std::byte* old_frame = AllocAligned(frame_size_);
-  if (old_frame == nullptr) return;
-  struct FrameGuard {
-    std::byte* p;
-    ~FrameGuard() { std::free(p); }
-  } guard{old_frame};
-  if (!ReadFrame(page, old_frame).ok()) return;
-  EncodeFrame(page, in, scratch_);
-  if (plan->write_fault_style == WriteFaultStyle::kShortWrite) {
-    // Only a prefix made it out: the new header plus half the payload, old
-    // bytes beyond — the cut must land inside the payload (not the frame's
-    // alignment padding) or nothing is actually lost. The header checksum
-    // no longer covers the bytes on disk.
-    const size_t cut = kHeaderSize + page_size() / 2;
-    std::memcpy(scratch_ + cut, old_frame + cut, frame_size_ - cut);
-  } else {
-    // Torn page: the header sector (claiming the new contents) landed,
-    // but half the payload sectors carry garbage.
-    const size_t payload_half = page_size() / 2;
-    std::memset(scratch_ + kHeaderSize + payload_half, 0xDB,
-                page_size() - payload_half);
-  }
-  (void)WriteFrame(page, scratch_);
-  readahead_.Invalidate(page);
-}
-
 Status FileDevice::WritePage(PageId page, std::span<const std::byte> in) {
   ODBGC_RETURN_IF_ERROR(
-      ValidateTransfer("WritePage", page, in.size(), /*is_write=*/true));
-  const Status fault = CheckFault(/*is_write=*/true);
-  if (!fault.ok()) {
-    ApplyWriteFaultDamage(page, in);
-    return fault;
-  }
+      ValidateTransfer("WritePage", page, in.size()));
   EncodeFrame(page, in, scratch_);
   const auto start = std::chrono::steady_clock::now();
   const Status status = WriteFrame(page, scratch_);
@@ -360,17 +315,11 @@ Status FileDevice::WritePages(const PageWriteRequest* requests, size_t count,
   std::unordered_set<PageId> queued_pages;
   size_t queued = 0;
   size_t accepted = 0;
-  bool fault_fired = false;
   Status failure = Status::Ok();
   Status io_status = Status::Ok();
   for (size_t i = 0; i < count; ++i) {
     const PageId page = requests[i].page;
-    failure = ValidateTransfer("WritePages", page, requests[i].data.size(),
-                               /*is_write=*/true);
-    if (failure.ok()) {
-      failure = CheckFault(/*is_write=*/true);
-      fault_fired = !failure.ok();
-    }
+    failure = ValidateTransfer("WritePages", page, requests[i].data.size());
     if (!failure.ok()) break;
     if (!queued_pages.insert(page).second) {
       // Same page twice in one batch: write out what is queued first, so
@@ -400,11 +349,8 @@ Status FileDevice::WritePages(const PageWriteRequest* requests, size_t count,
     return io_status;
   }
   if (!failure.ok()) {
-    // An injected fault stopped the batch after `accepted` pages: the
-    // damage write must land after the batch's own writes.
-    if (fault_fired) {
-      ApplyWriteFaultDamage(requests[accepted].page, requests[accepted].data);
-    }
+    // A rejected request stopped the batch after `accepted` pages, which
+    // are on disk.
     if (written != nullptr) *written = accepted;
     return failure;
   }
@@ -482,34 +428,6 @@ Status FileDevice::Sync() {
     return Status::IoError(std::string("FileDevice: fsync failed: ") +
                            std::strerror(errno));
   }
-  return Status::Ok();
-}
-
-void FileDevice::SaveState(std::ostream& out) const {
-  PutU8(out, static_cast<uint8_t>(kind()));
-  PutVarint(out, page_size());
-  PutVarint(out, num_pages_);
-  PutU64(out, last_accessed());
-}
-
-Status FileDevice::LoadState(std::istream& in) {
-  auto stored_kind = GetU8(in);
-  ODBGC_RETURN_IF_ERROR(stored_kind.status());
-  if (*stored_kind != static_cast<uint8_t>(kind())) {
-    return Status::Corruption("device state kind mismatch");
-  }
-  auto stored_page_size = GetVarint(in);
-  ODBGC_RETURN_IF_ERROR(stored_page_size.status());
-  auto stored_num_pages = GetVarint(in);
-  ODBGC_RETURN_IF_ERROR(stored_num_pages.status());
-  if (*stored_page_size != page_size() || *stored_num_pages != num_pages_) {
-    return Status::Corruption("file device state geometry mismatch");
-  }
-  auto last = GetU64(in);
-  ODBGC_RETURN_IF_ERROR(last.status());
-  set_last_accessed(*last);
-  // Anything staged before the checkpoint refers to pre-restore contents.
-  readahead_.Clear();
   return Status::Ok();
 }
 

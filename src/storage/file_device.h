@@ -15,8 +15,7 @@ namespace odbgc {
 
 struct FileDeviceOptions {
   /// Path of the partition file. Opened with create+truncate: the file is
-  /// working storage (durability is the WAL/checkpoint layer's job), and
-  /// ObjectStore::Restore requires an empty device to rematerialize into.
+  /// working storage for one run, which a rerun reproduces.
   std::string path;
   /// Request O_DIRECT. Falls back to buffered when the filesystem refuses
   /// (tmpfs does); `direct_io_effective()` reports what actually happened.
@@ -48,7 +47,7 @@ struct FileDeviceOptions {
 /// frame (freshly allocated, never written) reads as an all-zero page,
 /// matching SimulatedDisk's zero-filled allocations. A frame with any
 /// other damage to its magic, page id, checksum or payload reads as
-/// Corruption — that is what an injected short/torn write leaves behind.
+/// Corruption — that is what a short or torn write leaves behind.
 /// So does a frame the file no longer holds in full: AllocatePages extends
 /// the file over every frame it hands out, so end of file inside one means
 /// the file was truncated. The checksum does not cover the header's
@@ -87,9 +86,6 @@ class FileDevice : public PageDevice {
     return EstimateDiskTimeMs(stats(), options_.cost);
   }
 
-  void SaveState(std::ostream& out) const override;
-  Status LoadState(std::istream& in) override;
-
   MeasuredIoStats MeasuredStats() const override;
 
   /// Construction/open status. Ok when the file is usable.
@@ -113,12 +109,7 @@ class FileDevice : public PageDevice {
   Status DecodeFrame(PageId page, const std::byte* frame,
                      std::span<std::byte> out) const;
 
-  Status ValidateTransfer(const char* op, PageId page, size_t buffer_size,
-                          bool is_write);
-
-  // Physically damages frame `page` the way the armed plan's
-  // write_fault_style dictates (no-op for kClean).
-  void ApplyWriteFaultDamage(PageId page, std::span<const std::byte> in);
+  Status ValidateTransfer(const char* op, PageId page, size_t buffer_size);
 
   // Reads frame `page` from the file into `out` (page payload), counting
   // measured I/O. Does NOT touch simulated counters or the cache.

@@ -2,7 +2,6 @@
 
 #include <string>
 
-#include "observe/observer.h"
 #include "storage/disk.h"
 #include "storage/ssd_device.h"
 
@@ -92,48 +91,6 @@ void PageDevice::NoteAccess(PageId page) {
     registry_->Count(random_);
   }
   last_accessed_ = page;
-}
-
-void PageDevice::InjectFaults(const FaultPlan& plan) {
-  faults_ = plan;
-  fault_rng_.emplace(plan.seed);
-  fault_writes_seen_ = 0;
-  fault_reads_seen_ = 0;
-}
-
-void PageDevice::ClearFaults() {
-  faults_.reset();
-  fault_rng_.reset();
-}
-
-void PageDevice::PublishFault(bool is_write) {
-  if (observer_ == nullptr) return;
-  FaultEvent event;
-  event.is_write = is_write;
-  event.ordinal = faults_fired_;
-  observer_->OnFault(event);
-}
-
-Status PageDevice::CheckFault(bool is_write) {
-  if (!faults_) return Status::Ok();
-  uint64_t& seen = is_write ? fault_writes_seen_ : fault_reads_seen_;
-  const uint64_t trigger =
-      is_write ? faults_->fail_after_writes : faults_->fail_after_reads;
-  ++seen;
-  if (trigger != 0 && seen == trigger) {
-    ++faults_fired_;
-    PublishFault(is_write);
-    return Status::IoError(std::string("injected fault on ") +
-                           (is_write ? "write #" : "read #") +
-                           std::to_string(seen));
-  }
-  if (faults_->error_prob > 0.0 &&
-      fault_rng_->Bernoulli(faults_->error_prob)) {
-    ++faults_fired_;
-    PublishFault(is_write);
-    return Status::IoError("injected probabilistic fault");
-  }
-  return Status::Ok();
 }
 
 std::unique_ptr<PageDevice> MakePageDevice(DeviceKind kind, size_t page_size,

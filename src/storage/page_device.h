@@ -3,9 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -13,7 +11,6 @@
 #include "storage/extent.h"
 #include "storage/page.h"
 #include "util/metrics_registry.h"
-#include "util/random.h"
 #include "util/status.h"
 
 namespace odbgc {
@@ -46,46 +43,12 @@ struct DiskStats {
   uint64_t total() const { return page_reads + page_writes; }
 };
 
-/// What a scripted *write* fault physically leaves on the medium. The
-/// simulated devices always fail cleanly (the page keeps its old bytes);
-/// FileDevice can additionally damage the real file the way a power cut
-/// does, so recovery is tested against media that actually lies.
-enum class WriteFaultStyle : uint8_t {
-  /// Fail before touching the medium (every backend supports this).
-  kClean = 0,
-  /// Persist only a prefix of the page frame, then fail (interrupted
-  /// pwrite). The frame checksum no longer covers the bytes on disk.
-  kShortWrite = 1,
-  /// Persist a frame whose header claims the new contents but whose
-  /// payload is half old/garbage, then fail (torn sector write).
-  kTornPage = 2,
-};
-
-/// Fault-injection schedule for crash-recovery testing. Scripted triggers
-/// fire exactly once on the Nth transfer after InjectFaults; the
-/// probabilistic trigger draws from its own Rng stream, so arming it never
-/// perturbs simulation randomness.
-struct FaultPlan {
-  /// Fail the Nth write after injection (1-based). 0 disables.
-  uint64_t fail_after_writes = 0;
-  /// Fail the Nth read after injection (1-based). 0 disables.
-  uint64_t fail_after_reads = 0;
-  /// Independently fail each transfer with this probability.
-  double error_prob = 0.0;
-  /// Seed for the probabilistic stream.
-  uint64_t seed = 0;
-  /// Physical damage left behind by the scripted write fault. Backends
-  /// without real media treat everything as kClean.
-  WriteFaultStyle write_fault_style = WriteFaultStyle::kClean;
-};
-
 /// Real (wall-clock) I/O activity of a backend, for devices that perform
 /// actual system calls. Deliberately separate from the simulated transfer
 /// counters in the MetricsRegistry: simulated counters are bit-identical
-/// across runs and machines and flow into checkpoints; measured numbers
-/// never are, so they flow only into the manifest's `measured` section and
-/// SimObserver events. All-zero (`measured == false`) for in-memory
-/// backends.
+/// across runs and machines; measured numbers never are, so they flow only
+/// into the manifest's `measured` section and SimObserver events.
+/// All-zero (`measured == false`) for in-memory backends.
 struct MeasuredIoStats {
   /// True if this device performs real I/O (i.e. the numbers below mean
   /// something).
@@ -125,8 +88,8 @@ struct PageWriteRequest {
 /// operations onto the device's own timing model. Transfers are issued by
 /// the BufferPool — client code never reads a device directly.
 ///
-/// The base class owns what every backend shares: transfer counters,
-/// sequential/random classification, and the fault-injection surface.
+/// The base class owns what every backend shares: transfer counters and
+/// sequential/random classification.
 class PageDevice {
  public:
   /// `registry` is the stack-wide metrics registry; pass nullptr to let
@@ -154,9 +117,9 @@ class PageDevice {
   /// Writes `count` pages as one barrier-delimited batch, stopping at the
   /// first error; `*written` (may be null) receives the number of pages
   /// accepted (== `count` iff the status is Ok). The default loops over
-  /// WritePage — identical counters and fault schedule to `count` single
-  /// writes; FileDevice overrides it to fan the physical writes out over
-  /// its batch executors and fsync once at the end.
+  /// WritePage — identical counters to `count` single writes; FileDevice
+  /// overrides it to fan the physical writes out over its batch executors
+  /// and fsync once at the end.
   /// Transfer counting always happens on the calling thread, in request
   /// order, so simulated results do not depend on the backend or its
   /// thread count.
@@ -184,17 +147,6 @@ class PageDevice {
   /// Section 4.2 invites).
   virtual double EstimateTimeMs() const = 0;
 
-  /// Serializes the device-model state that is NOT derivable from page
-  /// contents (access-classification cursor, FTL state, ...). Counters are
-  /// not included — the registry serializes those once for the whole
-  /// stack. Page contents are not included either: the store image
-  /// rematerializes them.
-  virtual void SaveState(std::ostream& out) const = 0;
-
-  /// Restores state written by SaveState. Corruption if the stream is
-  /// malformed or describes a different device/geometry.
-  virtual Status LoadState(std::istream& in) = 0;
-
   size_t page_size() const { return page_size_; }
 
   /// The registry this device (and the pool above it) charge into.
@@ -207,18 +159,8 @@ class PageDevice {
   /// phase). The access-classification cursor is left untouched.
   void ResetStats();
 
-  /// Arms fault injection. Replaces any previously armed plan and restarts
-  /// the transfer counters the scripted triggers count against.
-  void InjectFaults(const FaultPlan& plan);
-
-  /// Disarms fault injection.
-  void ClearFaults();
-
-  /// Number of transfers failed by the armed plan(s) so far.
-  uint64_t faults_fired() const { return faults_fired_; }
-
-  /// Attaches a run-telemetry sink notified on every injected fault
-  /// (non-owning; null — the default — detaches).
+  /// Attaches a run-telemetry sink for the device's batch, sync and
+  /// read-ahead events (non-owning; null — the default — detaches).
   void set_observer(SimObserver* observer) { observer_ = observer; }
 
  protected:
@@ -227,15 +169,6 @@ class PageDevice {
   void CountRead(PageId page);
   void CountWrite(PageId page);
 
-  // Returns the injected fault for this transfer, if the plan fires.
-  Status CheckFault(bool is_write);
-
-  // The armed plan, if any (FileDevice consults write_fault_style to decide
-  // what physical damage a fired write fault leaves behind).
-  const FaultPlan* armed_faults() const {
-    return faults_ ? &*faults_ : nullptr;
-  }
-
   // The attached telemetry sink (may be null).
   SimObserver* observer() const { return observer_; }
 
@@ -243,12 +176,8 @@ class PageDevice {
   // also zero (e.g. the SSD's erase count).
   MetricCounter* RegisterDeviceCounter(const std::string& name);
 
-  PageId last_accessed() const { return last_accessed_; }
-  void set_last_accessed(PageId page) { last_accessed_ = page; }
-
  private:
   void NoteAccess(PageId page);
-  void PublishFault(bool is_write);
 
   const size_t page_size_;
   // Set when the device was constructed without a shared registry.
@@ -264,12 +193,6 @@ class PageDevice {
   PageId last_accessed_ = kInvalidPageId;
 
   SimObserver* observer_ = nullptr;
-
-  std::optional<FaultPlan> faults_;
-  std::optional<Rng> fault_rng_;
-  uint64_t fault_writes_seen_ = 0;
-  uint64_t fault_reads_seen_ = 0;
-  uint64_t faults_fired_ = 0;
 };
 
 struct DiskCostParams;

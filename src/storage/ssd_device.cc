@@ -3,22 +3,9 @@
 #include <cassert>
 #include <cstring>
 
-#include "util/serde.h"
-
 namespace odbgc {
 
 namespace {
-
-// +1 encoding so kUnmapped (UINT64_MAX) serializes as a single 0 byte.
-void PutMapping(std::ostream& out, uint64_t value) {
-  PutVarint(out, value == UINT64_MAX ? 0 : value + 1);
-}
-
-Result<uint64_t> GetMapping(std::istream& in) {
-  auto v = GetVarint(in);
-  ODBGC_RETURN_IF_ERROR(v.status());
-  return *v == 0 ? UINT64_MAX : *v - 1;
-}
 
 SsdCostParams Sanitize(SsdCostParams cost) {
   if (cost.pages_per_block == 0) cost.pages_per_block = 64;
@@ -142,7 +129,6 @@ Status SsdDevice::ReadPage(PageId page, std::span<std::byte> out) {
   if (out.size() != page_size()) {
     return Status::InvalidArgument("ReadPage: buffer size mismatch");
   }
-  ODBGC_RETURN_IF_ERROR(CheckFault(/*is_write=*/false));
   std::memcpy(out.data(), pages_[page].get(), page_size());
   CountRead(page);
   return Status::Ok();
@@ -157,7 +143,6 @@ Status SsdDevice::WritePage(PageId page, std::span<const std::byte> in) {
   if (in.size() != page_size()) {
     return Status::InvalidArgument("WritePage: buffer size mismatch");
   }
-  ODBGC_RETURN_IF_ERROR(CheckFault(/*is_write=*/true));
   std::memcpy(pages_[page].get(), in.data(), page_size());
   EnsureSpace();
   Invalidate(page);
@@ -179,106 +164,6 @@ double SsdDevice::WriteAmplification() const {
   if (host == 0) return 0.0;
   return static_cast<double>(host + gc_copies_->total()) /
          static_cast<double>(host);
-}
-
-void SsdDevice::SaveState(std::ostream& out) const {
-  PutU8(out, static_cast<uint8_t>(kind()));
-  PutVarint(out, page_size());
-  PutVarint(out, pages_.size());
-  PutVarint(out, block_state_.size());
-  for (uint64_t m : map_) PutMapping(out, m);
-  for (uint64_t o : owner_) PutMapping(out, o);
-  for (uint8_t s : block_state_) PutU8(out, s);
-  for (uint32_t v : block_valid_) PutVarint(out, v);
-  PutVarint(out, erased_fifo_.size());
-  for (uint32_t b : erased_fifo_) PutVarint(out, b);
-  PutVarint(out, open_block_ == kNoBlock ? 0 : open_block_ + 1);
-  PutVarint(out, open_offset_);
-  PutU64(out, last_accessed());
-}
-
-Status SsdDevice::LoadState(std::istream& in) {
-  auto stored_kind = GetU8(in);
-  ODBGC_RETURN_IF_ERROR(stored_kind.status());
-  if (*stored_kind != static_cast<uint8_t>(kind())) {
-    return Status::Corruption("device state kind mismatch");
-  }
-  auto stored_page_size = GetVarint(in);
-  ODBGC_RETURN_IF_ERROR(stored_page_size.status());
-  auto stored_num_pages = GetVarint(in);
-  ODBGC_RETURN_IF_ERROR(stored_num_pages.status());
-  auto stored_blocks = GetVarint(in);
-  ODBGC_RETURN_IF_ERROR(stored_blocks.status());
-  if (*stored_page_size != page_size() ||
-      *stored_num_pages != pages_.size() ||
-      *stored_blocks != block_state_.size()) {
-    return Status::Corruption("ssd state geometry mismatch");
-  }
-
-  std::vector<uint64_t> map(map_.size());
-  for (uint64_t& m : map) {
-    auto v = GetMapping(in);
-    ODBGC_RETURN_IF_ERROR(v.status());
-    m = *v;
-  }
-  std::vector<uint64_t> owner(owner_.size());
-  for (uint64_t& o : owner) {
-    auto v = GetMapping(in);
-    ODBGC_RETURN_IF_ERROR(v.status());
-    o = *v;
-  }
-  std::vector<uint8_t> state(block_state_.size());
-  for (uint8_t& s : state) {
-    auto v = GetU8(in);
-    ODBGC_RETURN_IF_ERROR(v.status());
-    if (*v > kClosed) return Status::Corruption("ssd block state invalid");
-    s = *v;
-  }
-  std::vector<uint32_t> valid(block_valid_.size());
-  for (uint32_t& c : valid) {
-    auto v = GetVarint(in);
-    ODBGC_RETURN_IF_ERROR(v.status());
-    if (*v > cost_.pages_per_block) {
-      return Status::Corruption("ssd block valid count out of range");
-    }
-    c = static_cast<uint32_t>(*v);
-  }
-  auto fifo_size = GetVarint(in);
-  ODBGC_RETURN_IF_ERROR(fifo_size.status());
-  if (*fifo_size > block_state_.size()) {
-    return Status::Corruption("ssd erased fifo too long");
-  }
-  std::deque<uint32_t> fifo;
-  for (uint64_t i = 0; i < *fifo_size; ++i) {
-    auto b = GetVarint(in);
-    ODBGC_RETURN_IF_ERROR(b.status());
-    if (*b >= block_state_.size()) {
-      return Status::Corruption("ssd erased fifo block out of range");
-    }
-    fifo.push_back(static_cast<uint32_t>(*b));
-  }
-  auto open = GetVarint(in);
-  ODBGC_RETURN_IF_ERROR(open.status());
-  if (*open > block_state_.size()) {
-    return Status::Corruption("ssd open block out of range");
-  }
-  auto offset = GetVarint(in);
-  ODBGC_RETURN_IF_ERROR(offset.status());
-  if (*offset > cost_.pages_per_block) {
-    return Status::Corruption("ssd open offset out of range");
-  }
-  auto last = GetU64(in);
-  ODBGC_RETURN_IF_ERROR(last.status());
-
-  map_ = std::move(map);
-  owner_ = std::move(owner);
-  block_state_ = std::move(state);
-  block_valid_ = std::move(valid);
-  erased_fifo_ = std::move(fifo);
-  open_block_ = *open == 0 ? kNoBlock : static_cast<uint32_t>(*open - 1);
-  open_offset_ = static_cast<uint32_t>(*offset);
-  set_last_accessed(*last);
-  return Status::Ok();
 }
 
 }  // namespace odbgc

@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <iosfwd>
 #include <memory>
 #include <vector>
 
@@ -43,8 +42,7 @@ struct SsdCostParams {
 /// transfer trace costs very differently here than on SimulatedDisk.
 ///
 /// The FTL is deterministic (greedy min-valid victim, lowest index wins
-/// ties; FIFO reuse of erased blocks), so runs are reproducible and the
-/// state checkpoints exactly.
+/// ties; FIFO reuse of erased blocks), so runs are reproducible.
 class SsdDevice : public PageDevice {
  public:
   explicit SsdDevice(size_t page_size = kDefaultPageSize,
@@ -68,13 +66,6 @@ class SsdDevice : public PageDevice {
   /// Total flash programs (host writes + GC copies) per host write; the
   /// classic write-amplification factor. 0 before any write.
   double WriteAmplification() const;
-
-  /// Serializes the FTL state (mapping, block states, open block, erased
-  /// FIFO) plus the access-classification cursor. Counters live in the
-  /// metrics registry; logical page contents are rematerialized by the
-  /// store image.
-  void SaveState(std::ostream& out) const override;
-  Status LoadState(std::istream& in) override;
 
  private:
   static constexpr uint64_t kUnmapped = UINT64_MAX;

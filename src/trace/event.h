@@ -60,8 +60,7 @@ struct TraceEvent {
 };
 
 /// Serializes one event record (kind byte + varint-encoded fields) — the
-/// wire format shared by trace files and the recovery WAL. IoError if the
-/// stream fails.
+/// wire format of trace files. IoError if the stream fails.
 Status WriteEventBody(std::ostream& out, const TraceEvent& event);
 
 /// Parses one event record. Corruption on an unknown kind byte or a record

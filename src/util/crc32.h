@@ -7,10 +7,10 @@
 
 namespace odbgc {
 
-/// CRC-32 (IEEE 802.3, polynomial 0xEDB88320, reflected). Used to frame
-/// WAL records, to seal checkpoint files and file-device page frames so
-/// that torn writes and bit rot are detected as Corruption instead of
-/// being replayed, and to digest run results. `seed` chains: the CRC of
+/// CRC-32 (IEEE 802.3, polynomial 0xEDB88320, reflected). Used to seal
+/// file-device page frames so that torn writes and bit rot are detected
+/// as Corruption instead of being read back, and to digest run
+/// configurations and results. `seed` chains: the CRC of
 /// a + b is Crc32(b, Crc32(a)).
 ///
 /// Inputs of 64 bytes or more are folded with carry-less multiplies on

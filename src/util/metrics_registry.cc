@@ -1,9 +1,5 @@
 #include "util/metrics_registry.h"
 
-#include <ostream>
-
-#include "util/serde.h"
-
 namespace odbgc {
 
 MetricCounter* MetricsRegistry::Register(const std::string& name) {
@@ -27,44 +23,6 @@ std::vector<MetricSample> MetricsRegistry::Snapshot() const {
                        counter.value(MetricPhase::kCollector)});
   }
   return samples;
-}
-
-void MetricsRegistry::Save(std::ostream& out) const {
-  PutVarint(out, counters_.size());
-  for (const auto& [name, counter] : counters_) {
-    PutVarint(out, name.size());
-    out.write(name.data(), static_cast<std::streamsize>(name.size()));
-    PutVarint(out, counter.value(MetricPhase::kApplication));
-    PutVarint(out, counter.value(MetricPhase::kCollector));
-  }
-}
-
-Status MetricsRegistry::Load(std::istream& in) {
-  auto count = GetVarint(in);
-  ODBGC_RETURN_IF_ERROR(count.status());
-  ResetCounters();
-  for (uint64_t i = 0; i < *count; ++i) {
-    auto name_size = GetVarint(in);
-    ODBGC_RETURN_IF_ERROR(name_size.status());
-    if (*name_size > 256) {
-      return Status::Corruption("metric name implausibly long");
-    }
-    std::string name(*name_size, '\0');
-    in.read(name.data(), static_cast<std::streamsize>(name.size()));
-    if (in.gcount() != static_cast<std::streamsize>(name.size())) {
-      return Status::Corruption("truncated metric name");
-    }
-    auto application = GetVarint(in);
-    ODBGC_RETURN_IF_ERROR(application.status());
-    auto collector = GetVarint(in);
-    ODBGC_RETURN_IF_ERROR(collector.status());
-    MetricCounter* counter = Register(name);
-    counter->values_[static_cast<size_t>(MetricPhase::kApplication)] =
-        *application;
-    counter->values_[static_cast<size_t>(MetricPhase::kCollector)] =
-        *collector;
-  }
-  return Status::Ok();
 }
 
 std::vector<MetricSample> MergeMetricSamples(

@@ -2,12 +2,10 @@
 #define ODBGC_UTIL_METRICS_REGISTRY_H_
 
 #include <cstdint>
-#include <iosfwd>
 #include <map>
 #include <string>
 #include <vector>
 
-#include "util/status.h"
 
 namespace odbgc {
 
@@ -35,7 +33,6 @@ class MetricCounter {
   void Reset() { values_[0] = values_[1] = 0; }
 
  private:
-  friend class MetricsRegistry;
   uint64_t values_[kMetricPhaseCount] = {0, 0};
 };
 
@@ -58,8 +55,8 @@ std::vector<MetricSample> MergeMetricSamples(
 /// The unified measurement surface of the I/O subsystem: every component
 /// (device, buffer pool, heap) registers named counters here instead of
 /// keeping private stat structs, so one object carries the complete
-/// instrumentation of a run — through checkpoints, into SimulationResult
-/// and out to the report.
+/// instrumentation of a run — into SimulationResult and out to the
+/// report.
 ///
 /// The registry also owns the *current phase*: a transfer is charged to
 /// whichever phase was active when it happened, regardless of which
@@ -94,19 +91,9 @@ class MetricsRegistry {
 
   size_t size() const { return counters_.size(); }
 
-  /// Serializes every counter (name + both phase values), sorted by name.
-  /// Part of the v2 checkpoint format: counters are restored wholesale
-  /// after the store/buffer reconstruction's uncounted transfers.
-  void Save(std::ostream& out) const;
-
-  /// Restores counters written by Save. Counters present in the stream are
-  /// registered if needed; counters absent from the stream are zeroed, so
-  /// the registry ends up exactly in the checkpointed state.
-  Status Load(std::istream& in);
-
  private:
   // std::map: node-based (stable MetricCounter addresses across inserts)
-  // and sorted (deterministic Save/Snapshot order).
+  // and sorted (deterministic Snapshot order).
   std::map<std::string, MetricCounter> counters_;
   MetricPhase phase_ = MetricPhase::kApplication;
 };

@@ -12,11 +12,11 @@ namespace odbgc {
 /// These timers measure *real* elapsed time — how long the simulator takes
 /// to run, not how long the simulated disk would have taken. They must
 /// therefore never feed the heap's main MetricsRegistry: that registry is
-/// part of SimulationResult and of the checkpoint format, both of which
-/// are bit-identical across runs, machines and thread counts. Wall-clock
-/// counters live in a *separate* registry (CollectedHeap::wall_metrics())
-/// that is excluded from results and checkpoints and consumed only by the
-/// profiling harness (bench/hotpath.cc) and by humans.
+/// part of SimulationResult, which is bit-identical across runs, machines
+/// and thread counts. Wall-clock counters live in a *separate* registry
+/// (CollectedHeap::wall_metrics()) that is excluded from results and
+/// consumed only by the profiling harness (bench/hotpath.cc) and by
+/// humans.
 ///
 /// Counter convention: names prefixed "wall." with a "_ns" suffix,
 /// accumulated in nanoseconds under MetricPhase::kApplication (the

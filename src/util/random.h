@@ -1,7 +1,6 @@
 #ifndef ODBGC_UTIL_RANDOM_H_
 #define ODBGC_UTIL_RANDOM_H_
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -44,15 +43,6 @@ class Rng {
   /// one. Useful for giving subsystems their own streams so that adding a
   /// random draw in one subsystem does not perturb another.
   Rng Fork();
-
-  /// The raw generator state, for checkpointing: a generator restored with
-  /// SetState continues the exact stream it would have produced.
-  std::array<uint64_t, 4> GetState() const {
-    return {state_[0], state_[1], state_[2], state_[3]};
-  }
-  void SetState(const std::array<uint64_t, 4>& state) {
-    for (int i = 0; i < 4; ++i) state_[i] = state[i];
-  }
 
  private:
   uint64_t state_[4];

@@ -2,7 +2,6 @@
 #define ODBGC_UTIL_SERDE_H_
 
 #include <cstdint>
-#include <cstring>
 #include <istream>
 #include <ostream>
 
@@ -10,9 +9,9 @@
 
 namespace odbgc {
 
-/// Little-endian primitives shared by every binary format in the library
-/// (store images, traces, WAL records, checkpoints). All readers fail with
-/// Corruption on truncation — never with a partial value.
+/// Little-endian primitives of the binary trace format (trace/). All
+/// readers fail with Corruption on truncation — never with a partial
+/// value.
 
 inline void PutVarint(std::ostream& out, uint64_t v) {
   while (v >= 0x80) {
@@ -73,44 +72,6 @@ inline Result<uint32_t> GetU32(std::istream& in) {
     v |= static_cast<uint32_t>(c) << (8 * i);
   }
   return v;
-}
-
-inline void PutU64(std::ostream& out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.put(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-inline Result<uint64_t> GetU64(std::istream& in) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    const int c = in.get();
-    if (c == EOF) return Status::Corruption("truncated reading u64");
-    v |= static_cast<uint64_t>(c) << (8 * i);
-  }
-  return v;
-}
-
-/// Doubles travel as their IEEE-754 bit pattern: checkpointed measurements
-/// must restore bit-identically, so no decimal round-trip.
-inline void PutDouble(std::ostream& out, double v) {
-  uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(out, bits);
-}
-
-inline Result<double> GetDouble(std::istream& in) {
-  auto bits = GetU64(in);
-  ODBGC_RETURN_IF_ERROR(bits.status());
-  double v = 0;
-  std::memcpy(&v, &*bits, sizeof(v));
-  return v;
-}
-
-inline void PutBool(std::ostream& out, bool v) { PutU8(out, v ? 1 : 0); }
-
-inline Result<bool> GetBool(std::istream& in) {
-  auto b = GetU8(in);
-  ODBGC_RETURN_IF_ERROR(b.status());
-  return *b != 0;
 }
 
 }  // namespace odbgc

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <utility>
 
-#include "util/serde.h"
 
 namespace odbgc {
 
@@ -296,129 +295,6 @@ WorkloadGenerator::GenTree* WorkloadGenerator::TreeOf(uint64_t node) {
 size_t WorkloadGenerator::PickTree() {
   if (trees_.empty()) return kNoTree;
   return rng_.UniformInt(trees_.size());
-}
-
-void WorkloadGenerator::SaveState(std::ostream& out) const {
-  for (uint64_t word : rng_.GetState()) PutU64(out, word);
-  PutVarint(out, next_id_);
-  PutVarint(out, allocated_bytes_);
-  PutVarint(out, live_bytes_);
-  PutVarint(out, rounds_);
-  PutDouble(out, deletion_deficit_);
-  PutBool(out, built_);
-
-  std::vector<uint64_t> ids;
-  ids.reserve(nodes_.size());
-  for (const auto& [id, node] : nodes_) ids.push_back(id);
-  std::sort(ids.begin(), ids.end());
-  PutVarint(out, ids.size());
-  for (uint64_t id : ids) {
-    const GenNode& node = nodes_.at(id);
-    PutVarint(out, id);
-    PutVarint(out, node.parent);
-    PutVarint(out, node.size);
-    PutVarint(out, node.children[0]);
-    PutVarint(out, node.children[1]);
-    PutBool(out, node.large);
-  }
-
-  PutVarint(out, trees_.size());
-  for (const GenTree& tree : trees_) {
-    PutVarint(out, tree.root);
-    // Pick-list order matters: random picks index into this vector.
-    PutVarint(out, tree.nodes.size());
-    for (uint64_t id : tree.nodes) PutVarint(out, id);
-  }
-}
-
-Status WorkloadGenerator::LoadState(std::istream& in) {
-  std::array<uint64_t, 4> rng_state;
-  for (auto& word : rng_state) {
-    auto w = GetU64(in);
-    ODBGC_RETURN_IF_ERROR(w.status());
-    word = *w;
-  }
-  auto get = [&in](uint64_t* out_value) -> Status {
-    auto v = GetVarint(in);
-    ODBGC_RETURN_IF_ERROR(v.status());
-    *out_value = *v;
-    return Status::Ok();
-  };
-  uint64_t next_id = 0;
-  uint64_t allocated = 0;
-  uint64_t live = 0;
-  uint64_t rounds = 0;
-  ODBGC_RETURN_IF_ERROR(get(&next_id));
-  ODBGC_RETURN_IF_ERROR(get(&allocated));
-  ODBGC_RETURN_IF_ERROR(get(&live));
-  ODBGC_RETURN_IF_ERROR(get(&rounds));
-  auto deficit = GetDouble(in);
-  ODBGC_RETURN_IF_ERROR(deficit.status());
-  auto built = GetBool(in);
-  ODBGC_RETURN_IF_ERROR(built.status());
-
-  auto node_count = GetVarint(in);
-  ODBGC_RETURN_IF_ERROR(node_count.status());
-  std::unordered_map<uint64_t, GenNode> nodes;
-  nodes.reserve(*node_count);
-  for (uint64_t i = 0; i < *node_count; ++i) {
-    uint64_t id = 0;
-    GenNode node;
-    uint64_t size = 0;
-    ODBGC_RETURN_IF_ERROR(get(&id));
-    ODBGC_RETURN_IF_ERROR(get(&node.parent));
-    ODBGC_RETURN_IF_ERROR(get(&size));
-    node.size = static_cast<uint32_t>(size);
-    ODBGC_RETURN_IF_ERROR(get(&node.children[0]));
-    ODBGC_RETURN_IF_ERROR(get(&node.children[1]));
-    auto large = GetBool(in);
-    ODBGC_RETURN_IF_ERROR(large.status());
-    node.large = *large;
-    if (!nodes.emplace(id, node).second) {
-      return Status::Corruption("generator state duplicate node");
-    }
-  }
-
-  auto tree_count = GetVarint(in);
-  ODBGC_RETURN_IF_ERROR(tree_count.status());
-  std::vector<GenTree> trees;
-  trees.reserve(*tree_count);
-  std::unordered_map<uint64_t, size_t> tree_of_node;
-  for (uint64_t t = 0; t < *tree_count; ++t) {
-    GenTree tree;
-    ODBGC_RETURN_IF_ERROR(get(&tree.root));
-    uint64_t pick_count = 0;
-    ODBGC_RETURN_IF_ERROR(get(&pick_count));
-    if (pick_count > *node_count) {
-      return Status::Corruption("generator state pick list too long");
-    }
-    tree.nodes.reserve(pick_count);
-    for (uint64_t i = 0; i < pick_count; ++i) {
-      uint64_t id = 0;
-      ODBGC_RETURN_IF_ERROR(get(&id));
-      if (nodes.find(id) == nodes.end()) {
-        return Status::Corruption("generator state pick list dangling node");
-      }
-      tree.index.emplace(id, tree.nodes.size());
-      tree.nodes.push_back(id);
-      if (!tree_of_node.emplace(id, static_cast<size_t>(t)).second) {
-        return Status::Corruption("generator state node in two trees");
-      }
-    }
-    trees.push_back(std::move(tree));
-  }
-
-  rng_.SetState(rng_state);
-  next_id_ = next_id;
-  allocated_bytes_ = allocated;
-  live_bytes_ = live;
-  rounds_ = rounds;
-  deletion_deficit_ = *deficit;
-  built_ = *built;
-  nodes_ = std::move(nodes);
-  trees_ = std::move(trees);
-  tree_of_node_ = std::move(tree_of_node);
-  return Status::Ok();
 }
 
 }  // namespace odbgc

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <iosfwd>
 #include <unordered_map>
 #include <vector>
 
@@ -63,16 +62,6 @@ class WorkloadGenerator {
   uint64_t rounds_run() const { return rounds_; }
   size_t tree_count() const { return trees_.size(); }
   size_t logical_node_count() const { return nodes_.size(); }
-
-  /// Serializes the complete generator state — Rng stream, logical forest
-  /// (node table plus each tree's pick list *in order*, since picks index
-  /// into it), and progress counters — so a restored generator continues
-  /// the exact event stream the original would have produced.
-  void SaveState(std::ostream& out) const;
-
-  /// Restores state written by SaveState on a generator constructed with
-  /// the same config. Corruption on a malformed stream.
-  Status LoadState(std::istream& in);
 
  private:
   struct GenNode {

@@ -7,17 +7,14 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
-#include "recovery/recover.h"
 #include "sim/runner.h"
 #include "sim/simulator.h"
-#include "storage/disk.h"
 
 namespace odbgc {
 namespace {
@@ -51,14 +48,6 @@ class RecordingObserver : public SimObserver {
         std::to_string(event.live_bytes_copied) + " io=" +
         std::to_string(event.page_reads) + "/" +
         std::to_string(event.page_writes));
-  }
-  void OnCheckpoint(const CheckpointEvent& event) override {
-    sink_->push_back("checkpoint @" + std::to_string(event.round));
-  }
-  void OnFault(const FaultEvent& event) override {
-    sink_->push_back(std::string("fault ") +
-                     (event.is_write ? "write" : "read") + " #" +
-                     std::to_string(event.ordinal));
   }
   void OnPhase(const PhaseEvent& event) override {
     sink_->push_back(std::string("phase ") + event.phase);
@@ -189,51 +178,6 @@ TEST(ObserverTest, RunnerStreamsAreIdenticalAcrossThreadCounts) {
     ASSERT_NE(parallel.find(key), parallel.end()) << key;
     EXPECT_EQ(parallel.at(key), lines) << key;
   }
-}
-
-TEST(ObserverTest, FaultEventsPublishOnInjectedFailures) {
-  std::vector<std::string> lines;
-  RecordingObserver observer(&lines);
-  SimulationConfig config = TinyConfig();
-  config.heap.observer = &observer;
-
-  Simulator simulator(config);
-  FaultPlan plan;
-  plan.fail_after_writes = 1;
-  simulator.heap().mutable_disk().InjectFaults(plan);
-  ASSERT_FALSE(simulator.Run().ok());
-
-  ASSERT_EQ(simulator.heap().mutable_disk().faults_fired(), 1u);
-  bool saw_fault = false;
-  for (const std::string& line : lines) {
-    saw_fault = saw_fault || line == "fault write #1";
-  }
-  EXPECT_TRUE(saw_fault);
-}
-
-TEST(ObserverTest, CheckpointEventsPublishFromTheDurableEngine) {
-  std::vector<std::string> lines;
-  RecordingObserver observer(&lines);
-  SimulationConfig config = TinyConfig();
-  config.heap.observer = &observer;
-  config.wal_dir =
-      ::testing::TempDir() + "odbgc_observer_test/checkpoints";
-  std::filesystem::remove_all(config.wal_dir);
-  config.checkpoint_every_rounds = 25;
-
-  auto result = RunDurableSimulation(config);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-
-  uint64_t last_round = 0;
-  size_t checkpoints = 0;
-  for (const std::string& line : lines) {
-    if (line.rfind("checkpoint @", 0) != 0) continue;
-    const uint64_t round = std::stoull(line.substr(12));
-    EXPECT_GT(round, last_round);  // Strictly increasing rounds.
-    last_round = round;
-    ++checkpoints;
-  }
-  EXPECT_GT(checkpoints, 0u);
 }
 
 }  // namespace

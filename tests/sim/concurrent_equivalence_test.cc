@@ -244,17 +244,5 @@ TEST(ConcurrentSimulatorTest, RejectsZeroThreads) {
   EXPECT_EQ(sim.Run().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(ConcurrentSimulatorTest, RejectsDurabilityKnobs) {
-  SimulationConfig config = SmallConcurrent("Random");
-  config.wal_dir = "/tmp/odbgc-wal";
-  ConcurrentSimulator with_wal(config);
-  EXPECT_EQ(with_wal.Run().code(), StatusCode::kInvalidArgument);
-
-  config.wal_dir.clear();
-  config.checkpoint_every_rounds = 4;
-  ConcurrentSimulator with_checkpoints(config);
-  EXPECT_EQ(with_checkpoints.Run().code(), StatusCode::kInvalidArgument);
-}
-
 }  // namespace
 }  // namespace odbgc

@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -68,6 +67,24 @@ void WriteRaw(const std::string& path, size_t offset,
   ::close(fd);
 }
 
+// Runs `body` with the size of the files this process may write capped at
+// `bytes` (RLIMIT_FSIZE) and SIGXFSZ ignored. Under the cap the kernel
+// makes real write faults: a pwrite at or past it fails with EFBIG and
+// writes nothing, even inside the file's current size; one that crosses
+// it writes only the bytes below it.
+template <typename Body>
+void WithFileSizeLimit(size_t bytes, Body body) {
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+  const auto old_handler = ::signal(SIGXFSZ, SIG_IGN);
+  rlimit limited = saved;
+  limited.rlim_cur = bytes;
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &limited), 0);
+  body();
+  ::setrlimit(RLIMIT_FSIZE, &saved);
+  ::signal(SIGXFSZ, old_handler);
+}
+
 TEST(FileDeviceTest, EmptyPathFailsFast) {
   FileDevice device(kPageSize, nullptr, FileDeviceOptions{});
   EXPECT_EQ(device.status().code(), StatusCode::kInvalidArgument);
@@ -98,7 +115,8 @@ TEST(FileDeviceTest, FreshPagesReadAsZeros) {
 }
 
 // Only a frame that is zero end to end is a fresh page. A written frame
-// whose magic word was zeroed must not read back as a zero page.
+// whose magic word was zeroed must not read back as a zero page. Writing
+// the page again replaces the damaged frame whole.
 TEST(FileDeviceTest, ZeroedMagicOnWrittenFrameIsCorruption) {
   FileDevice device(kPageSize, nullptr, Options("zeroed_magic"));
   ASSERT_TRUE(device.status().ok()) << device.status().ToString();
@@ -114,6 +132,11 @@ TEST(FileDeviceTest, ZeroedMagicOnWrittenFrameIsCorruption) {
   auto buf = Page(0xff);
   EXPECT_EQ(device.ReadPage(0, buf).code(), StatusCode::kCorruption);
   EXPECT_EQ(device.ReadPage(1, buf).code(), StatusCode::kCorruption);
+
+  ASSERT_TRUE(device.WritePage(1, Page(0x99)).ok());
+  ASSERT_TRUE(device.ReadPage(1, buf).ok());
+  EXPECT_EQ(buf, Page(0x99));
+  EXPECT_EQ(device.ReadPage(0, buf).code(), StatusCode::kCorruption);
   ::unlink(device.options().path.c_str());
 }
 
@@ -284,6 +307,37 @@ TEST(FileDeviceTest, WritePagesBatchCountsLikeSingleWrites) {
   ::unlink(device.options().path.c_str());
 }
 
+// A request the device rejects stops a batch where it stands: the pages
+// accepted before it are counted and on disk, `*written` says how many,
+// and nothing after it is submitted.
+TEST(FileDeviceTest, RejectedRequestStopsBatchMidway) {
+  FileDevice device(kPageSize, nullptr, Options("batch_stop"));
+  ASSERT_TRUE(device.status().ok());
+  device.AllocatePages(4);
+
+  std::vector<std::vector<std::byte>> payloads;
+  for (uint8_t i = 0; i < 4; ++i) payloads.push_back(Page(i + 1));
+  // Page 9 is beyond the device's end.
+  const std::vector<PageWriteRequest> batch = {
+      {0, payloads[0]}, {1, payloads[1]}, {9, payloads[2]}, {2, payloads[3]}};
+  size_t written = 0;
+  const Status status =
+      device.WritePages(batch.data(), batch.size(), &written);
+  EXPECT_EQ(status.code(), StatusCode::kOutOfRange) << status.ToString();
+  EXPECT_EQ(written, 2u);
+  EXPECT_EQ(device.stats().page_writes, 2u);
+  EXPECT_EQ(device.MeasuredStats().writes, 2u);
+
+  auto buf = Page(0xff);
+  ASSERT_TRUE(device.ReadPage(0, buf).ok());
+  EXPECT_EQ(buf, payloads[0]);
+  ASSERT_TRUE(device.ReadPage(1, buf).ok());
+  EXPECT_EQ(buf, payloads[1]);
+  ASSERT_TRUE(device.ReadPage(2, buf).ok());  // Never submitted: zeros.
+  EXPECT_EQ(buf, Page(0));
+  ::unlink(device.options().path.c_str());
+}
+
 // A page written several times in one batch keeps its last write, and the
 // file's bytes do not depend on how many executors ran the batch. Each
 // page is written twice in a row, three times over: executors that took
@@ -335,9 +389,7 @@ TEST(FileDeviceTest, DuplicatePageInBatchKeepsLastWrite) {
 }
 
 // A batch whose writes fail reports the first failing request in
-// submission order, whichever executor failed first on the clock. Writes
-// at or past RLIMIT_FSIZE fail with EFBIG (SIGXFSZ ignored), even inside
-// the file's current size.
+// submission order, whichever executor failed first on the clock.
 TEST(FileDeviceTest, FailedBatchReportsFirstFailureInSubmissionOrder) {
   constexpr size_t kPages = 8;
   FileDeviceOptions options = Options("efbig");
@@ -346,28 +398,23 @@ TEST(FileDeviceTest, FailedBatchReportsFirstFailureInSubmissionOrder) {
   ASSERT_TRUE(device.status().ok());
   device.AllocatePages(kPages);
 
-  rlimit saved{};
-  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
-  const auto old_handler = ::signal(SIGXFSZ, SIG_IGN);
-  rlimit limited = saved;
-  limited.rlim_cur = 4 * device.frame_size();  // Frames 4.. fail.
-  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &limited), 0);
-
   const auto payload = Page(0x6b);
   // Failing frames 6, 5 and 7 come after good ones, and before more.
   const PageId order[] = {1, 6, 2, 5, 0, 7, 3};
   std::vector<PageWriteRequest> batch;
   for (const PageId page : order) batch.push_back({page, payload});
   std::vector<Status> statuses;
-  for (int trial = 0; trial < 20; ++trial) {
-    statuses.push_back(device.WritePages(batch.data(), batch.size(), nullptr));
-  }
-  // A lone failing write reports the same way.
-  const Status single = device.WritePage(4, payload);
+  Status single;
+  WithFileSizeLimit(4 * device.frame_size(), [&] {  // Frames 4.. fail.
+    for (int trial = 0; trial < 20; ++trial) {
+      statuses.push_back(
+          device.WritePages(batch.data(), batch.size(), nullptr));
+    }
+    // A lone failing write reports the same way.
+    single = device.WritePage(4, payload);
+  });
 
-  ::setrlimit(RLIMIT_FSIZE, &saved);
-  ::signal(SIGXFSZ, old_handler);
-
+  ASSERT_EQ(statuses.size(), 20u);
   for (const Status& status : statuses) {
     EXPECT_EQ(status.code(), StatusCode::kIoError) << status.ToString();
     EXPECT_NE(status.message().find("pwrite of page 6 "), std::string::npos)
@@ -414,20 +461,24 @@ TEST(FileDeviceTest, TruncatedFileReadsAsCorruption) {
   ::unlink(device.options().path.c_str());
 }
 
+// A write the kernel refuses whole fails cleanly: the page keeps its old
+// bytes and the failed write is not counted.
 TEST(FileDeviceTest, CleanWriteFaultLeavesOldBytes) {
   FileDevice device(kPageSize, nullptr, Options("clean_fault"));
   ASSERT_TRUE(device.status().ok());
   device.AllocatePages(2);
-  ASSERT_TRUE(device.WritePage(0, Page(0x77)).ok());
+  ASSERT_TRUE(device.WritePage(1, Page(0x77)).ok());
+  const uint64_t writes = device.stats().page_writes;
 
-  FaultPlan plan;
-  plan.fail_after_writes = 1;  // Next write fails, cleanly.
-  device.InjectFaults(plan);
-  EXPECT_EQ(device.WritePage(0, Page(0x88)).code(), StatusCode::kIoError);
-  EXPECT_EQ(device.faults_fired(), 1u);
+  Status status;
+  WithFileSizeLimit(device.frame_size(), [&] {  // Frame 1 is past the cap.
+    status = device.WritePage(1, Page(0x88));
+  });
+  EXPECT_EQ(status.code(), StatusCode::kIoError) << status.ToString();
+  EXPECT_EQ(device.stats().page_writes, writes);
 
   auto buf = Page(0);
-  ASSERT_TRUE(device.ReadPage(0, buf).ok());
+  ASSERT_TRUE(device.ReadPage(1, buf).ok());
   EXPECT_EQ(buf, Page(0x77));
   ::unlink(device.options().path.c_str());
 }
@@ -440,15 +491,20 @@ TEST(FileDeviceTest, ShortWriteFaultLeavesDetectableCorruption) {
   device.AllocatePages(2);
   ASSERT_TRUE(device.WritePage(0, Page(0x77)).ok());
 
-  FaultPlan plan;
-  plan.fail_after_writes = 1;
-  plan.write_fault_style = WriteFaultStyle::kShortWrite;
-  device.InjectFaults(plan);
-  EXPECT_EQ(device.WritePage(0, Page(0x88)).code(), StatusCode::kIoError);
-  device.ClearFaults();
+  // The cap falls halfway through frame 0's payload (at byte 512): the
+  // new header and half the new payload land over the old frame.
+  Status status;
+  WithFileSizeLimit(512 + kPageSize / 2, [&] {
+    status = device.WritePage(0, Page(0x88));
+  });
+  EXPECT_EQ(status.code(), StatusCode::kIoError) << status.ToString();
 
   auto buf = Page(0);
-  EXPECT_EQ(device.ReadPage(0, buf).code(), StatusCode::kCorruption);
+  status = device.ReadPage(0, buf);
+  EXPECT_EQ(status.code(), StatusCode::kCorruption);
+  EXPECT_NE(status.message().find("checksum mismatch on page 0 "),
+            std::string::npos)
+      << status.ToString();
   // Untouched pages still read fine.
   ASSERT_TRUE(device.ReadPage(1, buf).ok());
   EXPECT_EQ(buf, Page(0));
@@ -460,15 +516,13 @@ TEST(FileDeviceTest, ShortWriteFaultLeavesDetectableCorruption) {
   ::unlink(device.options().path.c_str());
 }
 
+// The cap falls halfway through the payload of a batch's third frame: that
+// frame is torn and the fourth is refused whole. Only the torn page is
+// damaged, and the batch reports it.
 TEST(FileDeviceTest, TornPageFaultInBatchDamagesOnlyFaultedPage) {
   FileDevice device(kPageSize, nullptr, Options("torn_fault"));
   ASSERT_TRUE(device.status().ok());
   device.AllocatePages(4);
-
-  FaultPlan plan;
-  plan.fail_after_writes = 3;  // Third write of the batch below.
-  plan.write_fault_style = WriteFaultStyle::kTornPage;
-  device.InjectFaults(plan);
 
   std::vector<std::vector<std::byte>> payloads;
   for (uint8_t i = 0; i < 4; ++i) payloads.push_back(Page(i + 1));
@@ -476,19 +530,29 @@ TEST(FileDeviceTest, TornPageFaultInBatchDamagesOnlyFaultedPage) {
   for (size_t i = 0; i < payloads.size(); ++i) {
     batch.push_back({static_cast<PageId>(i), payloads[i]});
   }
-  size_t written = 0;
-  EXPECT_EQ(device.WritePages(batch.data(), batch.size(), &written).code(),
-            StatusCode::kIoError);
-  EXPECT_EQ(written, 2u);  // Pages 0 and 1 landed before the fault.
-  device.ClearFaults();
+  size_t written = batch.size();
+  Status status;
+  WithFileSizeLimit(2 * device.frame_size() + 512 + kPageSize / 2, [&] {
+    status = device.WritePages(batch.data(), batch.size(), &written);
+  });
+  EXPECT_EQ(status.code(), StatusCode::kIoError);
+  EXPECT_NE(status.message().find("pwrite of page 2 "), std::string::npos)
+      << status.ToString();
+  // Which frames of a failed batch landed is not reported: the caller
+  // keeps every page of it dirty.
+  EXPECT_EQ(written, 0u);
 
   auto buf = Page(0);
   ASSERT_TRUE(device.ReadPage(0, buf).ok());
   EXPECT_EQ(buf, payloads[0]);
   ASSERT_TRUE(device.ReadPage(1, buf).ok());
   EXPECT_EQ(buf, payloads[1]);
-  EXPECT_EQ(device.ReadPage(2, buf).code(), StatusCode::kCorruption);
-  ASSERT_TRUE(device.ReadPage(3, buf).ok());  // Never submitted: zeros.
+  status = device.ReadPage(2, buf);
+  EXPECT_EQ(status.code(), StatusCode::kCorruption);
+  EXPECT_NE(status.message().find("checksum mismatch on page 2 "),
+            std::string::npos)
+      << status.ToString();
+  ASSERT_TRUE(device.ReadPage(3, buf).ok());  // Refused whole: zeros.
   EXPECT_EQ(buf, Page(0));
   ::unlink(device.options().path.c_str());
 }
@@ -583,36 +647,6 @@ TEST(FileDeviceTest, ObserverSeesBatchSyncAndReadAheadEvents) {
   EXPECT_EQ(sink.readaheads[0].requested_pages, 2u);
   EXPECT_EQ(sink.readaheads[0].installed_pages, 2u);
   ::unlink(device.options().path.c_str());
-}
-
-TEST(FileDeviceTest, SaveLoadStateRoundTrips) {
-  FileDevice device(kPageSize, nullptr, Options("savestate"));
-  ASSERT_TRUE(device.status().ok());
-  device.AllocatePages(4);
-  ASSERT_TRUE(device.WritePage(2, Page(1)).ok());  // last_accessed = 2.
-
-  std::stringstream state;
-  device.SaveState(state);
-
-  FileDevice restored(kPageSize, nullptr, Options("savestate2"));
-  ASSERT_TRUE(restored.status().ok());
-  restored.AllocatePages(4);
-  ASSERT_TRUE(restored.LoadState(state).ok());
-  // The classification cursor transferred: page 3 immediately follows the
-  // restored cursor, so the first access is sequential.
-  ASSERT_TRUE(restored.WritePage(3, Page(2)).ok());
-  EXPECT_EQ(restored.stats().sequential_transfers, 1u);
-  EXPECT_EQ(restored.stats().random_transfers, 0u);
-
-  // Geometry mismatch is Corruption.
-  std::stringstream state2;
-  device.SaveState(state2);
-  FileDevice wrong(kPageSize, nullptr, Options("savestate3"));
-  wrong.AllocatePages(2);
-  EXPECT_EQ(wrong.LoadState(state2).code(), StatusCode::kCorruption);
-  ::unlink(device.options().path.c_str());
-  ::unlink(restored.options().path.c_str());
-  ::unlink(wrong.options().path.c_str());
 }
 
 TEST(FileDeviceTest, DirectIoRequestOpensOrFallsBack) {

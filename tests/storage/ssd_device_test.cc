@@ -1,6 +1,5 @@
 #include "storage/ssd_device.h"
 
-#include <sstream>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -123,60 +122,6 @@ TEST(SsdDeviceTest, FtlIsDeterministic) {
   EXPECT_EQ(a.gc_page_copies(), b.gc_page_copies());
   EXPECT_EQ(a.stats().page_writes, b.stats().page_writes);
   EXPECT_EQ(a.flash_blocks(), b.flash_blocks());
-}
-
-TEST(SsdDeviceTest, SaveLoadReproducesFutureBehavior) {
-  const SsdCostParams cost = TinyFlash();
-  SsdDevice a(kPageSize, nullptr, cost);
-  a.AllocatePages(8);
-  for (int round = 0; round < 24; ++round) {
-    ASSERT_TRUE(a.WritePage(round % 8, Pattern(3)).ok());
-  }
-
-  std::stringstream state;
-  a.SaveState(state);
-
-  SsdDevice b(kPageSize, nullptr, cost);
-  b.AllocatePages(8);
-  ASSERT_TRUE(b.LoadState(state).ok());
-
-  // From the restored FTL state, the same writes must produce the same
-  // GC work (counters count only the new activity on b).
-  const uint64_t a_erases = a.erases();
-  const uint64_t a_copies = a.gc_page_copies();
-  for (int round = 0; round < 24; ++round) {
-    ASSERT_TRUE(a.WritePage(round % 5, Pattern(4)).ok());
-    ASSERT_TRUE(b.WritePage(round % 5, Pattern(4)).ok());
-  }
-  EXPECT_EQ(a.erases() - a_erases, b.erases());
-  EXPECT_EQ(a.gc_page_copies() - a_copies, b.gc_page_copies());
-}
-
-TEST(SsdDeviceTest, LoadRejectsGeometryMismatch) {
-  SsdDevice a(kPageSize, nullptr, TinyFlash());
-  a.AllocatePages(8);
-  std::stringstream state;
-  a.SaveState(state);
-
-  SsdDevice b(kPageSize, nullptr, TinyFlash());
-  b.AllocatePages(4);  // Different logical size.
-  EXPECT_EQ(b.LoadState(state).code(), StatusCode::kCorruption);
-}
-
-TEST(SsdDeviceTest, ScriptedFaultFiresOnNthWrite) {
-  SsdDevice ssd(kPageSize, nullptr, TinyFlash());
-  ssd.AllocatePages(4);
-  FaultPlan plan;
-  plan.fail_after_writes = 2;
-  ssd.InjectFaults(plan);
-
-  ASSERT_TRUE(ssd.WritePage(0, Pattern(1)).ok());
-  EXPECT_EQ(ssd.WritePage(1, Pattern(1)).code(), StatusCode::kIoError);
-  EXPECT_EQ(ssd.faults_fired(), 1u);
-  // The failed write must not have mutated FTL state or contents.
-  std::vector<std::byte> buf(kPageSize);
-  ASSERT_TRUE(ssd.ReadPage(1, buf).ok());
-  EXPECT_EQ(std::to_integer<uint8_t>(buf[0]), 0u);
 }
 
 }  // namespace

@@ -15,8 +15,8 @@ namespace odbgc {
 namespace {
 
 // The byte-at-a-time table loop the library used before its slicing
-// kernel: the kernel must return exactly these values, so every frame,
-// WAL record, checkpoint and digest keeps its bytes.
+// kernel: the kernel must return exactly these values, so every frame
+// and digest keeps its bytes.
 uint32_t ReferenceCrc32(const unsigned char* data, size_t size,
                         uint32_t seed) {
   static const std::array<uint32_t, 256> table = [] {

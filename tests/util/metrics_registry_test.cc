@@ -1,7 +1,5 @@
 #include "util/metrics_registry.h"
 
-#include <sstream>
-
 #include <gtest/gtest.h>
 
 namespace odbgc {
@@ -64,53 +62,6 @@ TEST(MetricsRegistryTest, ResetCountersKeepsHandles) {
   EXPECT_EQ(registry.size(), 1u);
   c->Add(MetricPhase::kCollector, 1);
   EXPECT_EQ(registry.Find("io")->total(), 1u);
-}
-
-TEST(MetricsRegistryTest, SaveLoadRoundTrip) {
-  MetricsRegistry registry;
-  registry.Register("buffer.hits")->Add(MetricPhase::kApplication, 10);
-  registry.Register("buffer.hits")->Add(MetricPhase::kCollector, 4);
-  registry.Register("device.page_reads")->Add(MetricPhase::kCollector, 7);
-
-  std::stringstream stream;
-  registry.Save(stream);
-
-  MetricsRegistry restored;
-  ASSERT_TRUE(restored.Load(stream).ok());
-  ASSERT_NE(restored.Find("buffer.hits"), nullptr);
-  EXPECT_EQ(restored.Find("buffer.hits")->value(MetricPhase::kApplication),
-            10u);
-  EXPECT_EQ(restored.Find("buffer.hits")->value(MetricPhase::kCollector), 4u);
-  EXPECT_EQ(restored.Find("device.page_reads")->total(), 7u);
-}
-
-TEST(MetricsRegistryTest, LoadZeroesCountersAbsentFromStream) {
-  MetricsRegistry source;
-  source.Register("a")->Add(MetricPhase::kApplication, 1);
-  std::stringstream stream;
-  source.Save(stream);
-
-  // The destination has an extra counter with live state; after Load it
-  // must reflect exactly the checkpointed registry (extra counter zeroed).
-  MetricsRegistry dest;
-  MetricCounter* extra = dest.Register("extra");
-  extra->Add(MetricPhase::kCollector, 99);
-  ASSERT_TRUE(dest.Load(stream).ok());
-  EXPECT_EQ(dest.Find("a")->total(), 1u);
-  EXPECT_EQ(extra->total(), 0u);
-}
-
-TEST(MetricsRegistryTest, LoadRejectsTruncatedStream) {
-  MetricsRegistry source;
-  source.Register("counter")->Add(MetricPhase::kApplication, 1);
-  std::stringstream stream;
-  source.Save(stream);
-  std::string bytes = stream.str();
-  bytes.resize(bytes.size() / 2);
-
-  std::stringstream truncated(bytes);
-  MetricsRegistry dest;
-  EXPECT_FALSE(dest.Load(truncated).ok());
 }
 
 TEST(MergeMetricSamplesTest, SumsByNameAcrossParts) {
