@@ -19,74 +19,82 @@ Simulator::Simulator(const SimulationConfig& config) : config_(config) {
     observer->OnRunStarted(event);
   }
   next_snapshot_ = config_.snapshot_interval;
-  // Pre-size the logical-id map for the whole run (one entry per Alloc)
-  // so replay never pays an incremental rehash.
-  id_map_.reserve(config_.workload.ExpectedObjectCount());
+  // Pre-size the dense id table for the whole run (one entry per Alloc).
+  dense_ids_.reserve(config_.workload.ExpectedObjectCount());
+}
+
+Result<ObjectId> Simulator::Resolve(uint64_t logical) const {
+  if (logical == 0) return kNullObjectId;
+  if (logical <= dense_ids_.size()) return dense_ids_[logical - 1];
+  auto it = sparse_ids_.find(logical);
+  if (it == sparse_ids_.end()) {
+    return Status::NotFound("trace references unknown object " +
+                            std::to_string(logical));
+  }
+  return it->second;
 }
 
 Status Simulator::Append(const TraceEvent& event) {
   ScopedWallTimer apply_timer(heap_->options().profile_hot_paths
                                   ? heap_->wall_timers()->trace_apply
                                   : nullptr);
-  auto resolve = [this](uint64_t logical) -> Result<ObjectId> {
-    if (logical == 0) return kNullObjectId;
-    auto it = id_map_.find(logical);
-    if (it == id_map_.end()) {
-      return Status::NotFound("trace references unknown object " +
-                              std::to_string(logical));
-    }
-    return it->second;
-  };
-
   switch (event.kind) {
     case EventKind::kAlloc: {
-      auto parent = resolve(event.parent_hint);
+      const uint64_t logical = event.object;
+      const bool in_sequence = logical == dense_ids_.size() + 1;
+      if ((logical != 0 && logical <= dense_ids_.size()) ||
+          sparse_ids_.count(logical) != 0) {
+        return Status::Corruption("trace allocates duplicate object id " +
+                                  std::to_string(logical));
+      }
+      auto parent = Resolve(event.parent_hint);
       // A stale placement hint is tolerable (the referent may have been
       // deleted in a foreign trace); fall back to no hint.
       const ObjectId hint = parent.ok() ? *parent : kNullObjectId;
       auto id = heap_->Allocate(event.size, event.num_slots, hint,
                                 event.flags);
       ODBGC_RETURN_IF_ERROR(id.status());
-      if (!id_map_.emplace(event.object, *id).second) {
-        return Status::Corruption("trace allocates duplicate object id " +
-                                  std::to_string(event.object));
+      if (in_sequence) {
+        dense_ids_.push_back(*id);
+      } else {
+        sparse_ids_.emplace(logical, *id);
       }
       break;
     }
     case EventKind::kWriteSlot: {
-      auto source = resolve(event.object);
+      auto source = Resolve(event.object);
       ODBGC_RETURN_IF_ERROR(source.status());
-      auto target = resolve(event.target);
+      auto target = Resolve(event.target);
       ODBGC_RETURN_IF_ERROR(target.status());
       ODBGC_RETURN_IF_ERROR(heap_->WriteSlot(*source, event.slot, *target));
       break;
     }
     case EventKind::kReadSlot: {
-      auto source = resolve(event.object);
+      auto source = Resolve(event.object);
       ODBGC_RETURN_IF_ERROR(source.status());
       ODBGC_RETURN_IF_ERROR(heap_->ReadSlot(*source, event.slot).status());
       break;
     }
     case EventKind::kVisit: {
-      auto object = resolve(event.object);
+      auto object = Resolve(event.object);
       ODBGC_RETURN_IF_ERROR(object.status());
       ODBGC_RETURN_IF_ERROR(heap_->VisitObject(*object));
       break;
     }
     case EventKind::kWriteData: {
-      auto object = resolve(event.object);
+      auto object = Resolve(event.object);
       ODBGC_RETURN_IF_ERROR(object.status());
       ODBGC_RETURN_IF_ERROR(heap_->WriteData(*object));
       break;
     }
     case EventKind::kAddRoot: {
-      auto object = resolve(event.object);
+      auto object = Resolve(event.object);
       ODBGC_RETURN_IF_ERROR(object.status());
       ODBGC_RETURN_IF_ERROR(heap_->AddRoot(*object));
       break;
     }
     case EventKind::kRemoveRoot: {
-      auto object = resolve(event.object);
+      auto object = Resolve(event.object);
       ODBGC_RETURN_IF_ERROR(object.status());
       ODBGC_RETURN_IF_ERROR(heap_->RemoveRoot(*object));
       break;

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
+#include <vector>
 
 #include "core/heap.h"
 #include "sim/config.h"
@@ -25,7 +26,8 @@ class Simulator : public TraceSink {
   explicit Simulator(const SimulationConfig& config);
 
   /// Applies one application event. Logical ids in the trace are mapped to
-  /// store ObjectIds on first sight (at their Alloc).
+  /// store ObjectIds on first sight (at their Alloc); see TraceEvent for
+  /// which ids take the dense table and which the hash map.
   Status Append(const TraceEvent& event) override;
 
   /// Convenience: generates the configured workload (seeded from the
@@ -48,12 +50,21 @@ class Simulator : public TraceSink {
  private:
   void MaybeSnapshot();
 
+  // The store id of logical id `logical`: null for 0, NotFound if no
+  // Alloc introduced it.
+  Result<ObjectId> Resolve(uint64_t logical) const;
+
   // Runs a census into census_scratch_ and refreshes the cache fields.
   void RunCensus();
 
   SimulationConfig config_;
   std::unique_ptr<CollectedHeap> heap_;
-  std::unordered_map<uint64_t, ObjectId> id_map_;
+  // Logical id -> store id. dense_ids_[i] holds logical id i + 1: an Alloc
+  // whose id is the next in sequence (1, 2, 3, ..., as the generators issue
+  // them) is appended there. Any other id, and only such an id, goes to
+  // sparse_ids_. No id is in both.
+  std::vector<ObjectId> dense_ids_;
+  std::unordered_map<uint64_t, ObjectId> sparse_ids_;
   uint64_t events_ = 0;
   uint64_t next_snapshot_ = 0;
   TimeSeries unreclaimed_garbage_kb_{"unreclaimed_garbage_kb"};

@@ -29,9 +29,19 @@ enum class EventKind : uint8_t {
 /// Human-readable kind name ("Alloc", "WriteSlot", ...).
 const char* EventKindName(EventKind kind);
 
-/// One application event. Object identity in a trace is the generator's
-/// logical numbering (1-based, dense); the simulator maps logical ids to
-/// store ObjectIds at replay time.
+/// One application event. Object identity in a trace is a logical id that
+/// the object's kAlloc introduces and no later kAlloc may reuse; 0 in a
+/// reference field means null. The simulator maps logical ids to store
+/// ObjectIds at replay time.
+///
+/// Logical-id contract: both generators issue ids 1, 2, 3, ... in
+/// allocation order, and the simulator keeps ids that arrive in that
+/// sequence in a vector indexed by id. Any other id (sparse, out of order
+/// or as large as UINT64_MAX, as a foreign trace file may hold) is still
+/// accepted: it goes to a hash map, so memory never grows with an id's
+/// value. A repeated kAlloc id is Corruption, and an `object` or `target`
+/// that no kAlloc introduced is NotFound, whichever table it would fall in
+/// (an unknown `parent_hint` only drops the placement hint).
 struct TraceEvent {
   EventKind kind = EventKind::kVisit;
   uint64_t object = 0;       ///< Subject of the event (alloc: the new id).

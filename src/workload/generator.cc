@@ -9,7 +9,7 @@ namespace odbgc {
 
 WorkloadGenerator::WorkloadGenerator(const WorkloadConfig& config,
                                      uint64_t seed)
-    : config_(config), rng_(seed) {}
+    : config_(config), rng_(seed), nodes_(1) {}
 
 Status WorkloadGenerator::Generate(TraceSink* sink) {
   ODBGC_RETURN_IF_ERROR(config_.Validate());
@@ -78,7 +78,7 @@ Result<uint64_t> WorkloadGenerator::CreateNode(TraceSink* sink, GenTree* tree,
             : static_cast<uint32_t>(rng_.UniformRange(
                   config_.min_object_size, config_.max_object_size));
   const uint32_t num_slots = large ? 0 : config_.slots_per_object;
-  const uint64_t id = next_id_++;
+  const uint64_t id = nodes_.size();
 
   ODBGC_RETURN_IF_ERROR(sink->Append(
       TraceEvent::Alloc(id, size, num_slots, parent, large ? 1 : 0)));
@@ -88,9 +88,12 @@ Result<uint64_t> WorkloadGenerator::CreateNode(TraceSink* sink, GenTree* tree,
   GenNode node;
   node.parent = parent;
   node.size = size;
+  node.pick_slot = static_cast<uint32_t>(tree->nodes.size());
   node.large = large;
-  nodes_.emplace(id, node);
-  AddToTree(tree, id);
+  node.live = true;
+  nodes_.push_back(node);
+  ++live_nodes_;
+  tree->nodes.push_back(id);
 
   // Dense edge: slot 2 points at a pre-existing node of this tree —
   // usually a recently created one (clustered connectivity), sometimes a
@@ -148,7 +151,7 @@ Status WorkloadGenerator::GrowSubtree(TraceSink* sink, GenTree* tree,
   for (int attempt = 0; attempt < 64 && attach == 0; ++attempt) {
     const uint64_t candidate =
         tree->nodes[rng_.UniformInt(tree->nodes.size())];
-    const GenNode& node = nodes_.at(candidate);
+    const GenNode& node = nodes_[candidate];
     if (!node.large && (node.children[0] == 0 || node.children[1] == 0)) {
       attach = candidate;
     }
@@ -161,7 +164,7 @@ Status WorkloadGenerator::GrowSubtree(TraceSink* sink, GenTree* tree,
     const uint64_t parent = frontier.front();
     frontier.pop_front();
     for (uint32_t slot = 0; slot < 2 && created < node_count; ++slot) {
-      if (nodes_.at(parent).children[slot] != 0) continue;
+      if (nodes_[parent].children[slot] != 0) continue;
       auto child = CreateNode(sink, tree, parent, /*allow_large=*/true);
       ODBGC_RETURN_IF_ERROR(child.status());
       nodes_[parent].children[slot] = *child;
@@ -175,12 +178,12 @@ Status WorkloadGenerator::GrowSubtree(TraceSink* sink, GenTree* tree,
 }
 
 Result<bool> WorkloadGenerator::DeleteRandomEdge(TraceSink* sink) {
-  if (nodes_.empty()) return false;
+  if (live_nodes_ == 0) return false;
 
   // Uniform over tree edges = uniform over non-root nodes: pick a tree
   // weighted by node count, then a node within it, rejecting roots.
   for (int attempt = 0; attempt < 32; ++attempt) {
-    uint64_t pick = rng_.UniformInt(nodes_.size());
+    uint64_t pick = rng_.UniformInt(live_nodes_);
     size_t tree_index = kNoTree;
     for (size_t t = 0; t < trees_.size(); ++t) {
       if (pick < trees_[t].nodes.size()) {
@@ -192,15 +195,15 @@ Result<bool> WorkloadGenerator::DeleteRandomEdge(TraceSink* sink) {
     if (tree_index == kNoTree) continue;
     GenTree& tree = trees_[tree_index];
     const uint64_t victim = tree.nodes[pick];
-    const GenNode& node = nodes_.at(victim);
-    if (node.parent == 0) continue;  // Tree root: no in-edge to delete.
+    const uint64_t parent_id = nodes_[victim].parent;
+    if (parent_id == 0) continue;  // Tree root: no in-edge to delete.
 
-    const GenNode& parent = nodes_.at(node.parent);
+    GenNode& parent = nodes_[parent_id];
     const uint32_t slot = parent.children[0] == victim ? 0 : 1;
     assert(parent.children[slot] == victim);
     ODBGC_RETURN_IF_ERROR(
-        sink->Append(TraceEvent::WriteSlot(node.parent, slot, 0)));
-    nodes_[node.parent].children[slot] = 0;
+        sink->Append(TraceEvent::WriteSlot(parent_id, slot, 0)));
+    parent.children[slot] = 0;
     DetachSubtree(&tree, victim);
     return true;
   }
@@ -208,22 +211,19 @@ Result<bool> WorkloadGenerator::DeleteRandomEdge(TraceSink* sink) {
 }
 
 void WorkloadGenerator::DetachSubtree(GenTree* tree, uint64_t node) {
+  // Breadth-first; each node leaves the pick list as it is dequeued.
   std::deque<uint64_t> queue{node};
-  std::vector<uint64_t> doomed;
   while (!queue.empty()) {
     const uint64_t id = queue.front();
     queue.pop_front();
-    doomed.push_back(id);
-    const GenNode& n = nodes_.at(id);
+    GenNode& n = nodes_[id];
     for (uint64_t child : n.children) {
       if (child != 0) queue.push_back(child);
     }
-  }
-  for (uint64_t id : doomed) {
-    live_bytes_ -= nodes_.at(id).size;
+    live_bytes_ -= n.size;
+    n.live = false;
+    --live_nodes_;
     RemoveFromTree(tree, id);
-    tree_of_node_.erase(id);
-    nodes_.erase(id);
   }
 }
 
@@ -241,7 +241,7 @@ Status WorkloadGenerator::Traverse(TraceSink* sink) {
   const size_t t = PickTree();
   if (t == kNoTree) return Status::Ok();
   const GenTree& tree = trees_[t];
-  if (tree.root == 0 || nodes_.count(tree.root) == 0) return Status::Ok();
+  if (tree.root == 0 || !nodes_[tree.root].live) return Status::Ok();
 
   std::deque<uint64_t> work{tree.root};
   while (!work.empty()) {
@@ -257,7 +257,7 @@ Status WorkloadGenerator::Traverse(TraceSink* sink) {
     if (rng_.Bernoulli(config_.visit_modify_prob)) {
       ODBGC_RETURN_IF_ERROR(sink->Append(TraceEvent::WriteData(id)));
     }
-    const GenNode& node = nodes_.at(id);
+    const GenNode& node = nodes_[id];
     if (node.large) continue;
     for (uint32_t slot = 0; slot < 2; ++slot) {
       const uint64_t child = node.children[slot];
@@ -270,26 +270,13 @@ Status WorkloadGenerator::Traverse(TraceSink* sink) {
   return Status::Ok();
 }
 
-void WorkloadGenerator::AddToTree(GenTree* tree, uint64_t id) {
-  tree->index.emplace(id, tree->nodes.size());
-  tree->nodes.push_back(id);
-  tree_of_node_.emplace(id, static_cast<size_t>(tree - trees_.data()));
-}
-
 void WorkloadGenerator::RemoveFromTree(GenTree* tree, uint64_t id) {
-  auto it = tree->index.find(id);
-  if (it == tree->index.end()) return;
-  const size_t pos = it->second;
+  const uint32_t pos = nodes_[id].pick_slot;
+  assert(tree->nodes[pos] == id);
   const uint64_t last = tree->nodes.back();
   tree->nodes[pos] = last;
-  tree->index[last] = pos;
+  nodes_[last].pick_slot = pos;
   tree->nodes.pop_back();
-  tree->index.erase(it);
-}
-
-WorkloadGenerator::GenTree* WorkloadGenerator::TreeOf(uint64_t node) {
-  auto it = tree_of_node_.find(node);
-  return it == tree_of_node_.end() ? nullptr : &trees_[it->second];
 }
 
 size_t WorkloadGenerator::PickTree() {

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <unordered_map>
 #include <vector>
 
 #include "trace/event.h"
@@ -61,23 +60,26 @@ class WorkloadGenerator {
   uint64_t logical_live_bytes() const { return live_bytes_; }
   uint64_t rounds_run() const { return rounds_; }
   size_t tree_count() const { return trees_.size(); }
-  size_t logical_node_count() const { return nodes_.size(); }
+  /// Nodes still attached to a tree.
+  size_t logical_node_count() const { return live_nodes_; }
 
  private:
   struct GenNode {
     uint64_t parent = 0;  // 0 for tree roots.
-    uint32_t size = 0;
     uint64_t children[2] = {0, 0};
+    uint32_t size = 0;
+    uint32_t pick_slot = 0;  // Index in its tree's pick list while live.
     bool large = false;
+    bool live = false;  // False once detached (and for the id-0 sentinel).
   };
   struct GenTree {
     uint64_t root = 0;
-    std::vector<uint64_t> nodes;                 // Pick list (live nodes).
-    std::unordered_map<uint64_t, size_t> index;  // Node -> pick-list slot.
+    std::vector<uint64_t> nodes;  // Pick list (live nodes).
   };
 
   // Creates one node (emitting Alloc) in `tree`, possibly large (only when
-  // allowed), registers it, maybe adds a dense edge. Returns its id.
+  // allowed), registers it, maybe adds a dense edge. Returns its id. The
+  // push may reallocate nodes_, so no caller holds a GenNode& across it.
   Result<uint64_t> CreateNode(TraceSink* sink, GenTree* tree, uint64_t parent,
                               bool allow_large);
 
@@ -98,9 +100,7 @@ class WorkloadGenerator {
   // Removes `node` and its logical subtree from tracking.
   void DetachSubtree(GenTree* tree, uint64_t node);
 
-  void AddToTree(GenTree* tree, uint64_t id);
   void RemoveFromTree(GenTree* tree, uint64_t id);
-  GenTree* TreeOf(uint64_t root_or_any);  // By containing tree lookup.
 
   // Picks a tree index; kInvalid if none.
   static constexpr size_t kNoTree = static_cast<size_t>(-1);
@@ -108,10 +108,12 @@ class WorkloadGenerator {
 
   const WorkloadConfig config_;
   Rng rng_;
-  std::unordered_map<uint64_t, GenNode> nodes_;
-  std::unordered_map<uint64_t, size_t> tree_of_node_;
+  // Every node ever created, indexed by its logical id: ids are issued
+  // 1, 2, 3, ... and never reused, so the next id is nodes_.size().
+  // nodes_[0] is a dead sentinel.
+  std::vector<GenNode> nodes_;
+  size_t live_nodes_ = 0;
   std::vector<GenTree> trees_;
-  uint64_t next_id_ = 1;
   uint64_t allocated_bytes_ = 0;
   uint64_t live_bytes_ = 0;
   uint64_t rounds_ = 0;

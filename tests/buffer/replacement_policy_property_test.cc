@@ -5,6 +5,9 @@
 // the same state and make identical decisions.
 
 #include <algorithm>
+#include <cstddef>
+#include <cstring>
+#include <ostream>
 #include <set>
 #include <string>
 #include <vector>
@@ -28,6 +31,22 @@ struct Params {
   size_t frames;
   uint64_t seed;
 };
+
+// gtest writes each case's parameter into its ctest name, by default as the
+// struct's raw bytes, the seven padding bytes after `kind` included. Print
+// the same dump from a zeroed copy, so stack contents never change the name.
+void PrintTo(const Params& params, std::ostream* os) {
+  struct {
+    unsigned char bytes[sizeof(Params)];
+  } copy{};
+  std::memcpy(copy.bytes + offsetof(Params, kind), &params.kind,
+              sizeof params.kind);
+  std::memcpy(copy.bytes + offsetof(Params, frames), &params.frames,
+              sizeof params.frames);
+  std::memcpy(copy.bytes + offsetof(Params, seed), &params.seed,
+              sizeof params.seed);
+  *os << ::testing::PrintToString(copy);
+}
 
 std::string ParamName(const ::testing::TestParamInfo<Params>& info) {
   return std::string(ReplacementPolicyName(info.param.kind)) + "_frames" +

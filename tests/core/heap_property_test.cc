@@ -4,7 +4,10 @@
 // state matches the serialized pages, the inter-partition index is exactly
 // the set of inter-partition pointers, and physical layouts never overlap.
 
+#include <cstddef>
+#include <cstring>
 #include <map>
+#include <ostream>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -38,6 +41,20 @@ struct Params {
   PolicyKind policy;
   uint64_t seed;
 };
+
+// gtest writes each case's parameter into its ctest name, by default as the
+// struct's raw bytes, padding after `policy` included. Print the same dump
+// from a zeroed copy, so stack contents never change the name.
+void PrintTo(const Params& params, std::ostream* os) {
+  struct {
+    unsigned char bytes[sizeof(Params)];
+  } copy{};
+  std::memcpy(copy.bytes + offsetof(Params, policy), &params.policy,
+              sizeof params.policy);
+  std::memcpy(copy.bytes + offsetof(Params, seed), &params.seed,
+              sizeof params.seed);
+  *os << ::testing::PrintToString(copy);
+}
 
 class HeapPropertyTest : public ::testing::TestWithParam<Params> {};
 

@@ -9,7 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstring>
 #include <memory>
+#include <ostream>
 #include <sstream>
 #include <string>
 
@@ -128,15 +131,28 @@ std::string StateBytes(const PartialRun& run) {
   return out.str();
 }
 
-// gtest prints this struct's raw bytes into each case's test name. The
-// enums lead so that those names start with fixed bytes; the padding and
-// the string pointers after them change from run to run (ASLR).
 struct DenseLayoutParams {
   PolicyKind policy;
   ReplacementPolicyKind replacement;
   const char* name;
   const char* policy_name;
 };
+
+// gtest writes each case's parameter into its ctest name, by default as the
+// struct's raw bytes: the padding after the enums and the string pointers,
+// which ASLR moves, included. Print the same dump from a copy that keeps
+// only the two enums and zeroes the rest; `name` is already the case's
+// suffix.
+void PrintTo(const DenseLayoutParams& params, std::ostream* os) {
+  struct {
+    unsigned char bytes[sizeof(DenseLayoutParams)];
+  } copy{};
+  std::memcpy(copy.bytes + offsetof(DenseLayoutParams, policy),
+              &params.policy, sizeof params.policy);
+  std::memcpy(copy.bytes + offsetof(DenseLayoutParams, replacement),
+              &params.replacement, sizeof params.replacement);
+  *os << ::testing::PrintToString(copy);
+}
 
 class DenseLayoutRoundTrip
     : public ::testing::TestWithParam<DenseLayoutParams> {};

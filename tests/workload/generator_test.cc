@@ -2,10 +2,13 @@
 
 #include <map>
 #include <set>
+#include <sstream>
 
 #include <gtest/gtest.h>
 
+#include "sim/config.h"
 #include "trace/trace_stats.h"
+#include "util/crc32.h"
 
 namespace odbgc {
 namespace {
@@ -214,6 +217,56 @@ TEST(GeneratorTest, IncrementalApiMatchesGenerate) {
     ASSERT_TRUE(b.RunRound(&stepped).ok());
   }
   ASSERT_EQ(whole.events().size(), stepped.events().size());
+}
+
+// Folds every event's wire bytes (WriteEventBody) into one CRC-32: the
+// CRC of the whole stream as a trace file body would hold it.
+class Crc32Sink : public TraceSink {
+ public:
+  Status Append(const TraceEvent& event) override {
+    bytes_.str(std::string());
+    ODBGC_RETURN_IF_ERROR(WriteEventBody(bytes_, event));
+    crc_ = Crc32(bytes_.str(), crc_);
+    ++events_;
+    return Status::Ok();
+  }
+  uint32_t crc() const { return crc_; }
+  uint64_t events() const { return events_; }
+
+ private:
+  std::ostringstream bytes_;
+  uint32_t crc_ = 0;
+  uint64_t events_ = 0;
+};
+
+// The streams below are pinned to values recorded from the generator
+// before its node table became a vector indexed by id. Any change to what
+// the generator emits, however small, fails here.
+
+TEST(GeneratorTest, PaperBaseStreamIsPinned) {
+  const WorkloadConfig config =
+      PaperBaseConfig().workload.WithTotalAllocation(1ull << 20);
+  WorkloadGenerator generator(config, 1);
+  Crc32Sink sink;
+  ASSERT_TRUE(generator.Generate(&sink).ok());
+  EXPECT_EQ(sink.crc(), 0x1d257b5fu);
+  EXPECT_EQ(sink.events(), 267878u);
+  EXPECT_EQ(generator.logical_node_count(), 2813u);
+}
+
+// perfbench's file_write_heavy stream: 5 MB allocated, write-heavy visits,
+// denser edges.
+TEST(GeneratorTest, FileWriteHeavyStreamIsPinned) {
+  WorkloadConfig config =
+      PaperBaseConfig().workload.WithTotalAllocation(5ull << 20);
+  config.visit_modify_prob = 0.20;
+  config.dense_edge_prob = 0.167;
+  WorkloadGenerator generator(config, 1);
+  Crc32Sink sink;
+  ASSERT_TRUE(generator.Generate(&sink).ok());
+  EXPECT_EQ(sink.crc(), 0x48ed2f9bu);
+  EXPECT_EQ(sink.events(), 1994878u);
+  EXPECT_EQ(generator.logical_node_count(), 21592u);
 }
 
 }  // namespace
