@@ -20,8 +20,10 @@
 //                  objects only (~15K residents each) with a low
 //                  overwrite trigger — frequent collections that each
 //                  evacuate thousands of objects, so the collector's
-//                  per-object cost dominates; a roster removal that is
-//                  not O(log n) makes each collection quadratic
+//                  per-object cost dominates; a search per evacuated
+//                  object (in the roster or the remembered-set index)
+//                  shows here first, and one that is not O(1) or
+//                  O(log n) makes each collection quadratic
 //   checksum_8k    Crc32 over 8 KB pages (its events are pages) — the
 //                  cost the file device pays to seal and check each page
 //                  frame; the table loop runs it several times slower

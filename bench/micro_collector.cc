@@ -51,7 +51,7 @@ int main() {
     // Cold-start the collection: flush and drop everything buffered.
     (void)heap.mutable_buffer().FlushAll();
     heap.mutable_buffer().DiscardExtent(
-        PageExtent{0, heap.disk().num_pages()});
+        PageExtent{0, heap.device().num_pages()});
 
     auto result = heap.CollectPartition(0);
     if (!result.ok()) bench::Fail(result.status(), "collect");

@@ -42,7 +42,7 @@ void BM_RememberedSetLookupTargets(benchmark::State& state) {
   }
   for (auto _ : state) {
     const PartitionId p = static_cast<PartitionId>(rng.UniformInt(16));
-    benchmark::DoNotOptimize(index.ExternalTargetsInPartition(p));
+    benchmark::DoNotOptimize(index.ExternalTargets(p));
   }
   state.SetItemsProcessed(state.iterations());
 }

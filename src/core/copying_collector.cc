@@ -29,6 +29,91 @@ void CopyingCollector::BeginCopyEpoch() {
   if (copied_stamp_.size() < limit) copied_stamp_.resize(limit, 0);
 }
 
+Status CopyingCollector::Evacuate(PartitionId victim, PartitionId target,
+                                  const std::vector<ObjectId>& extra_roots,
+                                  CollectionResult* result) {
+  // "Copied" marks are epoch stamps over the dense id space (no per-
+  // collection set allocation; collection never issues new ids, so the
+  // stamp array cannot need growing mid-traversal).
+  BeginCopyEpoch();
+  const auto is_copied = [&](ObjectId id) {
+    return copied_stamp_[id.value] == copy_epoch_;
+  };
+
+  // Copies everything in the victim reachable from `root`, if the root
+  // lies there, into the target partition, charging read+write I/O.
+  // Objects are copied when dequeued, so the physical order in the copy
+  // target is the traversal order: FIFO gives the paper's breadth-first
+  // layout (Cheney-style — children are found in the already-copied
+  // parent image, so scanning costs no extra I/O), LIFO gives the
+  // depth-first ablation. The worklist is a reused vector: BFS consumes
+  // it through a head cursor, DFS off the back.
+  const auto copy_from = [&](ObjectId root) -> Status {
+    if (store_->PartitionOf(root) != victim) return Status::Ok();
+    work_.clear();
+    size_t head = 0;
+    work_.push_back(root);
+    while (order_ == TraversalOrder::kBreadthFirst ? head < work_.size()
+                                                   : !work_.empty()) {
+      ObjectId id;
+      if (order_ == TraversalOrder::kBreadthFirst) {
+        id = work_[head++];
+      } else {
+        id = work_.back();
+        work_.pop_back();
+      }
+      if (is_copied(id)) continue;
+      copied_stamp_[id.value] = copy_epoch_;
+      const ObjectStore::ObjectInfo* obj = store_->Lookup(id);
+      assert(obj != nullptr && obj->partition == victim);
+      result->live_bytes_copied += obj->size;
+      ++result->live_objects_copied;
+      ODBGC_RETURN_IF_ERROR(store_->RelocateObject(id, target));
+
+      auto enqueue = [&](ObjectId child) {
+        if (child.is_null() || is_copied(child)) return;
+        // Pointers leaving the collected partition are not traversed.
+        if (store_->PartitionOf(child) == victim) work_.push_back(child);
+      };
+      if (order_ == TraversalOrder::kBreadthFirst) {
+        for (ObjectId child : obj->slots) enqueue(child);
+      } else {
+        // Reverse slot order so slot 0 is visited first off the stack.
+        for (auto it = obj->slots.rbegin(); it != obj->slots.rend(); ++it) {
+          enqueue(*it);
+        }
+      }
+    }
+    return Status::Ok();
+  };
+
+  // Roots one at a time, as the paper describes ("iterating over the
+  // roots one at a time"): database roots in the victim first, then the
+  // extra roots, then remembered-set targets. The index's span is read
+  // live: nothing re-buckets it until the evacuation is over.
+  for (ObjectId root : store_->roots()) ODBGC_RETURN_IF_ERROR(copy_from(root));
+  for (ObjectId extra : extra_roots) ODBGC_RETURN_IF_ERROR(copy_from(extra));
+  for (ObjectId external : index_->ExternalTargets(victim)) {
+    ODBGC_RETURN_IF_ERROR(copy_from(external));
+  }
+
+  // Everything still resident in the victim is garbage. One read of the
+  // roster in physical (offset) order keeps this deterministic; the
+  // survivors' entries are the ones stamped as copied.
+  for (const auto& [offset, id] :
+       store_->partition(victim).objects_by_offset()) {
+    if (is_copied(id)) continue;
+    const ObjectStore::ObjectInfo* info = store_->Lookup(id);
+    assert(info != nullptr && info->partition == victim &&
+           info->offset == offset);
+    result->garbage_bytes_reclaimed += info->size;
+    ++result->garbage_objects_reclaimed;
+    if (weights_ != nullptr) weights_->OnObjectDied(id);
+    ODBGC_RETURN_IF_ERROR(store_->DropObject(id));
+  }
+  return Status::Ok();
+}
+
 Result<CollectionResult> CopyingCollector::Collect(
     PartitionId victim, const std::vector<ObjectId>& extra_roots) {
   if (victim >= store_->partition_count()) {
@@ -55,112 +140,17 @@ Result<CollectionResult> CopyingCollector::Collect(
   result.collected = victim;
   result.copy_target = target;
 
-  // "Copied" marks are epoch stamps over the dense id space (no per-
-  // collection set allocation; collection never issues new ids, so the
-  // stamp array cannot need growing mid-traversal).
-  BeginCopyEpoch();
-  const auto is_copied = [&](ObjectId id) {
-    return copied_stamp_[id.value] == copy_epoch_;
-  };
-
-  // Copies `id` into the target partition, charging read+write I/O.
-  auto copy_object = [&](ObjectId id) -> Status {
-    const ObjectStore::ObjectInfo* info = store_->Lookup(id);
-    assert(info != nullptr && info->partition == victim);
-    result.live_bytes_copied += info->size;
-    ++result.live_objects_copied;
-    ODBGC_RETURN_IF_ERROR(store_->RelocateObject(id, target));
-    index_->OnObjectMoved(id, victim, target);
-    return Status::Ok();
-  };
-
-  // Roots one at a time, as the paper describes ("iterating over the
-  // roots one at a time"): database roots in the victim first, then
-  // remembered-set targets (snapshot — copying re-buckets entries, so the
-  // index's zero-copy span cannot be iterated live).
-  roots_.clear();
-  for (ObjectId root : store_->roots()) {
-    const ObjectStore::ObjectInfo* info = store_->Lookup(root);
-    if (info != nullptr && info->partition == victim) {
-      roots_.push_back(root);
-    }
+  const Status evacuated = Evacuate(victim, target, extra_roots, &result);
+  // One pass over the victim's index members, not its residents: the
+  // survivors' records move to the target and the garbage's out-pointers
+  // leave the remembered sets they fed — after a failure too, so the
+  // index matches whatever had moved.
+  index_->OnPartitionEvacuated(
+      victim, target, [&](ObjectId id) { return store_->PartitionOf(id); });
+  if (!evacuated.ok()) {
+    store_->AbandonEvacuation(victim);
+    return evacuated;
   }
-  for (ObjectId extra : extra_roots) {
-    const ObjectStore::ObjectInfo* info = store_->Lookup(extra);
-    if (info != nullptr && info->partition == victim) {
-      roots_.push_back(extra);
-    }
-  }
-  {
-    const std::span<const ObjectId> external = index_->ExternalTargets(victim);
-    roots_.insert(roots_.end(), external.begin(), external.end());
-  }
-
-  // Objects are copied when dequeued, so the physical order in the copy
-  // target is the traversal order: FIFO gives the paper's breadth-first
-  // layout (Cheney-style — children are found in the already-copied
-  // parent image, so scanning costs no extra I/O), LIFO gives the
-  // depth-first ablation. The worklist is a reused vector: BFS consumes
-  // it through a head cursor (identical order to the old deque), DFS off
-  // the back.
-  work_.clear();
-  size_t head = 0;
-  for (ObjectId root : roots_) {
-    if (is_copied(root)) continue;
-    work_.push_back(root);
-    while (order_ == TraversalOrder::kBreadthFirst ? head < work_.size()
-                                                   : !work_.empty()) {
-      ObjectId id;
-      if (order_ == TraversalOrder::kBreadthFirst) {
-        id = work_[head++];
-      } else {
-        id = work_.back();
-        work_.pop_back();
-      }
-      if (is_copied(id)) continue;
-      copied_stamp_[id.value] = copy_epoch_;
-      ODBGC_RETURN_IF_ERROR(copy_object(id));
-
-      const ObjectStore::ObjectInfo* obj = store_->Lookup(id);
-      assert(obj != nullptr);
-      auto enqueue = [&](ObjectId child) {
-        if (child.is_null() || is_copied(child)) return;
-        const ObjectStore::ObjectInfo* child_info = store_->Lookup(child);
-        // Pointers leaving the collected partition are not traversed.
-        if (child_info == nullptr || child_info->partition != victim) return;
-        work_.push_back(child);
-      };
-      if (order_ == TraversalOrder::kBreadthFirst) {
-        for (ObjectId child : obj->slots) enqueue(child);
-      } else {
-        // Reverse slot order so slot 0 is visited first off the stack.
-        for (auto it = obj->slots.rbegin(); it != obj->slots.rend(); ++it) {
-          enqueue(*it);
-        }
-      }
-    }
-  }
-
-  // Everything still resident in the victim is garbage. Snapshot in
-  // physical (offset) order for determinism.
-  garbage_.clear();
-  garbage_.reserve(store_->partition(victim).objects_by_offset().size());
-  for (const auto& [offset, id] :
-       store_->partition(victim).objects_by_offset()) {
-    garbage_.push_back(id);
-  }
-  for (ObjectId id : garbage_) {
-    const ObjectStore::ObjectInfo* info = store_->Lookup(id);
-    assert(info != nullptr);
-    result.garbage_bytes_reclaimed += info->size;
-    ++result.garbage_objects_reclaimed;
-    // Remove the dead object's out-of-partition pointers from the
-    // remembered sets they contributed to.
-    index_->OnObjectDied(id, victim);
-    if (weights_ != nullptr) weights_->OnObjectDied(id);
-    ODBGC_RETURN_IF_ERROR(store_->DropObject(id));
-  }
-
   ODBGC_RETURN_IF_ERROR(store_->SwapEmptyPartition(victim));
 
   const BufferStats after = buffer_->stats();

@@ -44,13 +44,18 @@ struct CollectionResult {
 ///     traversal order (breadth-first by default, Cheney-style: an
 ///     object's children are discovered from its already-copied image, so
 ///     scanning costs no extra I/O). Pointers leaving P are not traversed.
-///  3. Objects remaining in P are garbage: their out-of-partition pointer
-///     entries are deleted from the other partitions' remembered sets (so
-///     later collections don't preserve objects referenced only by this
-///     garbage), and they are dropped.
+///  3. Objects remaining in P are garbage, found by one read of P's
+///     roster, and dropped. One pass over P's index members then moves
+///     the survivors' records to the copy target and deletes the
+///     garbage's out-of-partition pointer entries from the other
+///     partitions' remembered sets (so later collections don't preserve
+///     objects referenced only by this garbage). No step searches per
+///     object, so a collection costs what it copies.
 ///  4. P is reset and becomes the new reserved empty partition; the copy
 ///     target becomes an ordinary partition. Compaction of survivors has
-///     eliminated P's internal fragmentation.
+///     eliminated P's internal fragmentation. A collection that fails
+///     part-way instead leaves P holding what it did not copy
+///     (ObjectStore::AbandonEvacuation).
 ///
 /// All page traffic during a collection is charged to the collector phase.
 class CopyingCollector {
@@ -73,6 +78,11 @@ class CopyingCollector {
   // Starts a new "copied" mark generation (see copied_stamp_).
   void BeginCopyEpoch();
 
+  // Copies the victim's survivors into `target` and drops its garbage.
+  Status Evacuate(PartitionId victim, PartitionId target,
+                  const std::vector<ObjectId>& extra_roots,
+                  CollectionResult* result);
+
   ObjectStore* const store_;
   BufferPool* const buffer_;
   InterPartitionIndex* const index_;
@@ -87,8 +97,6 @@ class CopyingCollector {
   uint32_t copy_epoch_ = 0;
   std::vector<uint32_t> copied_stamp_;
   std::vector<ObjectId> work_;
-  std::vector<ObjectId> roots_;
-  std::vector<ObjectId> garbage_;
 };
 
 }  // namespace odbgc

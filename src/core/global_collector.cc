@@ -89,27 +89,32 @@ Result<GlobalCollectionResult> GlobalMarkCollector::CollectAll(
     if (store_->partition(victim).allocated_bytes() == 0) continue;
     const PartitionId target = store_->empty_partition();
 
-    // Snapshot (copying mutates the roster).
-    std::vector<ObjectId> residents;
-    residents.reserve(store_->partition(victim).objects_by_offset().size());
-    for (const auto& [offset, id] :
-         store_->partition(victim).objects_by_offset()) {
-      residents.push_back(id);
-    }
-    for (ObjectId id : residents) {
-      if (live.count(id) > 0) {
-        const ObjectStore::ObjectInfo* info = store_->Lookup(id);
-        result.live_bytes_copied += info->size;
-        ++result.live_objects_copied;
-        ODBGC_RETURN_IF_ERROR(store_->RelocateObject(id, target));
-        index_->OnObjectMoved(id, victim, target);
-      } else {
-        const ObjectStore::ObjectInfo* info = store_->Lookup(id);
-        result.garbage_bytes_reclaimed += info->size;
-        ++result.garbage_objects_reclaimed;
-        assert(!index_->HasExternalReferences(id));
-        ODBGC_RETURN_IF_ERROR(store_->DropObject(id));
+    // One read of the roster: copying appends to the target's roster and
+    // leaves the victim's as it is until the swap resets it.
+    const Status swept = [&]() -> Status {
+      for (const auto& [offset, id] :
+           store_->partition(victim).objects_by_offset()) {
+        const uint32_t size = store_->Lookup(id)->size;
+        if (live.count(id) > 0) {
+          result.live_bytes_copied += size;
+          ++result.live_objects_copied;
+          ODBGC_RETURN_IF_ERROR(store_->RelocateObject(id, target));
+        } else {
+          result.garbage_bytes_reclaimed += size;
+          ++result.garbage_objects_reclaimed;
+          assert(!index_->HasExternalReferences(id));
+          ODBGC_RETURN_IF_ERROR(store_->DropObject(id));
+        }
       }
+      return Status::Ok();
+    }();
+    // Every dead object's out-pointers are already retired, so this only
+    // moves the survivors' index records to the target.
+    index_->OnPartitionEvacuated(
+        victim, target, [&](ObjectId id) { return store_->PartitionOf(id); });
+    if (!swept.ok()) {
+      store_->AbandonEvacuation(victim);
+      return swept;
     }
     ODBGC_RETURN_IF_ERROR(store_->SwapEmptyPartition(victim));
     ++result.partitions_processed;

@@ -232,8 +232,6 @@ class CollectedHeap : private SlotWriteObserver {
   BufferPool& mutable_buffer() { return *buffer_; }
   const PageDevice& device() const { return *device_; }
   PageDevice& mutable_device() { return *device_; }
-  const PageDevice& disk() const { return *device_; }
-  PageDevice& mutable_disk() { return *device_; }
   /// The stack-wide metrics registry (device + buffer counters, phases).
   MetricsRegistry* metrics() const { return metrics_.get(); }
   /// Wall-clock self-profiling counters ("wall.*_ns"): how long the

@@ -67,28 +67,35 @@ void InterPartitionIndex::RemoveReference(ObjectId source, uint32_t slot,
   }
 }
 
-void InterPartitionIndex::OnObjectMoved(ObjectId object, PartitionId from,
-                                        PartitionId to) {
-  EnsurePartition(std::max(from, to));
-  auto tit = entries_by_target_.find(object);
-  if (tit != entries_by_target_.end() &&
-      targets_in_partition_[from].erase(object)) {
-    targets_in_partition_[to].insert(object);
-    tit->second.partition = to;
+void InterPartitionIndex::OnPartitionEvacuated(
+    PartitionId victim, PartitionId target,
+    const std::function<PartitionId(ObjectId)>& partition_of) {
+  EnsurePartition(std::max(victim, target));
+  // Each set is taken out whole and its members re-inserted where they
+  // live now. Retiring a dropped source's out-pointers never touches the
+  // victim's own sets: those pointers all leave the victim.
+  FlatSet<ObjectId> members;
+  std::swap(members, sources_in_partition_[victim]);
+  for (ObjectId source : members.sorted()) {
+    const PartitionId now = partition_of(source);
+    if (now == kInvalidPartition) {
+      RemoveOutPointersOf(source, victim);
+      continue;
+    }
+    assert(now == victim || now == target);
+    out_pointers_by_source_.find(source)->second.partition = now;
+    sources_in_partition_[now].insert(source);
   }
-  auto sit = out_pointers_by_source_.find(object);
-  if (sit != out_pointers_by_source_.end() &&
-      sources_in_partition_[from].erase(object)) {
-    sources_in_partition_[to].insert(object);
-    sit->second.partition = to;
+  members.clear();
+  std::swap(members, targets_in_partition_[victim]);
+  for (ObjectId object : members.sorted()) {
+    const PartitionId now = partition_of(object);
+    assert((now == victim || now == target) &&
+           "a partition-local collection cannot reclaim an externally "
+           "referenced object");
+    entries_by_target_.find(object)->second.partition = now;
+    targets_in_partition_[now].insert(object);
   }
-}
-
-void InterPartitionIndex::OnObjectDied(ObjectId object, PartitionId partition) {
-  assert(!HasExternalReferences(object) &&
-         "a partition-local collection cannot reclaim an externally "
-         "referenced object");
-  RemoveOutPointersOf(object, partition);
 }
 
 void InterPartitionIndex::RemoveOutPointersOf(ObjectId source,
@@ -112,12 +119,6 @@ std::span<const ObjectId> InterPartitionIndex::ExternalTargets(
   return targets_in_partition_[partition].sorted();
 }
 
-std::vector<ObjectId> InterPartitionIndex::ExternalTargetsInPartition(
-    PartitionId partition) const {
-  const std::span<const ObjectId> view = ExternalTargets(partition);
-  return std::vector<ObjectId>(view.begin(), view.end());
-}
-
 const PointerLocationList* InterPartitionIndex::EntriesForTarget(
     ObjectId target) const {
   auto it = entries_by_target_.find(target);
@@ -132,12 +133,6 @@ std::span<const ObjectId> InterPartitionIndex::Sources(
     PartitionId partition) const {
   if (partition >= sources_in_partition_.size()) return {};
   return sources_in_partition_[partition].sorted();
-}
-
-std::vector<ObjectId> InterPartitionIndex::SourcesInPartition(
-    PartitionId partition) const {
-  const std::span<const ObjectId> view = Sources(partition);
-  return std::vector<ObjectId>(view.begin(), view.end());
 }
 
 const OutPointerList* InterPartitionIndex::OutPointersOfSource(

@@ -2,6 +2,7 @@
 #define ODBGC_CORE_REMEMBERED_SET_H_
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <unordered_map>
 #include <utility>
@@ -78,16 +79,19 @@ class InterPartitionIndex {
   /// Removes the record for (source.slot -> target); no-op if absent.
   void RemoveReference(ObjectId source, uint32_t slot, ObjectId target);
 
-  /// Re-buckets all entries involving `object` after it moved between
-  /// partitions (both its role as a target and as a source of
-  /// out-pointers).
-  void OnObjectMoved(ObjectId object, PartitionId from, PartitionId to);
-
-  /// Removes a dead object: erases all remembered-set entries contributed
-  /// by its out-pointers, and its out-set membership. The object must have
-  /// no incoming external references left (a partition-local collection
-  /// treats externally referenced objects as live).
-  void OnObjectDied(ObjectId object, PartitionId partition);
+  /// Brings `victim`'s remembered set and out-set up to date after its
+  /// residents were evacuated into the empty partition `target`, in one
+  /// pass over those members (never over the residents). `partition_of`
+  /// names the partition an object occupies now, or kInvalidPartition
+  /// once it was dropped. A moved member's records follow it to `target`.
+  /// A dropped member's out-pointers leave the remembered sets they fed,
+  /// so later collections do not preserve what only this garbage
+  /// referenced; a dropped member may not itself be externally referenced
+  /// (a partition-local collection treats those as live). A member still
+  /// in `victim`, left by an evacuation that failed part-way, stays.
+  void OnPartitionEvacuated(
+      PartitionId victim, PartitionId target,
+      const std::function<PartitionId(ObjectId)>& partition_of);
 
   /// Erases all entries contributed by `source`'s out-pointers without
   /// requiring `source` to be unreferenced. The global collector retires a
@@ -99,12 +103,8 @@ class InterPartitionIndex {
   /// Remembered set of `partition`: ids of objects in `partition` that
   /// have at least one external reference, in ascending id order
   /// (deterministic collection roots). Zero-copy view into the index;
-  /// valid until the next mutation — callers that mutate while iterating
-  /// (the collector re-buckets as it copies) must snapshot first.
+  /// valid until the next mutation (a copy traversal makes none).
   std::span<const ObjectId> ExternalTargets(PartitionId partition) const;
-
-  /// Copying convenience over ExternalTargets (tests, tools).
-  std::vector<ObjectId> ExternalTargetsInPartition(PartitionId partition) const;
 
   /// All pointer locations referencing `target` from other partitions;
   /// nullptr if none.
@@ -116,9 +116,6 @@ class InterPartitionIndex {
   /// holding at least one pointer out of it, ascending order. Zero-copy
   /// view with the same validity rule as ExternalTargets.
   std::span<const ObjectId> Sources(PartitionId partition) const;
-
-  /// Copying convenience over Sources (tests, tools).
-  std::vector<ObjectId> SourcesInPartition(PartitionId partition) const;
 
   /// Out-pointers of `source` (slot, target) pairs; nullptr if none.
   const OutPointerList* OutPointersOfSource(ObjectId source) const;

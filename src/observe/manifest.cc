@@ -213,6 +213,11 @@ uint32_t ConfigDigest(const SimulationConfig& config) {
   return Crc32(json.Dump());
 }
 
+uint32_t ResultDigest(const Json& manifest) {
+  const Json* section = manifest.Get("result");
+  return Crc32(section == nullptr ? std::string() : section->Dump());
+}
+
 Json BuildManifest(const SimulationConfig& config,
                    const SimulationResult& result,
                    const ManifestServiceInfo* service) {

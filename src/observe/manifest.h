@@ -40,6 +40,11 @@ inline constexpr uint64_t kManifestSchemaVersion = 1;
 /// runs; odbgc-report refuses to diff manifest sets whose digests differ.
 uint32_t ConfigDigest(const SimulationConfig& config);
 
+/// CRC-32 of the canonical `result` section of `manifest` (of "" if it
+/// has none): every deterministic field of a SimulationResult, nothing
+/// measured. Equal digests mean byte-identical results.
+uint32_t ResultDigest(const Json& manifest);
+
 /// Per-tenant service telemetry for manifests written by a HeapService
 /// run: the tenant's peak barrier residency, how many rounds the
 /// admission watermark stalled it. Lands in the OPTIONAL top-level

@@ -273,7 +273,7 @@ Status ObjectStore::RelocateObject(ObjectId object, PartitionId target) {
     copied += len;
   }
 
-  partitions_[src_partition].RemoveObject(src_offset);
+  partitions_[src_partition].ReleaseObject();
   partitions_[target].AddObject(new_offset, object);
   info->partition = target;
   info->offset = new_offset;
@@ -288,7 +288,7 @@ Status ObjectStore::DropObject(ObjectId object) {
   if (info->root_pos != ObjectInfo::kNotRoot) {
     return Status::FailedPrecondition("DropObject: object is a root");
   }
-  partitions_[info->partition].RemoveObject(info->offset);
+  partitions_[info->partition].ReleaseObject();
   live_bytes_ -= info->size;
   // Recycle the table slot; clear() keeps the slot vector's capacity for
   // the next object that lands here.
@@ -314,6 +314,17 @@ Status ObjectStore::SwapEmptyPartition(PartitionId id) {
   buffer_->DiscardExtent(partitions_[id].extent());
   empty_partition_ = id;
   return Status::Ok();
+}
+
+void ObjectStore::AbandonEvacuation(PartitionId victim) {
+  partitions_[victim].DropEntries([&](const PartitionResident& entry) {
+    const ObjectInfo* info = Lookup(entry.id);
+    return info == nullptr || info->partition != victim ||
+           info->offset != entry.offset;
+  });
+  if (partitions_[empty_partition_].allocated_bytes() > 0) {
+    empty_partition_ = AddPartition();
+  }
 }
 
 Status ObjectStore::TouchHeader(ObjectId object, AccessMode mode) {

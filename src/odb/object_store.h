@@ -190,6 +190,12 @@ class ObjectStore {
 
   bool Exists(ObjectId object) const { return Lookup(object) != nullptr; }
 
+  /// The partition `object` occupies, or kInvalidPartition if it is dead.
+  PartitionId PartitionOf(ObjectId object) const {
+    const ObjectInfo* info = Lookup(object);
+    return info == nullptr ? kInvalidPartition : info->partition;
+  }
+
   /// Number of live objects in the table.
   size_t object_count() const { return live_count_; }
 
@@ -230,21 +236,28 @@ class ObjectStore {
   // move bytes and bookkeeping but make no policy decisions.
 
   /// Physically copies `object` into partition `target` (bump-allocated
-  /// there), updates the object table and both partitions' rosters, and
-  /// charges page reads at the source plus page writes at the destination.
+  /// there), updates the object table and both partitions (the source's
+  /// roster keeps the entry, see Partition::ReleaseObject), and charges
+  /// page reads at the source plus page writes at the destination.
   /// Fails with ResourceExhausted if the object does not fit.
   Status RelocateObject(ObjectId object, PartitionId target);
 
-  /// Drops a dead object from the table and its partition roster. No I/O:
+  /// Drops a dead object from the table and its partition. No I/O:
   /// garbage is reclaimed wholesale when its partition is reset.
   Status DropObject(ObjectId object);
 
   /// Declares `id` empty after collection: requires no resident objects,
-  /// resets its bump pointer, discards its buffered pages without
-  /// write-back (their contents are garbage), and makes it the reserved
-  /// empty partition. The previously reserved partition becomes available
-  /// for allocation.
+  /// resets its bump pointer and roster, discards its buffered pages
+  /// without write-back (their contents are garbage), and makes it the
+  /// reserved empty partition. The previously reserved partition becomes
+  /// available for allocation.
   Status SwapEmptyPartition(PartitionId id);
+
+  /// Ends an evacuation of `victim` that failed part-way: drops the roster
+  /// entries of objects that left it, and if the reserved empty partition
+  /// has been written to, it keeps those copies as an ordinary partition
+  /// and a new partition is reserved in its place.
+  void AbandonEvacuation(PartitionId victim);
 
   /// Charges a read or write of the page(s) covering the object's header.
   /// Used by the weight machinery, whose updates rewrite the header byte.

@@ -55,102 +55,60 @@ class Partition {
     return true;
   }
 
-  /// Registers an object residing at `offset` (allocation or relocation).
-  /// Bump allocation makes appending past the current tail the common
-  /// case; out-of-order registration drops dead entries, then falls back
-  /// to a binary-search insert.
+  /// Registers an object placed at `offset` by TryAllocate (allocation or
+  /// relocation). Bump allocation hands out ascending offsets, so the
+  /// roster stays in offset order by appending.
   void AddObject(uint32_t offset, ObjectId id) {
     assert(!id.is_null());
+    assert(roster_.empty() || offset > roster_.back().offset);
+    roster_.push_back({offset, id});
     ++live_count_;
-    if (objects_by_offset_.empty() || offset > objects_by_offset_.back().offset) {
-      objects_by_offset_.push_back({offset, id});
-      return;
-    }
-    DropDead();
-    objects_by_offset_.insert(LowerBound(offset), {offset, id});
   }
 
-  /// Unregisters the object at `offset` (death or relocation away) in
-  /// O(log n): the entry is marked dead (null id) where it stands, so
-  /// evacuating a partition costs what it copies rather than a vector
-  /// shift per resident. The last live resident's removal clears the
-  /// roster outright.
-  void RemoveObject(uint32_t offset) {
-    auto it = LowerBound(offset);
-    assert(it != objects_by_offset_.end() && it->offset == offset &&
-           !it->id.is_null());
-    if (--live_count_ == 0) {
-      objects_by_offset_.clear();
-      return;
-    }
-    it->id = kNullObjectId;
+  /// Notes in O(1) that a resident left (relocated away or dropped). Its
+  /// roster entry stays, departed, until Reset or DropEntries removes it.
+  void ReleaseObject() {
+    assert(live_count_ > 0);
+    --live_count_;
   }
 
-  /// The object registered at exactly `offset`, or null if none. A dead
-  /// entry's id is already null, so this reads without dropping them.
-  ObjectId ObjectAt(uint32_t offset) const {
-    auto it = LowerBound(offset);
-    if (it == objects_by_offset_.end() || it->offset != offset) {
-      return kNullObjectId;
-    }
-    return it->id;
+  /// Removes the roster entries `departed` selects in one order-keeping
+  /// pass, which must leave exactly the live residents listed.
+  template <typename Pred>
+  void DropEntries(Pred departed) {
+    std::erase_if(roster_, departed);
+    assert(roster_.size() == live_count_);
   }
 
   /// First roster entry with offset > `offset` (end() if none) — the
   /// card-scan entry point.
   Roster::const_iterator UpperBound(uint32_t offset) const {
-    DropDead();
     return std::upper_bound(
-        objects_by_offset_.begin(), objects_by_offset_.end(), offset,
+        roster_.begin(), roster_.end(), offset,
         [](uint32_t o, const PartitionResident& r) { return o < r.offset; });
   }
 
-  /// Resets the partition to empty (after all its live objects were copied
-  /// out). The bookkeeping roster must already be empty.
+  /// Resets the partition to empty once no resident is left, clearing the
+  /// roster of departed entries in one step.
   void Reset() {
-    assert(objects_by_offset_.empty());
+    assert(live_count_ == 0);
+    roster_.clear();
     alloc_offset_ = 0;
   }
 
-  /// Objects resident in this partition, sorted by byte offset — the
-  /// physical scan order, which keeps collection deterministic. Never
-  /// holds a dead entry: any left by RemoveObject are dropped first.
-  const Roster& objects_by_offset() const {
-    DropDead();
-    return objects_by_offset_;
-  }
+  /// Objects placed here since the last Reset, in offset (= bump) order —
+  /// the physical scan order, which keeps collection deterministic. An
+  /// evacuation leaves the entries of residents that already left in
+  /// place until it resets the partition; at every other time the roster
+  /// lists exactly the partition's residents.
+  const Roster& objects_by_offset() const { return roster_; }
 
  private:
-  /// Drops the dead entries RemoveObject left, in one order-preserving
-  /// pass. Logically const: the live roster a reader sees is unchanged.
-  /// Like the rest of the store, a partition has one owner thread at a
-  /// time, so readers never run this concurrently.
-  void DropDead() const {
-    if (objects_by_offset_.size() == live_count_) return;
-    std::erase_if(objects_by_offset_, [](const PartitionResident& r) {
-      return r.id.is_null();
-    });
-  }
-
-  Roster::const_iterator LowerBound(uint32_t offset) const {
-    return std::lower_bound(
-        objects_by_offset_.begin(), objects_by_offset_.end(), offset,
-        [](const PartitionResident& r, uint32_t o) { return r.offset < o; });
-  }
-  Roster::iterator LowerBound(uint32_t offset) {
-    return std::lower_bound(
-        objects_by_offset_.begin(), objects_by_offset_.end(), offset,
-        [](const PartitionResident& r, uint32_t o) { return r.offset < o; });
-  }
-
   PartitionId id_;
   PageExtent extent_;
   uint32_t capacity_bytes_;
   uint32_t alloc_offset_ = 0;
-  /// Offset-sorted roster. Dead entries (null id, offset kept so the
-  /// order stays sorted) exist only between a RemoveObject and the next
-  /// reader; the roster holds `live_count_` live entries.
-  mutable Roster objects_by_offset_;
+  Roster roster_;
   size_t live_count_ = 0;
 };
 

@@ -150,6 +150,11 @@ bool HeapService::Arrived(size_t tenant) const {
   return spec_.tenants[tenant].arrival_round <= rounds_;
 }
 
+const CollectedHeap* HeapService::tenant_heap(size_t tenant) const {
+  const TenantRun& run = *runs_[tenant];
+  return run.sim == nullptr ? nullptr : &run.sim->heap();
+}
+
 void HeapService::RunTenantRound(TenantRun* run) {
   // K-step batching: one worker wake (or one inline visit) services K
   // batches before the next barrier, so the barrier and the pool's

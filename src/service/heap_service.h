@@ -14,6 +14,7 @@
 
 namespace odbgc {
 
+class CollectedHeap;
 class SharedFrameArena;
 
 /// Everything a service run measures: the per-tenant SimulationResults
@@ -139,6 +140,9 @@ class HeapService {
   size_t tenant_count() const { return spec_.tenants.size(); }
   uint64_t rounds() const { return rounds_; }
   uint64_t forced_collections() const { return forced_collections_; }
+  /// Tenant `tenant`'s heap, or null before its first step. An observer
+  /// may read it while an event of that tenant is being delivered.
+  const CollectedHeap* tenant_heap(size_t tenant) const;
 
  private:
   struct TenantRun;

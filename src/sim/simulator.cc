@@ -195,8 +195,8 @@ SimulationResult Simulator::Finish() {
   result.app_io = buffer.app_io();
   result.gc_io = buffer.gc_io();
   result.buffer_stats = buffer;
-  result.disk_stats = heap_->disk().stats();
-  result.estimated_device_time_ms = heap_->disk().EstimateTimeMs();
+  result.disk_stats = heap_->device().stats();
+  result.estimated_device_time_ms = heap_->device().EstimateTimeMs();
   result.measured = heap_->device().MeasuredStats();
   result.metrics = heap_->metrics()->Snapshot();
 

@@ -38,7 +38,7 @@ TEST(CollectorIoTest, GarbageOnlyPagesNeverRead) {
   ASSERT_TRUE(heap.AddRoot(*sentinel).ok());
 
   ASSERT_TRUE(heap.mutable_buffer().FlushAll().ok());
-  heap.mutable_buffer().DiscardExtent(PageExtent{0, heap.disk().num_pages()});
+  heap.mutable_buffer().DiscardExtent(PageExtent{0, heap.device().num_pages()});
 
   auto result = heap.CollectPartition(0);
   ASSERT_TRUE(result.ok());
@@ -66,7 +66,7 @@ TEST(CollectorIoTest, AllGarbagePartitionCostsNoPageReads) {
       heap.store().Lookup(*sentinel)->partition;
 
   ASSERT_TRUE(heap.mutable_buffer().FlushAll().ok());
-  heap.mutable_buffer().DiscardExtent(PageExtent{0, heap.disk().num_pages()});
+  heap.mutable_buffer().DiscardExtent(PageExtent{0, heap.device().num_pages()});
 
   // Pick a victim partition that holds only garbage.
   PartitionId victim = kInvalidPartition;
@@ -140,7 +140,7 @@ TEST(CollectorIoTest, CopyCostTracksLiveBytes) {
     }
     EXPECT_TRUE(heap.mutable_buffer().FlushAll().ok());
     heap.mutable_buffer().DiscardExtent(
-        PageExtent{0, heap.disk().num_pages()});
+        PageExtent{0, heap.device().num_pages()});
     auto result = heap.CollectPartition(0);
     EXPECT_TRUE(result.ok());
     return result->page_reads + result->page_writes;

@@ -198,8 +198,9 @@ TEST_F(CollectorTest, RememberedSetEntryActsAsRoot) {
   EXPECT_TRUE(store_->Exists(x)) << "externally referenced objects survive";
   // The entry re-bucketed to x's new partition.
   EXPECT_TRUE(index_.HasExternalReferences(x));
-  const auto targets = index_.ExternalTargetsInPartition(PartOf(x));
-  EXPECT_EQ(targets, (std::vector<ObjectId>{x}));
+  const auto targets = index_.ExternalTargets(PartOf(x));
+  EXPECT_EQ(std::vector<ObjectId>(targets.begin(), targets.end()),
+            (std::vector<ObjectId>{x}));
 }
 
 TEST_F(CollectorTest, DeadSourceEntriesRemovedEnablingLaterReclaim) {

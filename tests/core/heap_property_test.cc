@@ -3,18 +3,22 @@
 // a correct partitioned collector — no live object is ever lost, shadow
 // state matches the serialized pages, the inter-partition index is exactly
 // the set of inter-partition pointers, and physical layouts never overlap.
+// The structural invariants (support/heap_invariants.h) are checked after
+// every collection and full collection as well.
 
 #include <cstddef>
 #include <cstring>
 #include <map>
 #include <ostream>
 #include <set>
+#include <string_view>
 
 #include <gtest/gtest.h>
 
 #include "core/reachability.h"
 #include "sim/config.h"
 #include "sim/simulator.h"
+#include "support/heap_invariants.h"
 
 namespace odbgc {
 namespace {
@@ -56,11 +60,40 @@ void PrintTo(const Params& params, std::ostream* os) {
   *os << ::testing::PrintToString(copy);
 }
 
+// Checks the heap invariants (support/heap_invariants.h) after every
+// collection and every full collection the watched heap publishes.
+class InvariantCheckingObserver : public SimObserver {
+ public:
+  void Watch(const CollectedHeap* heap) { heap_ = heap; }
+  void OnCollection(const CollectionEvent& event) override {
+    ++collections_;
+    EXPECT_TRUE(HeapInvariantsHold(*heap_))
+        << "after collection " << event.ordinal;
+  }
+  void OnPhase(const PhaseEvent& event) override {
+    if (std::string_view(event.phase) != "full_collection") return;
+    ++full_collections_;
+    EXPECT_TRUE(HeapInvariantsHold(*heap_))
+        << "after full collection " << full_collections_;
+  }
+  uint64_t collections() const { return collections_; }
+  uint64_t full_collections() const { return full_collections_; }
+
+ private:
+  const CollectedHeap* heap_ = nullptr;
+  uint64_t collections_ = 0;
+  uint64_t full_collections_ = 0;
+};
+
 class HeapPropertyTest : public ::testing::TestWithParam<Params> {};
 
 TEST_P(HeapPropertyTest, InvariantsHoldAfterFullRun) {
   const Params params = GetParam();
-  Simulator simulator(TinyConfig(params.policy, params.seed));
+  InvariantCheckingObserver observer;
+  SimulationConfig config = TinyConfig(params.policy, params.seed);
+  config.heap.observer = &observer;
+  Simulator simulator(config);
+  observer.Watch(&simulator.heap());
   ASSERT_TRUE(simulator.Run().ok());
 
   CollectedHeap& heap = simulator.heap();
@@ -68,6 +101,8 @@ TEST_P(HeapPropertyTest, InvariantsHoldAfterFullRun) {
   if (params.policy != PolicyKind::kNoCollection) {
     ASSERT_GT(heap.stats().collections, 2u) << "workload must trigger GC";
   }
+  EXPECT_EQ(observer.collections(), heap.stats().collections);
+  EXPECT_TRUE(HeapInvariantsHold(heap));
 
   // --- 1. Reachability closure: every object reachable from the roots
   // exists (nothing live was ever reclaimed). ComputeLiveSet itself
@@ -174,6 +209,36 @@ TEST_P(HeapPropertyTest, InvariantsHoldAfterFullRun) {
   EXPECT_EQ(store.partition(empty).object_count(), 0u);
   EXPECT_EQ(store.partition(empty).allocated_bytes(), 0u);
 }
+
+// Every policy with a whole-database collection after every third
+// partition collection: the check runs after both kinds.
+class HeapFullCollectionPropertyTest
+    : public ::testing::TestWithParam<PolicyKind> {};
+
+TEST_P(HeapFullCollectionPropertyTest, InvariantsHoldAfterEveryCollection) {
+  InvariantCheckingObserver observer;
+  SimulationConfig config = TinyConfig(GetParam(), 1);
+  config.heap.full_collection_interval = 3;
+  config.heap.observer = &observer;
+  Simulator simulator(config);
+  observer.Watch(&simulator.heap());
+  ASSERT_TRUE(simulator.Run().ok());
+
+  const CollectedHeap& heap = simulator.heap();
+  EXPECT_EQ(observer.collections(), heap.stats().collections);
+  EXPECT_EQ(observer.full_collections(), heap.stats().full_collections);
+  if (GetParam() != PolicyKind::kNoCollection) {
+    EXPECT_GT(heap.stats().full_collections, 0u);
+  }
+  EXPECT_TRUE(HeapInvariantsHold(heap));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Policies, HeapFullCollectionPropertyTest,
+    ::testing::ValuesIn(AllPolicyKinds()),
+    [](const ::testing::TestParamInfo<PolicyKind>& info) {
+      return std::string(PolicyName(info.param));
+    });
 
 std::vector<Params> AllParams() {
   std::vector<Params> params;

@@ -1,10 +1,12 @@
 // Model-based equivalence test for the flat InterPartitionIndex: a
-// randomized stream of add/remove/move/die operations is applied both to
-// the real index and to a deliberately naive reference model (a flat list
-// of entries plus an object->partition map, queried by linear scans — the
-// semantics of the original unordered_map<PartitionId, std::set<ObjectId>>
-// implementation without any of its structure). Every query surface must
-// agree at every step.
+// randomized stream of add/remove operations and partition evacuations
+// (whose residents move to the reserved empty partition or die, and which
+// sometimes fail part-way) is applied both to the real index and to a
+// deliberately naive reference model (a flat list of entries plus an
+// object->partition map, queried by linear scans — the semantics of the
+// original unordered_map<PartitionId, std::set<ObjectId>> implementation
+// without any of its structure). Every query surface must agree at every
+// step.
 #include <algorithm>
 #include <cstdint>
 #include <map>
@@ -26,7 +28,8 @@ struct ModelEntry {
 
 /// The reference model. Entries keep insertion order (the real index's
 /// per-object lists are order-preserving); partitions live in a side map
-/// updated by moves, exactly like the record partitions of the real index.
+/// updated object by object as an evacuation moves them, where the real
+/// index re-buckets a whole partition's members in one pass.
 class ReferenceIndex {
  public:
   void AddReference(ObjectId source, PartitionId source_partition,
@@ -48,10 +51,7 @@ class ReferenceIndex {
     }
   }
 
-  void OnObjectMoved(ObjectId object, PartitionId from, PartitionId to) {
-    auto it = partition_.find(object);
-    if (it != partition_.end() && it->second == from) it->second = to;
-  }
+  void MoveObject(ObjectId object, PartitionId to) { partition_[object] = to; }
 
   void RemoveOutPointersOf(ObjectId source) {
     entries_.erase(std::remove_if(entries_.begin(), entries_.end(),
@@ -133,19 +133,16 @@ void ExpectSameState(const InterPartitionIndex& index,
   SCOPED_TRACE("step " + std::to_string(step));
   EXPECT_EQ(index.entry_count(), model.entry_count());
   for (PartitionId p = 0; p < num_partitions; ++p) {
-    EXPECT_EQ(index.ExternalTargetsInPartition(p), model.TargetsInPartition(p))
+    const auto targets = index.ExternalTargets(p);
+    EXPECT_EQ(std::vector<ObjectId>(targets.begin(), targets.end()),
+              model.TargetsInPartition(p))
         << "targets of partition " << p;
-    EXPECT_EQ(index.SourcesInPartition(p), model.SourcesInPartition(p))
+    const auto sources = index.Sources(p);
+    EXPECT_EQ(std::vector<ObjectId>(sources.begin(), sources.end()),
+              model.SourcesInPartition(p))
         << "sources of partition " << p;
     EXPECT_EQ(index.EntryCountForPartition(p), model.EntryCountForPartition(p))
         << "entry count of partition " << p;
-    // The zero-copy spans must agree with their copying counterparts.
-    const auto targets_view = index.ExternalTargets(p);
-    EXPECT_EQ(std::vector<ObjectId>(targets_view.begin(), targets_view.end()),
-              index.ExternalTargetsInPartition(p));
-    const auto sources_view = index.Sources(p);
-    EXPECT_EQ(std::vector<ObjectId>(sources_view.begin(), sources_view.end()),
-              index.SourcesInPartition(p));
   }
   for (uint64_t o = 1; o <= num_objects; ++o) {
     const ObjectId id{o};
@@ -189,21 +186,29 @@ TEST_P(IndexPropertyTest, MatchesReferenceModelOverRandomOperations) {
 
   InterPartitionIndex index;
   ReferenceIndex model;
-  // Ground-truth object placement, shared by both sides.
+  // Ground-truth object placement, shared by both sides; kInvalidPartition
+  // marks a dead object. Partition `empty` holds no object, like the
+  // heap's reserved copy target.
   std::vector<PartitionId> part(kObjects + 1);
   for (uint64_t o = 1; o <= kObjects; ++o) {
     part[o] = static_cast<PartitionId>(uniform(kPartitions));
   }
+  PartitionId empty = kPartitions;
+  uint32_t partitions = kPartitions + 1;
 
   for (uint64_t step = 0; step < kSteps; ++step) {
     switch (uniform(10)) {
       case 0:
       case 1:
       case 2:
-      case 3: {  // Add an inter-partition reference.
+      case 3: {  // Add an inter-partition reference between live objects.
         const ObjectId source{1 + uniform(kObjects)};
         const ObjectId target{1 + uniform(kObjects)};
-        if (part[source.value] == part[target.value]) break;
+        if (part[source.value] == kInvalidPartition ||
+            part[target.value] == kInvalidPartition ||
+            part[source.value] == part[target.value]) {
+          break;
+        }
         const uint32_t slot = uniform(kSlots);
         index.AddReference(source, part[source.value], slot, target,
                            part[target.value]);
@@ -228,33 +233,43 @@ TEST_P(IndexPropertyTest, MatchesReferenceModelOverRandomOperations) {
         model.RemoveReference(source, slot, target);
         break;
       }
-      case 7: {  // Move an object between partitions.
-        const ObjectId object{1 + uniform(kObjects)};
-        const PartitionId to = static_cast<PartitionId>(uniform(kPartitions));
-        const PartitionId from = part[object.value];
-        if (from == to) break;
-        // Moving an object into a partition it points at (or is pointed
-        // at from) would create intra-partition entries; the real heap
-        // never does that, so the generator skips those moves.
-        bool conflict = false;
-        for (const ModelEntry& e : model.entries()) {
-          if ((e.source == object && part[e.target.value] == to) ||
-              (e.target == object && part[e.source.value] == to)) {
-            conflict = true;
-            break;
+      case 7: {  // Evacuate a partition into the empty one.
+        const PartitionId victim = static_cast<PartitionId>(uniform(partitions));
+        if (victim == empty) break;
+        // One evacuation in eight fails part-way: nothing has been
+        // dropped yet, and only some residents have moved.
+        const bool fails = uniform(8) == 0;
+        for (uint64_t o = 1; o <= kObjects; ++o) {
+          if (part[o] != victim) continue;
+          const ObjectId object{o};
+          if (fails) {
+            if (uniform(2) == 0) continue;  // Still in the victim.
+          } else if (!model.HasExternalReferences(object) &&
+                     uniform(3) == 0) {
+            // Unreferenced from outside: garbage this time.
+            part[o] = kInvalidPartition;
+            model.RemoveOutPointersOf(object);
+            continue;
           }
+          part[o] = empty;
+          model.MoveObject(object, empty);
         }
-        if (conflict) break;
-        part[object.value] = to;
-        index.OnObjectMoved(object, from, to);
-        model.OnObjectMoved(object, from, to);
+        index.OnPartitionEvacuated(
+            victim, empty, [&](ObjectId id) { return part[id.value]; });
+        if (fails) {
+          // The copy target keeps its copies; a fresh partition is
+          // reserved in its place.
+          empty = partitions++;
+        } else {
+          empty = victim;
+        }
         break;
       }
-      case 8: {  // An unreferenced object dies.
+      case 8: {  // A dead id returns as a fresh object somewhere.
         const ObjectId object{1 + uniform(kObjects)};
-        if (model.HasExternalReferences(object)) break;
-        index.OnObjectDied(object, part[object.value]);
-        model.RemoveOutPointersOf(object);
+        if (part[object.value] != kInvalidPartition) break;
+        const PartitionId p = static_cast<PartitionId>(uniform(partitions));
+        if (p != empty) part[object.value] = p;
         break;
       }
       case 9: {  // Wholesale out-pointer retirement (global collection).
@@ -265,11 +280,11 @@ TEST_P(IndexPropertyTest, MatchesReferenceModelOverRandomOperations) {
       }
     }
     if (step % 100 == 0 || step + 1 == kSteps) {
-      ExpectSameState(index, model, kObjects, kPartitions, step);
+      ExpectSameState(index, model, kObjects, partitions, step);
       if (::testing::Test::HasFailure()) return;
     }
   }
-  ExpectSameState(index, model, kObjects, kPartitions, kSteps);
+  ExpectSameState(index, model, kObjects, partitions, kSteps);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IndexPropertyTest,

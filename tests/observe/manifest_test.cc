@@ -77,6 +77,35 @@ TEST(ManifestTest, EmitParseReEmitIsByteIdentical) {
   EXPECT_EQ(parsed->Dump(), first);
 }
 
+// Three runs that exercise partition collections, full collections,
+// weights and depth-first copying. A change to any simulated result of
+// them, or to how the result section serializes, moves these pinned
+// values; perfbench's own digest of the same manifests agrees with them.
+TEST(ManifestTest, ResultDigestIsPinned) {
+  SimulationConfig updated = TinyConfig();
+  updated.heap.policy_name = "UpdatedPointer";
+  EXPECT_EQ(ResultDigest(BuildManifest(updated, RunOnce(updated))),
+            0xb56bf39fu);
+
+  SimulationConfig full = TinyConfig();
+  full.heap.policy_name = "MostGarbage";
+  full.heap.full_collection_interval = 2;
+  const SimulationResult full_result = RunOnce(full);
+  EXPECT_EQ(full_result.heap_stats.full_collections, 2u);
+  EXPECT_EQ(ResultDigest(BuildManifest(full, full_result)), 0xae8b42bdu);
+
+  SimulationConfig depth_first = TinyConfig();
+  depth_first.heap.policy_name = "WeightedPointer";
+  depth_first.heap.traversal = TraversalOrder::kDepthFirst;
+  EXPECT_EQ(ResultDigest(BuildManifest(depth_first, RunOnce(depth_first))),
+            0xc603c539u);
+
+  // A parsed manifest digests like the one it was written from.
+  auto parsed = Json::Parse(BuildManifest(updated, RunOnce(updated)).Dump());
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(ResultDigest(*parsed), 0xb56bf39fu);
+}
+
 TEST(ManifestTest, DigestIgnoresExperimentAxesAndDurabilityKnobs) {
   SimulationConfig config = TinyConfig();
   const uint32_t digest = ConfigDigest(config);

@@ -4,10 +4,10 @@
 // vector) is driven through the same randomized alloc / free / move /
 // collect / root / slot-write sequences as the real store, and every
 // observable — lookup results for every id ever issued, the exact root
-// vector, and per-partition occupancy — must agree at every step. This
-// pins the dense layout (id directory, slot recycling, root_pos,
-// vector rosters) to the old semantics independently of the
-// byte-identity harness.
+// vector, and per-partition occupancy and rosters — must agree at every
+// step. This pins the dense layout (id directory, slot recycling,
+// root_pos, append-only vector rosters) to the old semantics
+// independently of the byte-identity harness.
 
 #include <cstdint>
 #include <map>
@@ -31,6 +31,8 @@ namespace {
 /// is recorded at allocation time; everything after that — bump
 /// pointers, rosters, liveness, roots, shadow slots — the model evolves
 /// on its own and must stay in lockstep with the dense implementation.
+/// A roster lists every placement since the partition's last reset: a
+/// drop or a relocation away only lowers the partition's live count.
 class MapModel {
  public:
   struct Object {
@@ -46,6 +48,7 @@ class MapModel {
 
   void OnPartitionAdded() {
     alloc_offsets_.push_back(0);
+    live_counts_.push_back(0);
     rosters_.emplace_back();
   }
 
@@ -62,12 +65,13 @@ class MapModel {
         << "store bump pointer diverged from the model";
     alloc_offsets_[partition] += size;
     rosters_[partition][offset] = id;
+    ++live_counts_[partition];
   }
 
   void OnDrop(ObjectId id) {
     auto it = table_.find(id.value);
     ASSERT_NE(it, table_.end());
-    rosters_[it->second.partition].erase(it->second.offset);
+    --live_counts_[it->second.partition];
     table_.erase(it);
   }
 
@@ -77,15 +81,17 @@ class MapModel {
     Object& object = table_.at(id.value);
     const uint32_t new_offset = alloc_offsets_[target];
     alloc_offsets_[target] += object.size;
-    rosters_[object.partition].erase(object.offset);
+    --live_counts_[object.partition];
     object.partition = target;
     object.offset = new_offset;
     rosters_[target][new_offset] = id;
+    ++live_counts_[target];
     return new_offset;
   }
 
   void OnSwapEmpty(PartitionId partition) {
-    ASSERT_TRUE(rosters_[partition].empty());
+    ASSERT_EQ(live_counts_[partition], 0u);
+    rosters_[partition].clear();
     alloc_offsets_[partition] = 0;
   }
 
@@ -128,6 +134,20 @@ class MapModel {
   const std::map<uint32_t, ObjectId>& roster(PartitionId partition) const {
     return rosters_[partition];
   }
+  size_t live_count(PartitionId partition) const {
+    return live_counts_[partition];
+  }
+  /// The roster entries of objects still placed there, in offset order.
+  std::vector<ObjectId> Residents(PartitionId partition) const {
+    std::vector<ObjectId> residents;
+    for (const auto& [offset, id] : rosters_[partition]) {
+      if (Alive(id) && at(id).partition == partition &&
+          at(id).offset == offset) {
+        residents.push_back(id);
+      }
+    }
+    return residents;
+  }
   size_t partition_count() const { return alloc_offsets_.size(); }
 
  private:
@@ -135,6 +155,7 @@ class MapModel {
   std::unordered_map<uint64_t, Object> table_;
   std::vector<ObjectId> roots_;
   std::vector<uint32_t> alloc_offsets_;
+  std::vector<size_t> live_counts_;
   std::vector<std::map<uint32_t, ObjectId>> rosters_;
 };
 
@@ -180,7 +201,10 @@ class DenseTablePropertyTest : public ::testing::TestWithParam<uint64_t> {
     for (PartitionId p = 0; p < store_->partition_count(); ++p) {
       const Partition& partition = store_->partition(p);
       const auto& expected = model_->roster(p);
-      ASSERT_EQ(partition.object_count(), expected.size()) << "partition " << p;
+      ASSERT_EQ(partition.object_count(), model_->live_count(p))
+          << "partition " << p;
+      ASSERT_EQ(partition.objects_by_offset().size(), expected.size())
+          << "partition " << p;
       auto it = expected.begin();
       for (const auto& [offset, id] : partition.objects_by_offset()) {
         ASSERT_EQ(offset, it->first) << "partition " << p;
@@ -282,10 +306,7 @@ TEST_P(DenseTablePropertyTest, MatchesMapModelUnderRandomOperations) {
       const PartitionId empty = store_->empty_partition();
       if (victim == empty) continue;
       // Evacuate in physical (offset) order, like the collector.
-      std::vector<ObjectId> residents;
-      for (const auto& [offset, id] : model_->roster(victim)) {
-        residents.push_back(id);
-      }
+      const std::vector<ObjectId> residents = model_->Residents(victim);
       bool fits = true;
       uint32_t needed = 0;
       for (ObjectId id : residents) needed += model_->at(id).size;

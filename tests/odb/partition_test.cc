@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <iterator>
 #include <map>
+#include <set>
 #include <vector>
 
 #include "util/random.h"
@@ -38,17 +39,25 @@ TEST(PartitionTest, BumpAllocation) {
 TEST(PartitionTest, ObjectRoster) {
   Partition p(0, PageExtent{0, 1}, 256);
   p.AddObject(0, ObjectId{10});
-  p.AddObject(100, ObjectId{11});
   p.AddObject(50, ObjectId{12});
+  p.AddObject(100, ObjectId{11});
   EXPECT_EQ(p.object_count(), 3u);
-  // Iteration is by physical offset.
+  // Iteration is by physical offset, which bump order already is.
   std::vector<uint64_t> order;
   for (const auto& [offset, id] : p.objects_by_offset()) {
     order.push_back(id.value);
   }
   EXPECT_EQ(order, (std::vector<uint64_t>{10, 12, 11}));
-  p.RemoveObject(50);
+  // A departure only counts: the entry stays until it is dropped.
+  p.ReleaseObject();
   EXPECT_EQ(p.object_count(), 2u);
+  EXPECT_EQ(p.objects_by_offset().size(), 3u);
+  p.DropEntries([](const PartitionResident& r) { return r.offset == 50; });
+  order.clear();
+  for (const auto& [offset, id] : p.objects_by_offset()) {
+    order.push_back(id.value);
+  }
+  EXPECT_EQ(order, (std::vector<uint64_t>{10, 11}));
 }
 
 TEST(PartitionTest, ResetRestoresCapacity) {
@@ -56,153 +65,122 @@ TEST(PartitionTest, ResetRestoresCapacity) {
   uint32_t at = 0;
   ASSERT_TRUE(p.TryAllocate(200, &at));
   p.AddObject(at, ObjectId{1});
-  p.RemoveObject(at);
+  p.ReleaseObject();
+  EXPECT_TRUE(p.empty());
   p.Reset();
   EXPECT_EQ(p.allocated_bytes(), 0u);
   EXPECT_EQ(p.free_bytes(), 256u);
   EXPECT_TRUE(p.empty());
+  EXPECT_TRUE(p.objects_by_offset().empty());
 }
 
 // Seeded random walk over one roster, checked against a std::map<offset,
-// id> model after every step. Removal only marks an entry dead and only
-// some readers drop dead entries, so the per-step check uses the readers
-// that leave them in place (counts and point lookups), and the whole
-// roster is compared at random steps: dead entries pile up in between
-// while the walk mixes every way one could leak out. Steps: tail and
-// out-of-order adds (the latter often at just-removed offsets), removals
-// in arbitrary order, point and upper-bound lookups on live and removed
-// offsets, and emptying the roster, Reset and refilling it.
+// id> model of its entries and a set of the live offsets after every step.
+// The roster is append-only: adds land past every entry since the last
+// Reset, a release only counts (its entry stays, departed), DropEntries
+// removes the departed entries in one pass (a failed evacuation), and
+// Reset clears the roster once nothing is live (a finished evacuation).
+// Upper-bound lookups (the card scan's entry point) probe live, departed
+// and arbitrary offsets and see departed entries like any other.
 class RosterModelTest : public ::testing::TestWithParam<uint64_t> {
  protected:
   void ExpectMatchesModel(int step) {
-    ASSERT_EQ(roster_.object_count(), model_.size()) << "step " << step;
-    ASSERT_EQ(roster_.empty(), model_.empty()) << "step " << step;
-    for (const auto& [offset, id] : model_) {
-      ASSERT_EQ(roster_.ObjectAt(offset), id) << "step " << step;
-    }
-    for (uint32_t offset : removed_) {
-      ASSERT_TRUE(roster_.ObjectAt(offset).is_null()) << "step " << step;
-    }
-  }
-
-  void ExpectRosterMatches(int step) {
+    ASSERT_EQ(roster_.object_count(), live_.size()) << "step " << step;
+    ASSERT_EQ(roster_.empty(), live_.empty()) << "step " << step;
     const Partition::Roster& entries = roster_.objects_by_offset();
     ASSERT_EQ(entries.size(), model_.size()) << "step " << step;
     auto expected = model_.begin();
     for (const auto& [offset, id] : entries) {
-      ASSERT_FALSE(id.is_null()) << "dead entry surfaced at step " << step;
       ASSERT_EQ(offset, expected->first) << "step " << step;
       ASSERT_EQ(id, expected->second) << "step " << step;
       ++expected;
     }
   }
 
-  // A uniformly chosen live offset (the model must be non-empty).
+  // A uniformly chosen live offset (some offset must be live).
   uint32_t PickLive() {
+    auto it = live_.begin();
+    std::advance(it, rng_.UniformInt(live_.size()));
+    return *it;
+  }
+
+  // A uniformly chosen entry's offset, live or departed.
+  uint32_t PickEntry() {
     auto it = model_.begin();
     std::advance(it, rng_.UniformInt(model_.size()));
     return it->first;
   }
 
-  void Add(uint32_t offset) {
+  void Add() {
+    const uint32_t offset =
+        model_.empty() ? static_cast<uint32_t>(rng_.UniformInt(4))
+                       : model_.rbegin()->first + 1 +
+                             static_cast<uint32_t>(rng_.UniformInt(32));
     const ObjectId id{next_id_++};
     roster_.AddObject(offset, id);
     model_[offset] = id;
-    high_ = std::max(high_, offset);
-    removed_.erase(std::remove(removed_.begin(), removed_.end(), offset),
-                   removed_.end());
+    live_.insert(offset);
   }
 
-  void Remove(uint32_t offset) {
-    roster_.RemoveObject(offset);
-    model_.erase(offset);
-    removed_.push_back(offset);
+  void Release(uint32_t offset) {
+    roster_.ReleaseObject();
+    live_.erase(offset);
   }
 
   Rng rng_{GetParam()};
   Partition roster_{0, PageExtent{0, 64}, 256};
-  std::map<uint32_t, ObjectId> model_;
-  std::vector<uint32_t> removed_;  // Offsets removed and not re-added.
-  uint32_t high_ = 0;              // Highest offset added since Reset.
+  std::map<uint32_t, ObjectId> model_;  // Every entry since the last Reset.
+  std::set<uint32_t> live_;             // Offsets of the live entries.
   uint64_t next_id_ = 1;
 };
 
 TEST_P(RosterModelTest, MatchesOrderedMapModel) {
   for (int step = 0; step < 4000; ++step) {
     const uint64_t op = rng_.UniformInt(100);
-    if (op < 30 || model_.empty()) {
-      // Tail add: past every entry the roster has ever held, dead or live.
-      Add(model_.empty() && high_ == 0
-              ? static_cast<uint32_t>(rng_.UniformInt(4))
-              : high_ + 1 + static_cast<uint32_t>(rng_.UniformInt(32)));
-    } else if (op < 40 && model_.size() <= high_) {
-      // Out-of-order add at a free offset below the tail (one exists: the
-      // model's distinct offsets all lie in [0, high_]), preferring a
-      // removed offset.
-      uint32_t offset;
-      do {
-        offset = !removed_.empty() && rng_.Bernoulli(0.5)
-                     ? removed_[rng_.UniformInt(removed_.size())]
-                     : static_cast<uint32_t>(rng_.UniformInt(high_ + 1));
-      } while (model_.count(offset) != 0);
-      Add(offset);
+    if (op < 40 || live_.empty()) {
+      Add();
     } else if (op < 70) {
-      Remove(PickLive());
-    } else if (op < 72) {
-      // Remove every resident in a random order, then reset and refill.
-      std::vector<uint32_t> offsets;
-      for (const auto& [offset, id] : model_) offsets.push_back(offset);
+      Release(PickLive());
+    } else if (op < 74) {
+      // A failed evacuation: drop the departed entries, keep the rest.
+      roster_.DropEntries([&](const PartitionResident& r) {
+        return live_.count(r.offset) == 0;
+      });
+      std::erase_if(model_, [&](const auto& entry) {
+        return live_.count(entry.first) == 0;
+      });
+    } else if (op < 76) {
+      // A finished evacuation: every resident leaves in a random order,
+      // then Reset clears the roster, departed entries and all.
+      std::vector<uint32_t> offsets(live_.begin(), live_.end());
       for (size_t i = offsets.size(); i > 1; --i) {
         std::swap(offsets[i - 1], offsets[rng_.UniformInt(i)]);
       }
       for (uint32_t offset : offsets) {
-        Remove(offset);
-        ASSERT_EQ(roster_.object_count(), model_.size()) << "step " << step;
+        Release(offset);
+        ASSERT_EQ(roster_.object_count(), live_.size()) << "step " << step;
       }
       ASSERT_TRUE(roster_.empty());
-      ASSERT_TRUE(roster_.objects_by_offset().empty());
+      ASSERT_EQ(roster_.objects_by_offset().size(), model_.size());
       roster_.Reset();
-      removed_.clear();
-      high_ = 0;
-    } else if (op < 84) {
-      // Point lookups: a live offset, a removed one, and an arbitrary one.
-      const uint32_t live = PickLive();
-      EXPECT_EQ(roster_.ObjectAt(live), model_.at(live)) << "step " << step;
-      if (!removed_.empty()) {
-        const uint32_t gone = removed_[rng_.UniformInt(removed_.size())];
-        EXPECT_TRUE(roster_.ObjectAt(gone).is_null()) << "step " << step;
-      }
-      const uint32_t any = static_cast<uint32_t>(rng_.UniformInt(high_ + 2));
-      const auto found = model_.find(any);
-      EXPECT_EQ(roster_.ObjectAt(any),
-                found == model_.end() ? kNullObjectId : found->second)
-          << "step " << step;
-    } else if (op < 94) {
-      // Card-scan entry point: everything after a live, removed or
+      model_.clear();
+    } else {
+      // Card-scan entry point: everything after a live, departed or
       // arbitrary offset, in order.
-      uint32_t probe = static_cast<uint32_t>(rng_.UniformInt(high_ + 2));
-      if (op < 88) probe = PickLive();
-      if (op >= 91 && !removed_.empty()) {
-        probe = removed_[rng_.UniformInt(removed_.size())];
-      }
-      // Read through UpperBound's own iterator before any other reader
-      // runs: it must have dropped the dead entries itself.
+      uint32_t probe = static_cast<uint32_t>(
+          rng_.UniformInt(model_.empty() ? 8 : model_.rbegin()->first + 2));
+      if (op < 84 && !live_.empty()) probe = PickLive();
+      if (op >= 92 && !model_.empty()) probe = PickEntry();
       auto it = roster_.UpperBound(probe);
       for (auto expected = model_.upper_bound(probe);
            expected != model_.end(); ++expected, ++it) {
-        ASSERT_FALSE(it->id.is_null()) << "dead entry at step " << step;
         EXPECT_EQ(it->offset, expected->first) << "step " << step;
         EXPECT_EQ(it->id, expected->second) << "step " << step;
       }
-      const auto end = roster_.objects_by_offset().end();
-      const auto tail = std::distance(model_.upper_bound(probe), model_.end());
-      EXPECT_EQ(roster_.UpperBound(probe) + tail, end) << "step " << step;
-    } else {
-      ExpectRosterMatches(step);
+      EXPECT_EQ(it, roster_.objects_by_offset().end()) << "step " << step;
     }
     ExpectMatchesModel(step);
   }
-  ExpectRosterMatches(-1);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RosterModelTest,

@@ -7,7 +7,8 @@
 //  2. Thread invariance — a 16-tenant pressured service produces
 //     identical per-tenant results and service counters under 1, 2 and 4
 //     worker threads: tenants are the determinism units, threads are
-//     parallelism only.
+//     parallelism only. Every tenant heap passes the heap invariant check
+//     after each of its collections.
 //  3. Admission bound — with a watermark armed and no forced admissions,
 //     post-round shared-pool occupancy never exceeds
 //     watermark + one tenant's allowance.
@@ -25,6 +26,7 @@
 #include "core/selection_policy.h"
 #include "sim/simulator.h"
 #include "sim/spec.h"
+#include "support/heap_invariants.h"
 
 namespace odbgc {
 namespace {
@@ -146,12 +148,38 @@ ServiceSpec PressuredFleet(size_t tenants, uint32_t threads) {
       .WithWatermark(0.5);
 }
 
+// Checks a tenant heap's invariants (support/heap_invariants.h) after
+// each of its collections, trigger-driven and forced alike. Events arrive
+// one at a time, on the thread running the tenant that published them.
+class TenantInvariantObserver : public SimObserver {
+ public:
+  void Watch(const HeapService* service) { service_ = service; }
+  void OnCollection(const CollectionEvent& event) override {
+    ++checks_;
+    const size_t tenant = event.thread - 1;
+    EXPECT_TRUE(HeapInvariantsHold(*service_->tenant_heap(tenant)))
+        << "tenant " << tenant << " after collection " << event.ordinal;
+  }
+  uint64_t checks() const { return checks_; }
+
+ private:
+  const HeapService* service_ = nullptr;
+  uint64_t checks_ = 0;
+};
+
 TEST(ServiceInvarianceTest, SixteenTenantsAreThreadCountInvariant) {
   std::vector<ServiceResult> results;
   for (uint32_t threads : {1u, 2u, 4u}) {
-    auto result = RunService(PressuredFleet(16, threads));
-    ASSERT_TRUE(result.status().ok()) << result.status().message();
-    results.push_back(*std::move(result));
+    TenantInvariantObserver observer;
+    ServiceSpec spec = PressuredFleet(16, threads);
+    spec.observer = &observer;
+    HeapService service(std::move(spec));
+    observer.Watch(&service);
+    const Status ran = service.Run();
+    ASSERT_TRUE(ran.ok()) << ran.message();
+    results.push_back(service.Finish());
+    EXPECT_GT(observer.checks(), 0u);
+    EXPECT_EQ(observer.checks(), results.back().aggregate.collections);
   }
   const ServiceResult& base = results.front();
   EXPECT_GT(base.aggregate.app_events, 0u);

@@ -78,7 +78,7 @@ TEST(WarmStartTest, WarmBufferSavesInitialIo) {
   flushed.heap().ResetMeasurement();
   ASSERT_TRUE(flushed.heap().mutable_buffer().FlushAll().ok());
   flushed.heap().mutable_buffer().DiscardExtent(
-      PageExtent{0, flushed.heap().disk().num_pages()});
+      PageExtent{0, flushed.heap().device().num_pages()});
   flushed.heap().mutable_buffer().ResetStats();
   ASSERT_TRUE(generator.Generate(&flushed).ok());
 

@@ -1,5 +1,5 @@
 // odbgc-report: the command-line consumer of run manifests (see
-// observe/manifest.h). Four subcommands:
+// observe/manifest.h). Five subcommands:
 //
 //   tables <dir>
 //       Aggregates every manifest in <dir> into the paper's summary
@@ -21,6 +21,13 @@
 //       configuration must show zero regressions (and, because manifests
 //       are canonical, byte-identical documents). Exits 1 on regression
 //       or coverage loss, 2 on usage/digest errors.
+//
+//   digests <dir>
+//       One line per manifest anywhere under <dir>: its path relative to
+//       <dir> and its result digest (ResultDigest, 8 hex digits), sorted
+//       by path. Two manifest trees, such as two runs of every sweep,
+//       compare with `diff` of their listings. Exits 2 on an unreadable
+//       directory or an invalid manifest.
 //
 //   check <dir> --baseline=<file> [--tolerance=PCT] [--write]
 //       Regression gate for CI: compares per-policy mean metrics against
@@ -63,6 +70,8 @@ int Usage() {
       "  tenants <dir>                         per-tenant table from a\n"
       "                                        service run's manifests\n"
       "  diff <dirA> <dirB> [--tolerance=PCT]  compare two manifest sets\n"
+      "  digests <dir>                         result digest of every\n"
+      "                                        manifest under <dir>\n"
       "  check <dir> --baseline=<file> [--tolerance=PCT] [--write]\n"
       "                                        gate against a baseline\n");
   return 2;
@@ -374,6 +383,37 @@ bool IsRegression(const MetricDef& metric, double reference, double candidate,
 
 // ---------------------------------------------------------------------------
 // tables
+
+int RunDigests(const std::string& dir) {
+  namespace fs = std::filesystem;
+  std::error_code ec;
+  std::vector<std::string> paths;
+  for (fs::recursive_directory_iterator it(dir, ec), end; !ec && it != end;
+       it.increment(ec)) {
+    if (it->is_regular_file() && it->path().extension() == ".json") {
+      paths.push_back(fs::relative(it->path(), dir).generic_string());
+    }
+  }
+  if (ec) {
+    std::fprintf(stderr, "cannot read directory %s\n", dir.c_str());
+    return 2;
+  }
+  if (paths.empty()) {
+    std::fprintf(stderr, "no manifests (*.json) under %s\n", dir.c_str());
+    return 2;
+  }
+  std::sort(paths.begin(), paths.end());
+  for (const std::string& path : paths) {
+    auto manifest = LoadManifestFile((fs::path(dir) / path).string());
+    if (!manifest.ok()) {
+      std::fprintf(stderr, "%s: %s\n", path.c_str(),
+                   manifest.status().ToString().c_str());
+      return 2;
+    }
+    std::printf("%s %08x\n", path.c_str(), ResultDigest(*manifest));
+  }
+  return 0;
+}
 
 int RunTables(const std::string& dir) {
   auto manifests = LoadManifestDir(dir);
@@ -771,6 +811,9 @@ int main(int argc, char** argv) {
   }
   if (command == "tenants" && positional.size() == 1) {
     return RunTenants(positional[0]);
+  }
+  if (command == "digests" && positional.size() == 1) {
+    return RunDigests(positional[0]);
   }
   if (command == "diff" && positional.size() == 2) {
     return RunDiff(positional[0], positional[1], tolerance_pct);
