@@ -2,15 +2,15 @@
 // buffer pool hit, miss and dirty-eviction paths, and the object store's
 // slot-write path (the hottest operation in a trace replay).
 //
-// Passing a *.json argument additionally runs the I/O-subsystem sweep —
-// every replacement policy crossed with every device backend over one
-// fixed access trace — and writes the hit rates, evictions and estimated
-// device times to that file (CI uploads it as BENCH_io.json):
+// Passing a file name (an argument that does not start with '-')
+// additionally runs the I/O-subsystem sweep — the LRU pool over every
+// device backend on one fixed access trace — and writes the hit rates,
+// evictions and estimated device times to that file (CI uploads it as
+// BENCH_io.json):
 //
 //   ./build/bench/micro_buffer_pool BENCH_io.json [benchmark flags...]
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -18,7 +18,6 @@
 #include <benchmark/benchmark.h>
 
 #include "buffer/buffer_pool.h"
-#include "buffer/replacement_policy.h"
 #include "storage/disk.h"
 #include "storage/page_device.h"
 #include "storage/ssd_device.h"
@@ -105,14 +104,14 @@ void BM_StoreVisitObject(benchmark::State& state) {
 BENCHMARK(BM_StoreVisitObject);
 
 // ---------------------------------------------------------------------------
-// I/O-subsystem sweep: replacement policies x device backends over one
-// fixed trace, reported as BENCH_io.json.
+// I/O-subsystem sweep: the LRU pool over each device backend on one fixed
+// trace, reported as BENCH_io.json.
 
 struct SweepRow {
-  const char* policy;
   const char* device;
   uint64_t hits = 0;
   uint64_t misses = 0;
+  double hit_rate = 0.0;
   uint64_t evictions = 0;
   uint64_t device_writes = 0;
   double device_time_ms = 0.0;
@@ -121,7 +120,7 @@ struct SweepRow {
   double write_amplification = 0.0;
 };
 
-SweepRow RunSweepConfig(ReplacementPolicyKind policy, DeviceKind device) {
+SweepRow RunSweepConfig(DeviceKind device) {
   constexpr size_t kPageSize = 4096;
   constexpr size_t kPages = 512;
   constexpr size_t kFrames = 64;
@@ -131,11 +130,10 @@ SweepRow RunSweepConfig(ReplacementPolicyKind policy, DeviceKind device) {
   std::unique_ptr<PageDevice> dev = MakePageDevice(
       device, kPageSize, nullptr, DiskCostParams{}, SsdCostParams{});
   dev->AllocatePages(kPages);
-  BufferPool pool(dev.get(), kFrames, policy);
+  BufferPool pool(dev.get(), kFrames);
 
   // The trace mixes a hot working set, uniform cold traffic and periodic
-  // sequential sweeps (a collector scanning partitions) — the pattern that
-  // separates scan-resistant policies from strict LRU.
+  // sequential sweeps (a collector scanning partitions).
   Rng rng(42);
   PageId scan_cursor = 0;
   for (int step = 0; step < kSteps; ++step) {
@@ -163,11 +161,12 @@ SweepRow RunSweepConfig(ReplacementPolicyKind policy, DeviceKind device) {
   }
 
   SweepRow row;
-  row.policy = ReplacementPolicyName(policy);
   row.device = DeviceKindName(device);
   const BufferStats stats = pool.stats();
   row.hits = stats.hits;
   row.misses = stats.misses;
+  row.hit_rate = static_cast<double>(stats.hits) /
+                 static_cast<double>(stats.hits + stats.misses);
   row.evictions = stats.misses - pool.resident_pages();
   row.device_writes = dev->stats().page_writes;
   row.device_time_ms = dev->EstimateTimeMs();
@@ -179,41 +178,31 @@ SweepRow RunSweepConfig(ReplacementPolicyKind policy, DeviceKind device) {
 }
 
 int RunIoSweep(const char* json_path) {
-  const ReplacementPolicyKind policies[] = {ReplacementPolicyKind::kLru,
-                                            ReplacementPolicyKind::kClock,
-                                            ReplacementPolicyKind::kTwoQ};
   const DeviceKind devices[] = {DeviceKind::kSimulatedDisk, DeviceKind::kSsd};
 
   std::vector<SweepRow> rows;
-  std::printf("I/O sweep: %zu policies x %zu devices, fixed trace\n\n",
-              std::size(policies), std::size(devices));
+  std::printf("I/O sweep: lru x %zu devices, fixed trace\n\n",
+              std::size(devices));
   std::printf("%-6s %-15s %10s %9s %10s %14s %7s %6s\n", "policy", "device",
               "hit_rate", "misses", "evictions", "device_ms", "erases", "WA");
-  for (ReplacementPolicyKind policy : policies) {
-    for (DeviceKind device : devices) {
-      const SweepRow row = RunSweepConfig(policy, device);
-      const double hit_rate =
-          static_cast<double>(row.hits) /
-          static_cast<double>(row.hits + row.misses);
-      std::printf("%-6s %-15s %9.4f%% %9llu %10llu %14.1f %7llu %6.2f\n",
-                  row.policy, row.device, 100.0 * hit_rate,
-                  static_cast<unsigned long long>(row.misses),
-                  static_cast<unsigned long long>(row.evictions),
-                  row.device_time_ms,
-                  static_cast<unsigned long long>(row.erases),
-                  row.write_amplification);
-      rows.push_back(row);
-    }
+  for (DeviceKind device : devices) {
+    const SweepRow row = RunSweepConfig(device);
+    std::printf("%-6s %-15s %9.4f%% %9llu %10llu %14.1f %7llu %6.2f\n",
+                "lru", row.device, 100.0 * row.hit_rate,
+                static_cast<unsigned long long>(row.misses),
+                static_cast<unsigned long long>(row.evictions),
+                row.device_time_ms,
+                static_cast<unsigned long long>(row.erases),
+                row.write_amplification);
+    rows.push_back(row);
   }
 
   std::ofstream json(json_path);
   json << "{\n  \"bench\": \"io\",\n  \"configs\": [\n";
   for (size_t i = 0; i < rows.size(); ++i) {
     const SweepRow& row = rows[i];
-    const double hit_rate = static_cast<double>(row.hits) /
-                            static_cast<double>(row.hits + row.misses);
-    json << "    {\"policy\": \"" << row.policy << "\", \"device\": \""
-         << row.device << "\", \"hit_rate\": " << hit_rate
+    json << "    {\"policy\": \"lru\", \"device\": \""
+         << row.device << "\", \"hit_rate\": " << row.hit_rate
          << ", \"hits\": " << row.hits << ", \"misses\": " << row.misses
          << ", \"evictions\": " << row.evictions
          << ", \"device_writes\": " << row.device_writes
@@ -231,14 +220,14 @@ int RunIoSweep(const char* json_path) {
 }  // namespace
 }  // namespace odbgc
 
-// BENCHMARK_MAIN, plus the JSON sweep when a *.json argument is present
-// (stripped before google-benchmark sees the command line).
+// BENCHMARK_MAIN, plus the JSON sweep when a file name is given (stripped
+// before google-benchmark sees the command line; every flag, such as
+// --benchmark_out=res.json, goes to google-benchmark).
 int main(int argc, char** argv) {
   const char* json_path = nullptr;
   std::vector<char*> bench_args;
   for (int i = 0; i < argc; ++i) {
-    const size_t len = std::strlen(argv[i]);
-    if (i > 0 && len > 5 && std::strcmp(argv[i] + len - 5, ".json") == 0) {
+    if (i > 0 && argv[i][0] != '-') {
       json_path = argv[i];
     } else {
       bench_args.push_back(argv[i]);

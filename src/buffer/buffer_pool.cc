@@ -2,32 +2,19 @@
 
 #include <algorithm>
 #include <cassert>
+#include <numeric>
 #include <utility>
 
 namespace odbgc {
 
-namespace {
-
-MetricPhase ToMetricPhase(IoPhase phase) {
-  return phase == IoPhase::kApplication ? MetricPhase::kApplication
-                                        : MetricPhase::kCollector;
-}
-
-IoPhase FromMetricPhase(MetricPhase phase) {
-  return phase == MetricPhase::kApplication ? IoPhase::kApplication
-                                            : IoPhase::kCollector;
-}
-
-}  // namespace
-
 BufferPool::BufferPool(PageDevice* device, size_t frame_count,
-                       ReplacementPolicyKind policy, SharedFrameArena* arena)
+                       SharedFrameArena* arena)
     : device_(device),
       registry_(device->metrics()),
       page_size_(device->page_size()),
       frame_count_(frame_count),
-      policy_(MakeReplacementPolicy(policy, frame_count)),
-      frames_(frame_count),
+      sentinel_(static_cast<uint32_t>(frame_count)),
+      frames_(frame_count + 1),
       page_to_slot_(frame_count),
       owned_arena_(arena == nullptr
                        ? std::make_unique<SharedFrameArena>(frame_count)
@@ -38,24 +25,28 @@ BufferPool::BufferPool(PageDevice* device, size_t frame_count,
       reads_(registry_->Register("buffer.disk_reads")),
       writes_(registry_->Register("buffer.disk_writes")) {
   assert(frame_count_ > 0);
+  ResetSlots();
 }
 
-void BufferPool::set_phase(IoPhase phase) {
-  registry_->set_phase(ToMetricPhase(phase));
+void BufferPool::PushFront(uint32_t slot) {
+  const uint32_t first = frames_[sentinel_].next;
+  frames_[slot].prev = sentinel_;
+  frames_[slot].next = first;
+  frames_[first].prev = slot;
+  frames_[sentinel_].next = slot;
 }
 
-IoPhase BufferPool::phase() const {
-  return FromMetricPhase(registry_->phase());
+void BufferPool::Unlink(uint32_t slot) {
+  const Frame& frame = frames_[slot];
+  frames_[frame.prev].next = frame.next;
+  frames_[frame.next].prev = frame.prev;
 }
 
-uint32_t BufferPool::AllocSlot() {
-  if (!free_slots_.empty()) {
-    const uint32_t slot = free_slots_.back();
-    free_slots_.pop_back();
-    return slot;
-  }
-  assert(used_slots_ < frame_count_);
-  return used_slots_++;
+void BufferPool::ResetSlots() {
+  frames_[sentinel_].prev = sentinel_;
+  frames_[sentinel_].next = sentinel_;
+  free_slots_.resize(frame_count_);
+  std::iota(free_slots_.rbegin(), free_slots_.rend(), 0u);  // Top: slot 0.
 }
 
 bool BufferPool::AttachFrame(Frame& frame) {
@@ -75,7 +66,8 @@ Result<std::span<std::byte>> BufferPool::GetPage(PageId page,
   const uint32_t resident = page_to_slot_.Find(page);
   if (resident != OpenIndexMap::kEmptyValue) {
     registry_->Count(hits_);
-    policy_->OnHit(resident);
+    Unlink(resident);
+    PushFront(resident);
     Frame& frame = frames_[resident];
     if (mode == AccessMode::kWrite) frame.dirty = true;
     return Payload(frame);
@@ -83,12 +75,13 @@ Result<std::span<std::byte>> BufferPool::GetPage(PageId page,
 
   registry_->Count(misses_);
   uint32_t slot;
-  if (resident_count_ >= frame_count_) {
-    // Quota full: evict the policy's victim; its frame is reused for the
-    // incoming page.
+  if (page_to_slot_.size() >= frame_count_) {
+    // Quota full: evict the least recently used page; its frame is reused
+    // for the incoming page.
     ODBGC_RETURN_IF_ERROR(EvictVictim(&slot));
   } else {
-    slot = AllocSlot();
+    slot = free_slots_.back();
+    free_slots_.pop_back();
     if (!AttachFrame(frames_[slot])) {
       // Squeeze: a shared arena is exhausted while this pool is under its
       // quota (the fleet is overcommitted past the admission bound; an
@@ -97,7 +90,7 @@ Result<std::span<std::byte>> BufferPool::GetPage(PageId page,
       // cross-tenant theft would wreck their determinism, not just ours.
       // Counted: invariance gates require zero squeezes.
       free_slots_.push_back(slot);
-      if (resident_count_ == 0) {
+      if (page_to_slot_.empty()) {
         return Status::ResourceExhausted(
             "shared frame arena exhausted and tenant holds no frame to "
             "squeeze; raise the budget or arm the admission watermark");
@@ -121,20 +114,19 @@ Result<std::span<std::byte>> BufferPool::GetPage(PageId page,
   registry_->Count(reads_);
   frame.page = page;
   frame.dirty = (mode == AccessMode::kWrite);
-  policy_->OnInsert(slot, page);
+  PushFront(slot);
   page_to_slot_.Insert(page, slot);
-  ++resident_count_;
   return Payload(frame);
 }
 
 Status BufferPool::EvictVictim(uint32_t* slot) {
-  const uint32_t victim = policy_->ChooseVictim();
+  const uint32_t victim = frames_[sentinel_].prev;
+  assert(victim != sentinel_);
   Frame& evicted = frames_[victim];
   ODBGC_RETURN_IF_ERROR(WriteBack(evicted));
-  policy_->OnEvict(victim);
+  Unlink(victim);
   page_to_slot_.Erase(evicted.page);
   evicted.page = kInvalidPageId;
-  --resident_count_;
   *slot = victim;  // Its frame stays attached.
   return Status::Ok();
 }
@@ -154,7 +146,7 @@ Status BufferPool::FlushAll() {
   // classification) is unchanged by batching.
   std::vector<PageWriteRequest> batch;
   std::vector<uint32_t> slots;
-  for (uint32_t slot = 0; slot < used_slots_; ++slot) {
+  for (uint32_t slot = 0; slot < sentinel_; ++slot) {
     Frame& frame = frames_[slot];
     if (frame.page == kInvalidPageId || !frame.dirty) continue;
     batch.push_back({frame.page, Payload(frame)});
@@ -195,12 +187,11 @@ void BufferPool::DiscardExtent(const PageExtent& extent) {
   for (PageId p = extent.first_page; p < extent.end_page(); ++p) {
     const uint32_t slot = page_to_slot_.Find(p);
     if (slot == OpenIndexMap::kEmptyValue) continue;
-    policy_->OnErase(slot);
+    Unlink(slot);
     page_to_slot_.Erase(p);
     released.push_back(frames_[slot].arena_frame);
     frames_[slot] = Frame{};
     free_slots_.push_back(slot);
-    --resident_count_;
   }
   arena_->ReleaseFrames(released);
 }
@@ -208,8 +199,8 @@ void BufferPool::DiscardExtent(const PageExtent& extent) {
 void BufferPool::ReleaseArenaFrames() {
   ODBGC_DCHECK_EXCLUSIVE(&access_check_, "BufferPool::ReleaseArenaFrames");
   std::vector<uint32_t> released;
-  released.reserve(resident_count_);
-  for (uint32_t slot = 0; slot < used_slots_; ++slot) {
+  released.reserve(page_to_slot_.size());
+  for (uint32_t slot = 0; slot < sentinel_; ++slot) {
     Frame& frame = frames_[slot];
     if (frame.arena_frame != SharedFrameArena::kNoFrame) {
       released.push_back(frame.arena_frame);
@@ -218,10 +209,7 @@ void BufferPool::ReleaseArenaFrames() {
   }
   arena_->ReleaseFrames(released);
   page_to_slot_.Clear();
-  policy_->Clear();
-  free_slots_.clear();
-  used_slots_ = 0;
-  resident_count_ = 0;
+  ResetSlots();
 }
 
 BufferStats BufferPool::stats() const {
@@ -251,6 +239,16 @@ bool BufferPool::IsDirty(PageId page) const {
   return slot != OpenIndexMap::kEmptyValue && frames_[slot].dirty;
 }
 
-std::vector<PageId> BufferPool::LruOrder() const { return policy_->Order(); }
+std::vector<PageId> BufferPool::LruOrder() const {
+  std::vector<PageId> order;
+  order.reserve(page_to_slot_.size());
+  // Bounded: a corrupt list shows up as a wrong order, not a runaway walk.
+  for (uint32_t slot = frames_[sentinel_].next;
+       slot != sentinel_ && order.size() <= frame_count_;
+       slot = frames_[slot].next) {
+    order.push_back(frames_[slot].page);
+  }
+  return order;
+}
 
 }  // namespace odbgc

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "buffer/frame_arena.h"
-#include "buffer/replacement_policy.h"
 #include "storage/extent.h"
 #include "storage/page.h"
 #include "storage/page_device.h"
@@ -22,7 +21,7 @@ namespace odbgc {
 /// Who is driving I/O right now. The paper reports "Application I/Os" and
 /// "Collector I/Os" separately (Table 2); the pool attributes each device
 /// transfer to the phase that was active when it happened.
-enum class IoPhase { kApplication, kCollector };
+using IoPhase = MetricPhase;
 
 /// Access intent for a page fetch.
 enum class AccessMode { kRead, kWrite };
@@ -45,10 +44,9 @@ struct BufferStats {
   uint64_t total_io() const { return app_io() + gc_io(); }
 };
 
-/// A fixed-capacity database I/O buffer with pluggable replacement and
-/// write-back (dirty pages reach the device only on eviction or flush).
-/// Strict LRU is the default and matches the paper's cost model
-/// (Section 4.2) exactly.
+/// A fixed-capacity database I/O buffer with strict LRU replacement and
+/// write-back (dirty pages reach the device only on eviction or flush),
+/// the paper's cost model (Section 4.2).
 ///
 /// `GetPage` returns a span into a frame, valid only until the next call
 /// that may evict (any GetPage). This is the single point through which
@@ -57,8 +55,8 @@ struct BufferStats {
 /// MetricsRegistry ("buffer.*" names); `stats()` snapshots them.
 ///
 /// Frames (DESIGN.md §17): `frame_count` is the pool's quota of logical
-/// slots. Replacement state, the page→slot residency map and every
-/// counter run over those slots; each resident slot borrows one physical
+/// slots. The LRU list, the page→slot residency map and every counter
+/// run over those slots; each resident slot borrows one physical
 /// frame from a SharedFrameArena and caches the frame's payload pointer,
 /// so a hit never touches the arena. A pool constructed without an arena
 /// owns one of exactly `frame_count` frames, which never runs dry; the
@@ -81,15 +79,14 @@ class BufferPool {
   /// non-null (it must then outlive the pool), else from an arena of
   /// `frame_count` frames the pool owns.
   BufferPool(PageDevice* device, size_t frame_count,
-             ReplacementPolicyKind policy = ReplacementPolicyKind::kLru,
              SharedFrameArena* arena = nullptr);
 
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
 
-  /// Fetches `page` into the pool (reading from the device on a miss,
-  /// evicting the policy's victim if full), notifies the replacement
-  /// policy, marks it dirty if `mode` is kWrite, and returns its bytes.
+  /// Fetches `page` as the most recently used page (reading it from the
+  /// device on a miss, evicting the least recently used one if full),
+  /// marks it dirty if `mode` is kWrite, and returns its bytes.
   ///
   /// Returns OutOfRange if the page does not exist on the device.
   Result<std::span<std::byte>> GetPage(PageId page, AccessMode mode);
@@ -116,17 +113,16 @@ class BufferPool {
   /// Sets the accounting phase for subsequent transfers. The phase lives in
   /// the metrics registry, so device-level counters attribute to the same
   /// phase.
-  void set_phase(IoPhase phase);
-  IoPhase phase() const;
+  void set_phase(IoPhase phase) { registry_->set_phase(phase); }
+  IoPhase phase() const { return registry_->phase(); }
 
   BufferStats stats() const;
   void ResetStats();
 
-  ReplacementPolicyKind replacement() const { return policy_->kind(); }
   MetricsRegistry* metrics() const { return registry_; }
 
   size_t frame_count() const { return frame_count_; }
-  size_t resident_pages() const { return resident_count_; }
+  size_t resident_pages() const { return page_to_slot_.size(); }
 
   /// Evictions this pool performed *under* quota because a shared arena
   /// had no free frame (always 0 with an arena of its own; see
@@ -140,24 +136,26 @@ class BufferPool {
   void ReleaseArenaFrames();
 
   /// True if `page` is currently resident (test/inspection helper; does not
-  /// touch replacement order or counters).
+  /// touch the LRU order or counters).
   bool IsResident(PageId page) const;
 
   /// True if `page` is resident and dirty (test/inspection helper).
   bool IsDirty(PageId page) const;
 
-  /// Resident pages in the policy's replacement order (for strict LRU,
-  /// most recent first — see ReplacementPolicy::Order).
+  /// Resident pages, most recently used first.
   std::vector<PageId> LruOrder() const;
 
  private:
   /// One fixed slot of the pool. `page` is kInvalidPageId while the slot
-  /// is free. A resident slot holds the arena frame `arena_frame` and
-  /// caches its payload in `bytes`; a free slot holds no frame.
+  /// is free. A resident slot holds the arena frame `arena_frame`, caches
+  /// its payload in `bytes` and is linked into the LRU list by `prev` and
+  /// `next`; a free slot holds no frame and is on no list.
   struct Frame {
     std::byte* bytes = nullptr;
     PageId page = kInvalidPageId;
     uint32_t arena_frame = SharedFrameArena::kNoFrame;
+    uint32_t prev = 0;
+    uint32_t next = 0;
     bool dirty = false;
   };
 
@@ -168,32 +166,35 @@ class BufferPool {
   // Writes back `frame` if dirty (charging the current phase).
   Status WriteBack(Frame& frame);
 
-  // Picks the slot for a new resident page: a recycled free slot if one
-  // exists, else the next never-used one. The caller evicts first when
-  // the pool is full.
-  uint32_t AllocSlot();
-
   // Borrows a frame from the arena for `frame`, sized to the device's
   // pages. False when the arena has none free.
   bool AttachFrame(Frame& frame);
 
-  // Evicts the slot the policy chose (write-back, policy + residency
+  // Evicts the least recently used slot (write-back, list + residency
   // drop) and returns it for reuse with its frame still attached.
   Status EvictVictim(uint32_t* slot);
+
+  // The LRU list is a cycle through the sentinel slot frames_[sentinel_]
+  // (empty: the sentinel links to itself); the sentinel's `next` is the
+  // most recently used slot and its `prev` the eviction victim.
+  void PushFront(uint32_t slot);
+  void Unlink(uint32_t slot);
+  // Empties the list and puts every slot on the free stack.
+  void ResetSlots();
 
   PageDevice* const device_;
   MetricsRegistry* const registry_;
   const size_t page_size_;
   const size_t frame_count_;
-  std::unique_ptr<ReplacementPolicy> policy_;
+  const uint32_t sentinel_;
 
   /// The slot array plus an open-addressed page→slot index: residency
   /// lookup is a couple of linear probes into a flat slot array.
   std::vector<Frame> frames_;
   OpenIndexMap page_to_slot_;
+  /// Slots holding no page. A new resident page takes the top one: the
+  /// slot freed last, else the lowest never-used one.
   std::vector<uint32_t> free_slots_;
-  uint32_t used_slots_ = 0;  // High-water mark of ever-touched slots.
-  size_t resident_count_ = 0;
 
   /// The physical frames: the arena given at construction, or
   /// `owned_arena_`.

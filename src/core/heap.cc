@@ -66,7 +66,6 @@ CollectedHeap::CollectedHeap(const HeapOptions& options) : options_(options) {
   metrics_ = std::make_unique<MetricsRegistry>();
   device_ = MakeConfiguredDevice(options_, metrics_.get());
   buffer_ = std::make_unique<BufferPool>(device_.get(), options_.buffer_pages,
-                                         options_.replacement,
                                          options_.shared_arena);
   store_ = std::make_unique<ObjectStore>(options_.store, device_.get(),
                                          buffer_.get());

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "buffer/buffer_pool.h"
-#include "buffer/replacement_policy.h"
 #include "core/copying_collector.h"
 #include "core/global_collector.h"
 #include "core/reachability.h"
@@ -88,8 +87,6 @@ struct HeapOptions {
   /// read-ahead depth, batch executors; the path may instead come from
   /// the spec argument, which wins).
   FileDeviceOptions file_device;
-  /// Buffer replacement policy. Strict LRU is the paper's cost model.
-  ReplacementPolicyKind replacement = ReplacementPolicyKind::kLru;
   /// Partition selection policy, as a behaviour-class enum (the paper's
   /// six). Used only when `policy_name` and `policy_factory` are unset;
   /// after construction it reflects the instantiated policy's kind().

@@ -66,8 +66,9 @@ Json ConfigJson(const SimulationConfig& config) {
                                         : DeviceSpecName(heap.device_spec)));
   heap_json.Set("disk_cost", std::move(disk_cost));
   heap_json.Set("ssd_cost", std::move(ssd_cost));
-  heap_json.Set("replacement",
-                Json::Str(ReplacementPolicyName(heap.replacement)));
+  // The buffer is always strict LRU; the key stays because config and
+  // result digests hash it.
+  heap_json.Set("replacement", Json::Str("lru"));
   heap_json.Set("policy_kind", Json::Str(PolicyName(heap.policy)));
   heap_json.Set("policy_name", Json::Str(heap.policy_name));
   heap_json.Set("trigger", Json::UInt(static_cast<uint64_t>(heap.trigger)));
@@ -127,7 +128,7 @@ Json ResultJson(const SimulationResult& result) {
   out.Set("policy", Json::Str(result.policy_name));
   out.Set("seed", Json::UInt(result.seed));
   out.Set("device", Json::Str(DeviceKindName(result.device)));
-  out.Set("replacement", Json::Str(ReplacementPolicyName(result.replacement)));
+  out.Set("replacement", Json::Str("lru"));  // See ConfigJson.
   out.Set("app_events", Json::UInt(result.app_events));
   out.Set("app_io", Json::UInt(result.app_io));
   out.Set("gc_io", Json::UInt(result.gc_io));

@@ -143,12 +143,11 @@ SimulationResult ConcurrentSimulator::AggregateResults(
     const std::vector<SimulationResult>& parts) {
   SimulationResult out;
   if (parts.empty()) return out;
-  // Identity fields: every shard ran the same policy/device/replacement.
+  // Identity fields: every shard ran the same policy and device.
   out.policy = parts.front().policy;
   out.policy_name = parts.front().policy_name;
   out.seed = parts.front().seed;
   out.device = parts.front().device;
-  out.replacement = parts.front().replacement;
 
   std::vector<std::vector<MetricSample>> metric_parts;
   metric_parts.reserve(parts.size());

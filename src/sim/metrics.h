@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "buffer/buffer_pool.h"
-#include "buffer/replacement_policy.h"
 #include "core/heap.h"
 #include "core/selection_policy.h"
 #include "storage/disk.h"
@@ -28,7 +27,6 @@ struct SimulationResult {
 
   /// I/O subsystem configuration the run used.
   DeviceKind device = DeviceKind::kSimulatedDisk;
-  ReplacementPolicyKind replacement = ReplacementPolicyKind::kLru;
 
   /// Application events replayed (the paper's time axis).
   uint64_t app_events = 0;

@@ -188,7 +188,6 @@ SimulationResult Simulator::Finish() {
   result.policy_name = heap_->options().policy_name;
   result.seed = config_.seed;
   result.device = heap_->options().device;
-  result.replacement = heap_->options().replacement;
   result.app_events = events_;
 
   const BufferStats buffer = heap_->buffer().stats();

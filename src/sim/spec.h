@@ -95,10 +95,6 @@ struct TenantSpec {
     config.heap.device_spec = std::move(device_spec);
     return std::move(*this);
   }
-  TenantSpec&& WithReplacement(ReplacementPolicyKind kind) && {
-    config.heap.replacement = kind;
-    return std::move(*this);
-  }
   /// Run-telemetry sink (non-owning; must outlive the run).
   TenantSpec&& WithObserver(SimObserver* observer) && {
     config.heap.observer = observer;

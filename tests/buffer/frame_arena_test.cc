@@ -56,7 +56,7 @@ TEST(FrameArenaTest, AllocatorHandsOutAndRecyclesFrames) {
 
 struct Tenant {
   explicit Tenant(SharedFrameArena* arena, size_t quota = 3)
-      : disk(64), pool(&disk, quota, ReplacementPolicyKind::kLru, arena) {
+      : disk(64), pool(&disk, quota, arena) {
     disk.AllocatePages(16);
   }
   SimulatedDisk disk;

@@ -1,13 +1,10 @@
-// Policy-agnostic property tests: whatever the replacement policy, the
-// buffer pool must stay a correct write-back cache (content, residency,
-// capacity, I/O accounting), its replacement order must describe exactly
-// the resident set, and a replay — DiscardExtent included — must rebuild
-// the same state and make identical decisions.
+// Property tests of the LRU buffer pool as a write-back cache: it must stay
+// correct (content, residency, capacity, I/O accounting), its LRU order
+// must describe exactly the resident set, and a replay — DiscardExtent
+// included — must rebuild the same state and make identical decisions.
 
 #include <algorithm>
 #include <cstddef>
-#include <cstring>
-#include <ostream>
 #include <set>
 #include <string>
 #include <vector>
@@ -15,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include "buffer/buffer_pool.h"
-#include "buffer/replacement_policy.h"
 #include "storage/disk.h"
 #include "storage/ssd_device.h"
 #include "util/random.h"
@@ -27,30 +23,12 @@ constexpr size_t kPageSize = 32;
 constexpr size_t kPages = 24;
 
 struct Params {
-  ReplacementPolicyKind kind;
   size_t frames;
   uint64_t seed;
 };
 
-// gtest writes each case's parameter into its ctest name, by default as the
-// struct's raw bytes, the seven padding bytes after `kind` included. Print
-// the same dump from a zeroed copy, so stack contents never change the name.
-void PrintTo(const Params& params, std::ostream* os) {
-  struct {
-    unsigned char bytes[sizeof(Params)];
-  } copy{};
-  std::memcpy(copy.bytes + offsetof(Params, kind), &params.kind,
-              sizeof params.kind);
-  std::memcpy(copy.bytes + offsetof(Params, frames), &params.frames,
-              sizeof params.frames);
-  std::memcpy(copy.bytes + offsetof(Params, seed), &params.seed,
-              sizeof params.seed);
-  *os << ::testing::PrintToString(copy);
-}
-
 std::string ParamName(const ::testing::TestParamInfo<Params>& info) {
-  return std::string(ReplacementPolicyName(info.param.kind)) + "_frames" +
-         std::to_string(info.param.frames) + "_seed" +
+  return "lru_frames" + std::to_string(info.param.frames) + "_seed" +
          std::to_string(info.param.seed);
 }
 
@@ -69,7 +47,7 @@ class ReplacementPolicyPropertyTest : public ::testing::TestWithParam<Params> {
 //  - a hit changes neither residency nor device traffic;
 //  - a miss reads exactly one page, admits the requested page, and evicts
 //    at most one page — paying a device write iff the evictee was dirty;
-//  - Order() is always a permutation of the resident set;
+//  - LruOrder() is always a permutation of the resident set;
 //  - capacity is never exceeded, and the pool always presents the logical
 //    content regardless of eviction decisions.
 TEST_P(ReplacementPolicyPropertyTest, PoolInvariantsUnderRandomAccess) {
@@ -78,7 +56,7 @@ TEST_P(ReplacementPolicyPropertyTest, PoolInvariantsUnderRandomAccess) {
 
   SimulatedDisk disk(kPageSize);
   disk.AllocatePages(kPages);
-  BufferPool pool(&disk, params.frames, params.kind);
+  BufferPool pool(&disk, params.frames);
 
   std::vector<uint8_t> content(kPages, 0);  // Logical first byte per page.
   uint64_t expected_misses = 0;
@@ -139,12 +117,12 @@ TEST_P(ReplacementPolicyPropertyTest, PoolInvariantsUnderRandomAccess) {
       ASSERT_TRUE(pool.IsDirty(page));
     }
 
-    // Order() is a permutation of the resident set.
+    // LruOrder() is a permutation of the resident set.
     std::vector<PageId> order = pool.LruOrder();
     ASSERT_EQ(order.size(), resident1.size());
     std::sort(order.begin(), order.end());
     ASSERT_TRUE(std::equal(order.begin(), order.end(), resident1.begin()))
-        << "replacement order out of sync with residency at step " << step;
+        << "LRU order out of sync with residency at step " << step;
   }
 
   EXPECT_EQ(pool.stats().misses, expected_misses);
@@ -162,8 +140,8 @@ TEST_P(ReplacementPolicyPropertyTest, PoolInvariantsUnderRandomAccess) {
 }
 
 // The same access sequence against a fresh pool must reproduce the same
-// replacement order and the same counters (policies are deterministic —
-// every result is a pure function of (config, seed)).
+// LRU order and the same counters (the pool is deterministic — every
+// result is a pure function of (config, seed)).
 TEST_P(ReplacementPolicyPropertyTest, ReplayIsDeterministic) {
   const Params params = GetParam();
   auto run = [&](BufferPool& pool) {
@@ -178,12 +156,12 @@ TEST_P(ReplacementPolicyPropertyTest, ReplayIsDeterministic) {
 
   SimulatedDisk disk_a(kPageSize);
   disk_a.AllocatePages(kPages);
-  BufferPool a(&disk_a, params.frames, params.kind);
+  BufferPool a(&disk_a, params.frames);
   run(a);
 
   SimulatedDisk disk_b(kPageSize);
   disk_b.AllocatePages(kPages);
-  BufferPool b(&disk_b, params.frames, params.kind);
+  BufferPool b(&disk_b, params.frames);
   run(b);
 
   EXPECT_EQ(a.LruOrder(), b.LruOrder());
@@ -195,7 +173,7 @@ TEST_P(ReplacementPolicyPropertyTest, ReplayIsDeterministic) {
 // DiscardExtent mid-stream, then a round trip through the one saved form
 // a pool's state has: the access log that built it. Replaying the log,
 // discard included, into a fresh pool must restore the same residency,
-// dirty bits and replacement order, and the two pools must then make
+// dirty bits and LRU order, and the two pools must then make
 // identical decisions under a further identical access sequence.
 TEST_P(ReplacementPolicyPropertyTest, DiscardThenSaveLoadRoundTrip) {
   const Params params = GetParam();
@@ -206,7 +184,7 @@ TEST_P(ReplacementPolicyPropertyTest, DiscardThenSaveLoadRoundTrip) {
 
   SimulatedDisk disk_a(kPageSize);
   disk_a.AllocatePages(kPages);
-  BufferPool a(&disk_a, params.frames, params.kind);
+  BufferPool a(&disk_a, params.frames);
 
   Rng rng(params.seed + 99);
   std::vector<Access> log;
@@ -228,7 +206,7 @@ TEST_P(ReplacementPolicyPropertyTest, DiscardThenSaveLoadRoundTrip) {
 
   SimulatedDisk disk_b(kPageSize);
   disk_b.AllocatePages(kPages);
-  BufferPool b(&disk_b, params.frames, params.kind);
+  BufferPool b(&disk_b, params.frames);
   for (const Access& access : log) {
     ASSERT_TRUE(b.GetPage(access.page, access.mode).ok());
   }
@@ -258,15 +236,15 @@ TEST_P(ReplacementPolicyPropertyTest, DiscardThenSaveLoadRoundTrip) {
   }
 }
 
-// Every policy must run over the SSD backend too (the pool does not care
-// which device is underneath).
+// The pool must run over the SSD backend too (it does not care which
+// device is underneath).
 TEST_P(ReplacementPolicyPropertyTest, WorksOverSsdBackend) {
   const Params params = GetParam();
   SsdCostParams flash;
   flash.pages_per_block = 4;
   SsdDevice ssd(kPageSize, nullptr, flash);
   ssd.AllocatePages(kPages);
-  BufferPool pool(&ssd, params.frames, params.kind);
+  BufferPool pool(&ssd, params.frames);
 
   std::vector<uint8_t> content(kPages, 0);
   Rng rng(params.seed + 7);
@@ -295,18 +273,7 @@ TEST_P(ReplacementPolicyPropertyTest, WorksOverSsdBackend) {
 
 INSTANTIATE_TEST_SUITE_P(
     PoliciesFramesSeeds, ReplacementPolicyPropertyTest,
-    ::testing::Values(
-        Params{ReplacementPolicyKind::kLru, 1, 1},
-        Params{ReplacementPolicyKind::kLru, 8, 2},
-        Params{ReplacementPolicyKind::kLru, 16, 3},
-        Params{ReplacementPolicyKind::kClock, 1, 1},
-        Params{ReplacementPolicyKind::kClock, 3, 2},
-        Params{ReplacementPolicyKind::kClock, 8, 3},
-        Params{ReplacementPolicyKind::kClock, 16, 4},
-        Params{ReplacementPolicyKind::kTwoQ, 1, 1},
-        Params{ReplacementPolicyKind::kTwoQ, 3, 2},
-        Params{ReplacementPolicyKind::kTwoQ, 8, 3},
-        Params{ReplacementPolicyKind::kTwoQ, 16, 4}),
+    ::testing::Values(Params{1, 1}, Params{8, 2}, Params{16, 3}),
     ParamName);
 
 }  // namespace

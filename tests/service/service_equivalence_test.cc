@@ -56,7 +56,6 @@ void ExpectResultsIdentical(const SimulationResult& a,
   EXPECT_EQ(a.policy_name, b.policy_name);
   EXPECT_EQ(a.seed, b.seed);
   EXPECT_EQ(a.device, b.device);
-  EXPECT_EQ(a.replacement, b.replacement);
   EXPECT_EQ(a.app_events, b.app_events);
   EXPECT_EQ(a.app_io, b.app_io);
   EXPECT_EQ(a.gc_io, b.gc_io);

@@ -4,8 +4,7 @@
 // mid-run, not just in its final counters: the weight table and weighted
 // policy sums (WeightedPointer), the per-partition hint counters
 // (MutatedPartition), the extension policies' tables
-// (LeastRecentlyCollected, CostBenefit) and the clock/2Q replacement state
-// (intrusive frame lists).
+// (LeastRecentlyCollected, CostBenefit) and the buffer pool's LRU list.
 
 #include <gtest/gtest.h>
 
@@ -58,7 +57,7 @@ PartialRun RunPartway(const SimulationConfig& config, int rounds) {
 
 // The state of a stopped run that the library lets a caller read, as one
 // canonical string: the generator's position, the heap's counters and
-// collection log, every simulated metric, the buffer pool's replacement
+// collection log, every simulated metric, the buffer pool's LRU
 // order and dirty bits, the device's counters, every live object's place,
 // slots and weight, the partitions, the remembered sets and the
 // collection candidates.
@@ -133,24 +132,20 @@ std::string StateBytes(const PartialRun& run) {
 
 struct DenseLayoutParams {
   PolicyKind policy;
-  ReplacementPolicyKind replacement;
   const char* name;
   const char* policy_name;
 };
 
 // gtest writes each case's parameter into its ctest name, by default as the
-// struct's raw bytes: the padding after the enums and the string pointers,
+// struct's raw bytes: the padding after the enum and the string pointers,
 // which ASLR moves, included. Print the same dump from a copy that keeps
-// only the two enums and zeroes the rest; `name` is already the case's
-// suffix.
+// only the enum and zeroes the rest; `name` is already the case's suffix.
 void PrintTo(const DenseLayoutParams& params, std::ostream* os) {
   struct {
     unsigned char bytes[sizeof(DenseLayoutParams)];
   } copy{};
   std::memcpy(copy.bytes + offsetof(DenseLayoutParams, policy),
               &params.policy, sizeof params.policy);
-  std::memcpy(copy.bytes + offsetof(DenseLayoutParams, replacement),
-              &params.replacement, sizeof params.replacement);
   *os << ::testing::PrintToString(copy);
 }
 
@@ -164,7 +159,6 @@ TEST_P(DenseLayoutRoundTrip, SnapshotRestoresBitIdentical) {
   SimulationConfig config = TinyConfig(11);
   config.heap.policy_name = GetParam().policy_name;
   config.heap.policy = GetParam().policy;
-  config.heap.replacement = GetParam().replacement;
 
   PartialRun original = RunPartway(config, 40);
   ASSERT_EQ(original.generator->rounds_run(), 40u);
@@ -187,24 +181,14 @@ TEST_P(DenseLayoutRoundTrip, SnapshotRestoresBitIdentical) {
 INSTANTIATE_TEST_SUITE_P(
     DensePaths, DenseLayoutRoundTrip,
     ::testing::Values(
-        DenseLayoutParams{PolicyKind::kWeightedPointer,
-                          ReplacementPolicyKind::kLru, "weighted",
+        DenseLayoutParams{PolicyKind::kWeightedPointer, "weighted",
                           "WeightedPointer"},
-        DenseLayoutParams{PolicyKind::kMutatedPartition,
-                          ReplacementPolicyKind::kLru, "mutated",
+        DenseLayoutParams{PolicyKind::kMutatedPartition, "mutated",
                           "MutatedPartition"},
-        DenseLayoutParams{PolicyKind::kUpdatedPointer,
-                          ReplacementPolicyKind::kLru, "lrc",
+        DenseLayoutParams{PolicyKind::kUpdatedPointer, "lrc",
                           "LeastRecentlyCollected"},
-        DenseLayoutParams{PolicyKind::kUpdatedPointer,
-                          ReplacementPolicyKind::kLru, "costbenefit",
-                          "CostBenefit"},
-        DenseLayoutParams{PolicyKind::kUpdatedPointer,
-                          ReplacementPolicyKind::kClock, "clock",
-                          "UpdatedPointer"},
-        DenseLayoutParams{PolicyKind::kUpdatedPointer,
-                          ReplacementPolicyKind::kTwoQ, "twoq",
-                          "UpdatedPointer"}),
+        DenseLayoutParams{PolicyKind::kUpdatedPointer, "costbenefit",
+                          "CostBenefit"}),
     [](const ::testing::TestParamInfo<DenseLayoutParams>& info) {
       return std::string(info.param.name);
     });

@@ -1,8 +1,7 @@
 // RunExperiment must be bit-deterministic across thread counts: a parallel
 // run is only trustworthy if every field of every SimulationResult —
 // counters, component stats, metric samples, time series — matches the
-// serial run exactly. This covers the non-default I/O configurations too
-// (SSD backend, CLOCK/2Q replacement).
+// serial run exactly. This covers the SSD backend too.
 
 #include <gtest/gtest.h>
 
@@ -43,7 +42,6 @@ void ExpectFieldIdentical(const SimulationResult& a,
   EXPECT_EQ(a.policy, b.policy);
   EXPECT_EQ(a.seed, b.seed);
   EXPECT_EQ(a.device, b.device);
-  EXPECT_EQ(a.replacement, b.replacement);
   EXPECT_EQ(a.app_events, b.app_events);
   EXPECT_EQ(a.app_io, b.app_io);
   EXPECT_EQ(a.gc_io, b.gc_io);
@@ -112,19 +110,10 @@ TEST(RunnerDeterminismTest, ParallelMatchesSerialFieldForField) {
   ExpectExperimentsIdentical(TinySpec());
 }
 
-TEST(RunnerDeterminismTest, ParallelMatchesSerialOnSsdWithClock) {
+TEST(RunnerDeterminismTest, ParallelMatchesSerialOnSsd) {
   ExperimentSpec spec = TinySpec();
   spec.base.heap.device = DeviceKind::kSsd;
   spec.base.heap.ssd_cost.pages_per_block = 8;
-  spec.base.heap.replacement = ReplacementPolicyKind::kClock;
-  ExpectExperimentsIdentical(spec);
-}
-
-TEST(RunnerDeterminismTest, ParallelMatchesSerialWithTwoQ) {
-  ExperimentSpec spec = TinySpec();
-  spec.base.heap.replacement = ReplacementPolicyKind::kTwoQ;
-  spec.policies = {"MostGarbage", "Random"};
-  spec.num_seeds = 2;
   ExpectExperimentsIdentical(spec);
 }
 

@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include "buffer/replacement_policy.h"
 #include "sim/config.h"
 
 namespace odbgc {
@@ -32,15 +31,12 @@ TEST(TenantSpecTest, HeapKnobsLandInHeapOptions) {
                                       .WithPartitionPages(32)
                                       .WithTrigger(75)
                                       .WithDevice("ssd")
-                                      .WithReplacement(
-                                          ReplacementPolicyKind::kClock)
                                       .Build();
   EXPECT_EQ(config.heap.policy_name, "MostGarbage");
   EXPECT_EQ(config.heap.buffer_pages, 48u);
   EXPECT_EQ(config.heap.store.pages_per_partition, 32u);
   EXPECT_EQ(config.heap.overwrite_trigger, 75u);
   EXPECT_EQ(config.heap.device_spec, "ssd");
-  EXPECT_EQ(config.heap.replacement, ReplacementPolicyKind::kClock);
 }
 
 TEST(TenantSpecTest, WorkloadKnobsLandInWorkloadAndTopLevel) {
