@@ -48,16 +48,10 @@ void Usage(const char* prog) {
       "                         -<policy>-s<seed> suffix; see\n"
       "                         --list-devices)\n"
       "  --list-devices         print the device registry and exit\n"
-      "  --mutator-threads=N    concurrent mutator threads per run\n"
-      "                         (default 1 = serial; results are\n"
-      "                         thread-count-invariant)\n"
-      "  --trace-shards=N       deterministic workload shards per run\n"
-      "                         (default: one per mutator thread)\n"
       "  --parallel-grid[=N]    run the (policy, seed) grid on N\n"
       "                         threads (default: hardware\n"
-      "                         concurrency) and stamp per-run wall\n"
-      "                         time into manifests for odbgc-report's\n"
-      "                         scaling table\n"
+      "                         concurrency); results are the same\n"
+      "                         as a serial grid's\n"
       "  --csv                  CSV instead of aligned tables\n",
       prog);
 }
@@ -110,10 +104,7 @@ int main(int argc, char** argv) {
         ParseNumberFlag(argv[i], "--seeds", &spec.num_seeds, &ok) ||
         ParseNumberFlag(argv[i], "--first-seed", &spec.first_seed, &ok) ||
         ParseNumberFlag(argv[i], "--trigger", &heap.overwrite_trigger, &ok) ||
-        ParseNumberFlag(argv[i], "--mutator-threads",
-                        &spec.base.mutator_threads, &ok) ||
-        ParseNumberFlag(argv[i], "--trace-shards", &spec.base.trace_shards,
-                        &ok)) {
+        ParseNumberFlag(argv[i], "--parallel-grid", &spec.threads, &ok)) {
       // Parsed in the condition.
     } else if (ParseNumberFlag(argv[i], "--alloc-mb", &alloc_mb, &ok)) {
       spec.base.workload = spec.base.workload.WithTotalAllocation(
@@ -127,12 +118,8 @@ int main(int argc, char** argv) {
     } else if (ParseNumberFlag(argv[i], "--buffer-pages", &heap.buffer_pages,
                                &ok)) {
       buffer_set = true;
-    } else if (ParseNumberFlag(argv[i], "--parallel-grid", &spec.threads,
-                               &ok)) {
-      spec.record_timing = true;
     } else if (std::strcmp(argv[i], "--parallel-grid") == 0) {
       spec.threads = 0;  // Hardware concurrency.
-      spec.record_timing = true;
     } else if (std::strcmp(argv[i], "--csv") == 0) {
       csv = true;
     } else {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <span>
+#include <utility>
 #include <vector>
 
 namespace odbgc {
@@ -149,6 +150,23 @@ Result<CollectionResult> CopyingCollector::Collect(
       victim, target, [&](ObjectId id) { return store_->PartitionOf(id); });
   if (!evacuated.ok()) {
     store_->AbandonEvacuation(victim);
+    // What was copied stays in the copy target and the rest stays in the
+    // victim, so a pointer between the two now crosses a partition
+    // boundary. Both its ends were in the victim before, so the index
+    // holds none of these pointers yet.
+    for (const auto& [from, to] :
+         {std::pair{target, victim}, std::pair{victim, target}}) {
+      for (const auto& [offset, id] :
+           store_->partition(from).objects_by_offset()) {
+        const std::vector<ObjectId>& slots = store_->Lookup(id)->slots;
+        for (uint32_t slot = 0; slot < slots.size(); ++slot) {
+          if (!slots[slot].is_null() &&
+              store_->PartitionOf(slots[slot]) == to) {
+            index_->AddReference(id, from, slot, slots[slot], to);
+          }
+        }
+      }
+    }
     return evacuated;
   }
   ODBGC_RETURN_IF_ERROR(store_->SwapEmptyPartition(victim));

@@ -113,12 +113,6 @@ Json ConfigJson(const SimulationConfig& config) {
   out.Set("snapshot_interval", Json::UInt(config.snapshot_interval));
   out.Set("census_at_snapshots", Json::Bool(config.census_at_snapshots));
   out.Set("warm_start", Json::Bool(config.warm_start));
-  // Concurrency knobs are recorded for provenance but are an experiment
-  // axis (like policy and seed): ConfigDigest erases them, because the
-  // aggregate result is thread-count-invariant by the equivalence
-  // contract (sim/concurrent_simulator.h).
-  out.Set("mutator_threads", Json::UInt(config.mutator_threads));
-  out.Set("trace_shards", Json::UInt(config.trace_shards));
   return out;
 }
 
@@ -207,10 +201,6 @@ uint32_t ConfigDigest(const SimulationConfig& config) {
   Json& heap = json.object().at("heap");
   heap.object().erase("policy_kind");
   heap.object().erase("policy_name");
-  // Concurrency is an axis too: a 4-thread run must remain comparable
-  // (same digest) with the serial run it is verified against.
-  json.object().erase("mutator_threads");
-  json.object().erase("trace_shards");
   return Crc32(json.Dump());
 }
 
@@ -252,19 +242,8 @@ Json BuildManifest(const SimulationConfig& config,
     measured.Set("wall_ms", Json::Double(m.wall_ms));
     manifest.Set("measured", std::move(measured));
   }
-  // End-to-end run wall time, present only when the experiment runner's
-  // spec opted in (ExperimentSpec::record_timing). Same placement rule as
-  // `measured`: a top-level sibling of `result`, excluded from the config
-  // digest, so default manifests stay byte-identical while same-digest
-  // manifests from runs at different thread counts feed odbgc-report's
-  // scaling table.
-  if (result.run_wall_seconds > 0) {
-    Json timing = Json::Obj();
-    timing.Set("wall_seconds", Json::Double(result.run_wall_seconds));
-    manifest.Set("timing", std::move(timing));
-  }
   // Per-tenant service telemetry, present only for manifests a
-  // HeapService wrote. Same placement rule as `measured`/`timing`: a
+  // HeapService wrote. Same placement rule as `measured`: a
   // top-level sibling of `result`, excluded from the digest, so a
   // tenant's deterministic surface stays comparable with a standalone
   // run's while odbgc-report's tenants table reads the occupancy story.
@@ -353,13 +332,6 @@ Status ValidateManifest(const Json& manifest) {
       ODBGC_RETURN_IF_ERROR(RequireNumber(*measured, key));
     }
     ODBGC_RETURN_IF_ERROR(RequireString(*measured, "device_spec"));
-  }
-  // `timing` is optional (present only when the runner recorded wall
-  // time); when present it must be well-formed.
-  const Json* timing = manifest.Get("timing");
-  if (timing != nullptr) {
-    if (!timing->is_object()) return Missing("timing", "object");
-    ODBGC_RETURN_IF_ERROR(RequireNumber(*timing, "wall_seconds"));
   }
   // `service` is optional (present only for HeapService tenant
   // manifests); when present it must be well-formed.

@@ -21,8 +21,8 @@ namespace odbgc {
 struct RunStartedEvent {
   std::string policy;
   uint64_t seed = 0;
-  /// Shard or tenant index + 1 in a sharded run or service fleet
-  /// (stamped by SynchronizedObserver); 0 in a standalone run.
+  /// Tenant index + 1 in a service fleet (stamped by
+  /// SynchronizedObserver); 0 in a standalone run.
   uint32_t thread = 0;
 };
 
@@ -35,8 +35,8 @@ struct RunFinishedEvent {
   uint64_t app_io = 0;
   uint64_t gc_io = 0;
   uint64_t garbage_reclaimed_bytes = 0;
-  /// Shard or tenant index + 1 in a sharded run or service fleet
-  /// (stamped by SynchronizedObserver); 0 in a standalone run.
+  /// Tenant index + 1 in a service fleet (stamped by
+  /// SynchronizedObserver); 0 in a standalone run.
   uint32_t thread = 0;
 };
 
@@ -51,8 +51,8 @@ struct CollectionEvent {
   uint64_t live_bytes_copied = 0;
   uint64_t page_reads = 0;
   uint64_t page_writes = 0;
-  /// Shard or tenant index + 1 in a sharded run or service fleet
-  /// (stamped by SynchronizedObserver); 0 in a standalone run.
+  /// Tenant index + 1 in a service fleet (stamped by
+  /// SynchronizedObserver); 0 in a standalone run.
   uint32_t thread = 0;
 };
 
@@ -70,8 +70,8 @@ struct DeviceBatchEvent {
   uint64_t ordinal = 0;
   /// Submit-to-drain wall time (completion events only).
   uint64_t wall_ns = 0;
-  /// Shard or tenant index + 1 in a sharded run or service fleet
-  /// (stamped by SynchronizedObserver); 0 in a standalone run.
+  /// Tenant index + 1 in a service fleet (stamped by
+  /// SynchronizedObserver); 0 in a standalone run.
   uint32_t thread = 0;
 };
 
@@ -80,8 +80,8 @@ struct DeviceSyncEvent {
   /// 1-based fsync count on this device.
   uint64_t ordinal = 0;
   uint64_t wall_ns = 0;
-  /// Shard or tenant index + 1 in a sharded run or service fleet
-  /// (stamped by SynchronizedObserver); 0 in a standalone run.
+  /// Tenant index + 1 in a service fleet (stamped by
+  /// SynchronizedObserver); 0 in a standalone run.
   uint32_t thread = 0;
 };
 
@@ -96,8 +96,8 @@ struct ReadAheadEvent {
   /// Cumulative ReadPage outcomes against the cache so far.
   uint64_t total_hits = 0;
   uint64_t total_misses = 0;
-  /// Shard or tenant index + 1 in a sharded run or service fleet
-  /// (stamped by SynchronizedObserver); 0 in a standalone run.
+  /// Tenant index + 1 in a service fleet (stamped by
+  /// SynchronizedObserver); 0 in a standalone run.
   uint32_t thread = 0;
 };
 
@@ -108,8 +108,8 @@ struct PhaseEvent {
   /// Static phase name ("census", "collection", "full_collection").
   const char* phase = "";
   uint64_t wall_ns = 0;
-  /// Shard or tenant index + 1 in a sharded run or service fleet
-  /// (stamped by SynchronizedObserver); 0 in a standalone run.
+  /// Tenant index + 1 in a service fleet (stamped by
+  /// SynchronizedObserver); 0 in a standalone run.
   uint32_t thread = 0;
 };
 
@@ -134,7 +134,7 @@ class SimObserver {
 };
 
 /// Adapter that lets one user observer watch a multi-threaded run: each
-/// shard or tenant heap publishes through its own SynchronizedObserver,
+/// tenant heap publishes through its own SynchronizedObserver,
 /// which stamps the event's `thread` tag with that heap's index + 1 and
 /// serializes delivery to the shared inner sink under a shared mutex. The
 /// inner observer therefore keeps the single-threaded contract (one event
@@ -143,8 +143,8 @@ class SimObserver {
 class SynchronizedObserver : public SimObserver {
  public:
   /// `inner` and `mutex` are shared across the run's wrappers and must
-  /// outlive them; `thread` is the tag this wrapper stamps (the shard or
-  /// tenant index + 1, so 0 stays "standalone").
+  /// outlive them; `thread` is the tag this wrapper stamps (the tenant
+  /// index + 1, so 0 stays "standalone").
   SynchronizedObserver(SimObserver* inner, std::mutex* mutex, uint32_t thread)
       : inner_(inner), mutex_(mutex), thread_(thread) {}
 

@@ -11,7 +11,6 @@
 #include "buffer/frame_arena.h"
 #include "observe/manifest.h"
 #include "observe/observer.h"
-#include "sim/concurrent_simulator.h"
 #include "sim/simulator.h"
 #include "storage/device_registry.h"
 #include "trace/event.h"
@@ -39,6 +38,86 @@ class VectorSink : public TraceSink {
 // admission controller: enough to shed a full round's growth, bounded so
 // a pathological heap (nothing left to shed) cannot spin the barrier.
 constexpr int kMaxForcedPerBarrier = 64;
+
+// Sums the tenants' results into the fleet's aggregate, field by field:
+// I/O, events, allocation, reclamation, remembered-set entries and
+// estimated device time add up; max_storage/max_partitions sum the
+// per-tenant high-water marks (the footprint bound of the fleet as a
+// whole); the measured flags OR. Named metrics merge through the
+// order-independent MergeMetricSamples. Time series are a per-tenant
+// timeline, and tenants' timelines are not mutually ordered, so the
+// aggregate's stay empty. Identity fields (policy, seed, device) come
+// from the first part.
+SimulationResult AggregateResults(const std::vector<SimulationResult>& parts) {
+  SimulationResult out;
+  if (parts.empty()) return out;
+  out.policy = parts.front().policy;
+  out.policy_name = parts.front().policy_name;
+  out.seed = parts.front().seed;
+  out.device = parts.front().device;
+
+  std::vector<std::vector<MetricSample>> metric_parts;
+  metric_parts.reserve(parts.size());
+  for (const SimulationResult& part : parts) {
+    out.app_events += part.app_events;
+    out.app_io += part.app_io;
+    out.gc_io += part.gc_io;
+    out.max_storage_bytes += part.max_storage_bytes;
+    out.max_partitions += part.max_partitions;
+    out.final_partitions += part.final_partitions;
+    out.collections += part.collections;
+    out.garbage_reclaimed_bytes += part.garbage_reclaimed_bytes;
+    out.live_bytes_copied += part.live_bytes_copied;
+    out.unreclaimed_garbage_bytes += part.unreclaimed_garbage_bytes;
+    out.final_live_bytes += part.final_live_bytes;
+    out.remset_entries += part.remset_entries;
+    out.bytes_allocated += part.bytes_allocated;
+    out.pointer_overwrites += part.pointer_overwrites;
+    out.estimated_device_time_ms += part.estimated_device_time_ms;
+
+    out.measured.measured = out.measured.measured || part.measured.measured;
+    out.measured.reads += part.measured.reads;
+    out.measured.writes += part.measured.writes;
+    out.measured.fsyncs += part.measured.fsyncs;
+    out.measured.batches += part.measured.batches;
+    out.measured.readahead_hits += part.measured.readahead_hits;
+    out.measured.readahead_misses += part.measured.readahead_misses;
+    out.measured.prefetched_pages += part.measured.prefetched_pages;
+    out.measured.wall_ms += part.measured.wall_ms;
+
+    out.heap_stats.collections += part.heap_stats.collections;
+    out.heap_stats.full_collections += part.heap_stats.full_collections;
+    out.heap_stats.pointer_stores += part.heap_stats.pointer_stores;
+    out.heap_stats.pointer_overwrites += part.heap_stats.pointer_overwrites;
+    out.heap_stats.objects_allocated += part.heap_stats.objects_allocated;
+    out.heap_stats.bytes_allocated += part.heap_stats.bytes_allocated;
+    out.heap_stats.garbage_bytes_reclaimed +=
+        part.heap_stats.garbage_bytes_reclaimed;
+    out.heap_stats.garbage_objects_reclaimed +=
+        part.heap_stats.garbage_objects_reclaimed;
+    out.heap_stats.live_bytes_copied += part.heap_stats.live_bytes_copied;
+    out.heap_stats.live_objects_copied += part.heap_stats.live_objects_copied;
+    out.heap_stats.max_total_bytes += part.heap_stats.max_total_bytes;
+    out.heap_stats.max_partitions += part.heap_stats.max_partitions;
+
+    out.buffer_stats.hits += part.buffer_stats.hits;
+    out.buffer_stats.misses += part.buffer_stats.misses;
+    out.buffer_stats.reads_app += part.buffer_stats.reads_app;
+    out.buffer_stats.reads_gc += part.buffer_stats.reads_gc;
+    out.buffer_stats.writes_app += part.buffer_stats.writes_app;
+    out.buffer_stats.writes_gc += part.buffer_stats.writes_gc;
+
+    out.disk_stats.page_reads += part.disk_stats.page_reads;
+    out.disk_stats.page_writes += part.disk_stats.page_writes;
+    out.disk_stats.sequential_transfers +=
+        part.disk_stats.sequential_transfers;
+    out.disk_stats.random_transfers += part.disk_stats.random_transfers;
+
+    metric_parts.push_back(part.metrics);
+  }
+  out.metrics = MergeMetricSamples(metric_parts);
+  return out;
+}
 
 }  // namespace
 
@@ -90,18 +169,12 @@ Status HeapService::Validate() const {
     if (!names.insert(label).second) {
       return Status::InvalidArgument("duplicate tenant name: " + label);
     }
-    const SimulationConfig& config = tenant.config;
-    if (config.mutator_threads > 1 || config.trace_shards != 0) {
-      return Status::InvalidArgument(
-          label + ": service tenants run serially (the service is the "
-                  "concurrency layer); drop mutator_threads/trace_shards");
-    }
     if (tenant.departure_round != 0 &&
         tenant.departure_round <= tenant.arrival_round) {
       return Status::InvalidArgument(
           label + ": departure_round must be after arrival_round");
     }
-    const Status valid = odbgc::Validate(config);
+    const Status valid = odbgc::Validate(tenant.config);
     if (!valid.ok()) {
       return Status(valid.code(), label + ": " + valid.message());
     }
@@ -118,10 +191,8 @@ Status HeapService::PrepareTenants() {
     run->name = spec_.tenants[i].name.empty()
                     ? "tenant" + std::to_string(i)
                     : spec_.tenants[i].name;
-    // The fleet is the parallelism: a tenant runs serially and its file
-    // device, if any, starts no batch threads.
-    run->config.mutator_threads = 1;
-    run->config.trace_shards = 0;
+    // The fleet is the parallelism: a tenant's file device, if any, starts
+    // no batch threads.
     run->config.heap.file_device.io_threads = 1;
     // Physically shared frames: the tenant's pool is a logical quota over
     // the fleet's arena.
@@ -446,7 +517,7 @@ ServiceResult HeapService::Finish() {
     out.tenants.push_back(run->result);
     out.tenant_names.push_back(run->name);
   }
-  out.aggregate = ConcurrentSimulator::AggregateResults(out.tenants);
+  out.aggregate = AggregateResults(out.tenants);
   for (const SimulationResult& result : out.tenants) {
     if (result.policy_name != out.tenants.front().policy_name) {
       out.aggregate.policy_name = "Mixed";

@@ -26,9 +26,10 @@ struct ServiceResult {
   /// Per-tenant results in tenant order, with the names they ran under.
   std::vector<SimulationResult> tenants;
   std::vector<std::string> tenant_names;
-  /// Sum over tenants (ConcurrentSimulator::AggregateResults). When the
-  /// tenants ran different policies the aggregate's policy identity is
-  /// "Mixed" — per-policy numbers live in `tenants`.
+  /// Field-by-field sum over tenants (counters add, high-water marks add,
+  /// time series stay empty). When the tenants ran different policies the
+  /// aggregate's policy identity is "Mixed" — per-policy numbers live in
+  /// `tenants`.
   SimulationResult aggregate;
 
   /// Round barriers the service ran (one batch wave per round).

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "core/heap.h"
 #include "util/status.h"
@@ -30,30 +29,6 @@ struct SimulationConfig {
   /// starts and argued the choice only lessens policy differentiation —
   /// the warm_start ablation checks that claim.
   bool warm_start = false;
-  /// Concurrency (DESIGN.md §14): worker threads replaying the run's
-  /// workload shards, each against its own heap. 1 (the default) is plain
-  /// serial simulation through Simulator; >1 routes through
-  /// ConcurrentSimulator, which runs the shards as a HeapService fleet.
-  /// Must not exceed the shard count (a thread with no shard to own is a
-  /// configuration error, rejected at Run). An experiment axis: recorded
-  /// in manifests but excluded from the config digest, because the
-  /// aggregate result is thread-count-invariant (the equivalence suite
-  /// enforces this).
-  uint32_t mutator_threads = 1;
-  /// Number of deterministic workload shards a concurrent run splits the
-  /// allocation volume across (each shard is an independently seeded
-  /// generator stream — the determinism unit, fixed while
-  /// mutator_threads varies). 0 (the default) means one shard per
-  /// mutator thread. Ignored in serial runs.
-  uint32_t trace_shards = 0;
-  /// Optional per-shard workload weights: shard i receives a slice of the
-  /// total allocation volume proportional to shard_weights[i] (floor-of-
-  /// cumulative-sums split, so slices always telescope to the exact
-  /// total). Empty (the default) keeps the equal split. Size must equal
-  /// the shard count and weights must be positive (validated at Run).
-  /// A bench/test knob for skewed-load scheduling experiments —
-  /// deliberately not part of manifests.
-  std::vector<double> shard_weights;
 };
 
 /// Rejects a configuration no run can execute: a zero-page partition or

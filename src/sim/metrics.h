@@ -94,14 +94,6 @@ struct SimulationResult {
   /// section excluded from the config digest.
   MeasuredIoStats measured;
 
-  /// End-to-end wall-clock seconds of this run, stamped by the experiment
-  /// runner when the spec opts in (ExperimentSpec::record_timing). Like
-  /// `measured`, deliberately OUTSIDE the deterministic result surface:
-  /// equivalence tests ignore it and manifests carry it in a separate
-  /// top-level "timing" section excluded from the config digest. Zero
-  /// when timing was not recorded.
-  double run_wall_seconds = 0.0;
-
   /// Full component stats for deeper inspection.
   HeapStats heap_stats;
   BufferStats buffer_stats;

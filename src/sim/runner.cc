@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <mutex>
 #include <thread>
 
 #include "observe/manifest.h"
-#include "sim/concurrent_simulator.h"
 #include "sim/simulator.h"
 #include "storage/device_registry.h"
 #include "util/fork_join_pool.h"
@@ -31,11 +29,6 @@ const PolicyRuns* Experiment::Find(PolicyKind policy) const {
 Result<Experiment> RunExperiment(const ExperimentSpec& spec) {
   return RunExperimentWith(
       spec, [](const SimulationConfig& config) -> Result<SimulationResult> {
-        if (config.mutator_threads > 1 || config.trace_shards > 1) {
-          ConcurrentSimulator simulator(config);
-          ODBGC_RETURN_IF_ERROR(simulator.Run());
-          return simulator.Finish();
-        }
         Simulator simulator(config);
         ODBGC_RETURN_IF_ERROR(simulator.Run());
         return simulator.Finish();
@@ -111,7 +104,6 @@ Result<Experiment> RunExperimentWith(const ExperimentSpec& spec,
       config.heap.observer = observers[i].get();
     }
 
-    const auto start = std::chrono::steady_clock::now();
     auto result = run_one(config);
     if (!result.ok()) {
       std::lock_guard<std::mutex> lock(error_mutex);
@@ -119,13 +111,6 @@ Result<Experiment> RunExperimentWith(const ExperimentSpec& spec,
       aborted.store(true, std::memory_order_relaxed);
       return;
     }
-    if (spec.record_timing) {
-      result->run_wall_seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        start)
-              .count();
-    }
-
     if (spec.on_run_complete || !spec.manifest_dir.empty()) {
       std::lock_guard<std::mutex> lock(complete_mutex);
       if (!spec.manifest_dir.empty()) {

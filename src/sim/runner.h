@@ -62,11 +62,6 @@ struct ExperimentSpec {
   /// (policy, seed) into this directory: <dir>/<policy>-s<seed>.json
   /// (see observe/manifest.h).
   std::string manifest_dir;
-  /// Stamp each result's `run_wall_seconds` with the run's end-to-end
-  /// wall time (and emit a "timing" manifest section). Off by default so
-  /// manifests stay byte-stable run to run; the CLI's --parallel-grid
-  /// turns it on to feed odbgc-report's scaling table.
-  bool record_timing = false;
 
   // ---- Builder -----------------------------------------------------------
   static ExperimentSpec Base(SimulationConfig config) {
@@ -93,16 +88,6 @@ struct ExperimentSpec {
     threads = count;
     return std::move(*this);
   }
-  /// Concurrent mutator mode (DESIGN.md §14): every run replays its
-  /// workload across `mutators` threads over `shards` deterministic trace
-  /// shards (0 = one shard per thread). `mutators` of 1 with `shards` left
-  /// 0 is the plain serial simulator.
-  ExperimentSpec&& WithMutatorThreads(uint32_t mutators,
-                                      uint32_t shards = 0) && {
-    base.mutator_threads = mutators;
-    base.trace_shards = shards;
-    return std::move(*this);
-  }
   ExperimentSpec&& WithObserver(ObserverFactory factory) && {
     observer_factory = std::move(factory);
     return std::move(*this);
@@ -113,10 +98,6 @@ struct ExperimentSpec {
   }
   ExperimentSpec&& WithManifestDir(std::string dir) && {
     manifest_dir = std::move(dir);
-    return std::move(*this);
-  }
-  ExperimentSpec&& WithTiming(bool enabled = true) && {
-    record_timing = enabled;
     return std::move(*this);
   }
 };

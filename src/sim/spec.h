@@ -130,12 +130,6 @@ struct TenantSpec {
     config.snapshot_interval = events;
     return std::move(*this);
   }
-  /// Concurrent mutator mode (DESIGN.md §14).
-  TenantSpec&& WithMutatorThreads(uint32_t mutators, uint32_t shards = 0) && {
-    config.mutator_threads = mutators;
-    config.trace_shards = shards;
-    return std::move(*this);
-  }
 
   /// Finishes the builder chain: the assembled run configuration.
   SimulationConfig Build() && { return std::move(config); }

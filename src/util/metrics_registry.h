@@ -44,11 +44,9 @@ struct MetricSample {
   uint64_t total() const { return application + collector; }
 };
 
-/// Merges per-thread snapshot deltas into one sorted sample vector,
+/// Merges per-heap snapshot deltas into one sorted sample vector,
 /// summing per-phase values by counter name. Deterministic regardless of
-/// the order the parts arrive in (addition over a name-sorted map), which
-/// is what lets the concurrent simulator aggregate shard registries
-/// without caring which worker finished first.
+/// the order the parts arrive in (addition over a name-sorted map).
 std::vector<MetricSample> MergeMetricSamples(
     const std::vector<std::vector<MetricSample>>& parts);
 

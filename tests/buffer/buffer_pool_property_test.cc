@@ -1,32 +1,44 @@
 // Property tests: the buffer pool must behave exactly like a reference
 // model (a map of page contents plus an LRU list) under arbitrary access
-// sequences, for any frame count.
+// sequences, for any frame count, and keep its write-back invariants step
+// by step, over the simulated disk and the SSD alike.
 
 #include <algorithm>
 #include <deque>
 #include <map>
+#include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "buffer/buffer_pool.h"
 #include "storage/disk.h"
+#include "storage/ssd_device.h"
 #include "util/random.h"
 
 namespace odbgc {
 namespace {
+
+constexpr size_t kPageSize = 32;
+constexpr size_t kPages = 24;
 
 struct Params {
   size_t frames;
   uint64_t seed;
 };
 
+std::set<PageId> ResidentSet(const BufferPool& pool) {
+  std::set<PageId> resident;
+  for (PageId p = 0; p < kPages; ++p) {
+    if (pool.IsResident(p)) resident.insert(p);
+  }
+  return resident;
+}
+
 class BufferPoolPropertyTest : public ::testing::TestWithParam<Params> {};
 
 TEST_P(BufferPoolPropertyTest, MatchesReferenceModel) {
   const Params params = GetParam();
-  constexpr size_t kPageSize = 32;
-  constexpr size_t kPages = 24;
   constexpr int kSteps = 4000;
 
   SimulatedDisk disk(kPageSize);
@@ -106,8 +118,6 @@ TEST_P(BufferPoolPropertyTest, MatchesReferenceModel) {
 // content must match the reference model.
 TEST_P(BufferPoolPropertyTest, DropsMatchReferenceModel) {
   const Params params = GetParam();
-  constexpr size_t kPageSize = 32;
-  constexpr size_t kPages = 24;
 
   SimulatedDisk disk(kPageSize);
   disk.AllocatePages(kPages);
@@ -184,6 +194,137 @@ TEST_P(BufferPoolPropertyTest, DropsMatchReferenceModel) {
     std::vector<std::byte> buf(kPageSize);
     ASSERT_TRUE(disk.ReadPage(p, buf).ok());
     EXPECT_EQ(std::to_integer<uint8_t>(buf[0]), on_disk[p]) << "page " << p;
+  }
+}
+
+// Single-step invariants, observed before/after every access:
+//  - a hit changes neither residency nor device traffic;
+//  - a miss reads exactly one page, admits the requested page, and evicts
+//    at most one page — paying a device write iff the evictee was dirty;
+//  - LruOrder() is always a permutation of the resident set;
+//  - capacity is never exceeded, and the pool always presents the logical
+//    content regardless of eviction decisions.
+TEST_P(BufferPoolPropertyTest, PoolInvariantsUnderRandomAccess) {
+  const Params params = GetParam();
+  constexpr int kSteps = 3000;
+
+  SimulatedDisk disk(kPageSize);
+  disk.AllocatePages(kPages);
+  BufferPool pool(&disk, params.frames);
+
+  std::vector<uint8_t> content(kPages, 0);  // Logical first byte per page.
+  uint64_t expected_misses = 0;
+
+  Rng rng(params.seed);
+  for (int step = 0; step < kSteps; ++step) {
+    const PageId page = rng.UniformInt(kPages);
+    const bool write = rng.Bernoulli(0.4);
+
+    const std::set<PageId> resident0 = ResidentSet(pool);
+    std::vector<bool> dirty0(kPages);
+    for (PageId p : resident0) dirty0[p] = pool.IsDirty(p);
+    const uint64_t reads0 = disk.stats().page_reads;
+    const uint64_t writes0 = disk.stats().page_writes;
+    const bool hit = resident0.count(page) > 0;
+
+    auto frame =
+        pool.GetPage(page, write ? AccessMode::kWrite : AccessMode::kRead);
+    ASSERT_TRUE(frame.ok());
+    ASSERT_EQ(std::to_integer<uint8_t>((*frame)[0]), content[page])
+        << "page " << page << " at step " << step;
+    if (write) {
+      const uint8_t value = static_cast<uint8_t>(step & 0xff);
+      (*frame)[0] = static_cast<std::byte>(value);
+      content[page] = value;
+    }
+
+    const std::set<PageId> resident1 = ResidentSet(pool);
+    if (hit) {
+      ASSERT_EQ(resident1, resident0) << "hit must not change residency";
+      ASSERT_EQ(disk.stats().page_reads, reads0) << "hit must not read";
+      ASSERT_EQ(disk.stats().page_writes, writes0) << "hit must not write";
+    } else {
+      ++expected_misses;
+      ASSERT_TRUE(resident1.count(page) > 0);
+      ASSERT_EQ(disk.stats().page_reads, reads0 + 1)
+          << "each miss is exactly one device read";
+      // Evicted = resident0 \ resident1; only a full pool evicts, and
+      // only one page at a time.
+      std::vector<PageId> evicted;
+      for (PageId p : resident0) {
+        if (resident1.count(p) == 0) evicted.push_back(p);
+      }
+      if (resident0.size() == params.frames) {
+        ASSERT_EQ(evicted.size(), 1u) << "full pool must evict exactly one";
+        const uint64_t expected_writes =
+            writes0 + (dirty0[evicted[0]] ? 1 : 0);
+        ASSERT_EQ(disk.stats().page_writes, expected_writes)
+            << "write-back iff the evictee was dirty (step " << step << ")";
+      } else {
+        ASSERT_TRUE(evicted.empty()) << "no eviction below capacity";
+        ASSERT_EQ(disk.stats().page_writes, writes0);
+      }
+    }
+
+    ASSERT_LE(pool.resident_pages(), params.frames);
+    if (write) {
+      ASSERT_TRUE(pool.IsDirty(page));
+    }
+
+    // LruOrder() is a permutation of the resident set.
+    std::vector<PageId> order = pool.LruOrder();
+    ASSERT_EQ(order.size(), resident1.size());
+    std::sort(order.begin(), order.end());
+    ASSERT_TRUE(std::equal(order.begin(), order.end(), resident1.begin()))
+        << "LRU order out of sync with residency at step " << step;
+  }
+
+  EXPECT_EQ(pool.stats().misses, expected_misses);
+  EXPECT_EQ(pool.stats().hits,
+            static_cast<uint64_t>(kSteps) - expected_misses);
+  EXPECT_EQ(disk.stats().page_reads, expected_misses);
+
+  // After a flush, the device holds the logical content of every page.
+  ASSERT_TRUE(pool.FlushAll().ok());
+  for (PageId p = 0; p < kPages; ++p) {
+    std::vector<std::byte> buf(kPageSize);
+    ASSERT_TRUE(disk.ReadPage(p, buf).ok());
+    EXPECT_EQ(std::to_integer<uint8_t>(buf[0]), content[p]) << "page " << p;
+  }
+}
+
+// The pool must run over the SSD backend too (it does not care which
+// device is underneath).
+TEST_P(BufferPoolPropertyTest, WorksOverSsdBackend) {
+  const Params params = GetParam();
+  SsdCostParams flash;
+  flash.pages_per_block = 4;
+  SsdDevice ssd(kPageSize, nullptr, flash);
+  ssd.AllocatePages(kPages);
+  BufferPool pool(&ssd, params.frames);
+
+  std::vector<uint8_t> content(kPages, 0);
+  Rng rng(params.seed + 7);
+  for (int step = 0; step < 1200; ++step) {
+    const PageId page = rng.UniformInt(kPages);
+    const bool write = rng.Bernoulli(0.5);
+    auto frame =
+        pool.GetPage(page, write ? AccessMode::kWrite : AccessMode::kRead);
+    ASSERT_TRUE(frame.ok());
+    ASSERT_EQ(std::to_integer<uint8_t>((*frame)[0]), content[page])
+        << "page " << page << " at step " << step;
+    if (write) {
+      const uint8_t value = static_cast<uint8_t>((step + 1) & 0xff);
+      (*frame)[0] = static_cast<std::byte>(value);
+      content[page] = value;
+    }
+  }
+  EXPECT_EQ(pool.stats().misses, ssd.stats().page_reads);
+  ASSERT_TRUE(pool.FlushAll().ok());
+  for (PageId p = 0; p < kPages; ++p) {
+    std::vector<std::byte> buf(kPageSize);
+    ASSERT_TRUE(ssd.ReadPage(p, buf).ok());
+    EXPECT_EQ(std::to_integer<uint8_t>(buf[0]), content[p]) << "page " << p;
   }
 }
 

@@ -14,6 +14,9 @@
 //     watermark + one tenant's allowance.
 //  4. Progress — a fleet that can never shed (NoCollection) still runs to
 //     completion through forced admissions.
+//  5. Observation — one observer watching a fleet sees each tenant's run
+//     finish exactly once, tagged with the tenant's index + 1, at any
+//     thread count.
 
 #include "service/heap_service.h"
 
@@ -24,9 +27,11 @@
 #include <vector>
 
 #include "core/selection_policy.h"
+#include "observe/observer.h"
 #include "sim/simulator.h"
 #include "sim/spec.h"
 #include "support/heap_invariants.h"
+#include "support/result_equality.h"
 
 namespace odbgc {
 namespace {
@@ -45,59 +50,6 @@ SimulationConfig SmallTenant(const std::string& policy_name, uint64_t seed) {
   config.workload.large_object_size = 4096;
   config.seed = seed;
   return config;
-}
-
-/// Field-for-field equality over the deterministic result surface
-/// (everything except `measured`/`run_wall_seconds`, wall-clock by
-/// definition) — the concurrent-equivalence comparator.
-void ExpectResultsIdentical(const SimulationResult& a,
-                            const SimulationResult& b) {
-  EXPECT_EQ(a.policy, b.policy);
-  EXPECT_EQ(a.policy_name, b.policy_name);
-  EXPECT_EQ(a.seed, b.seed);
-  EXPECT_EQ(a.device, b.device);
-  EXPECT_EQ(a.app_events, b.app_events);
-  EXPECT_EQ(a.app_io, b.app_io);
-  EXPECT_EQ(a.gc_io, b.gc_io);
-  EXPECT_EQ(a.max_storage_bytes, b.max_storage_bytes);
-  EXPECT_EQ(a.max_partitions, b.max_partitions);
-  EXPECT_EQ(a.final_partitions, b.final_partitions);
-  EXPECT_EQ(a.collections, b.collections);
-  EXPECT_EQ(a.garbage_reclaimed_bytes, b.garbage_reclaimed_bytes);
-  EXPECT_EQ(a.live_bytes_copied, b.live_bytes_copied);
-  EXPECT_EQ(a.unreclaimed_garbage_bytes, b.unreclaimed_garbage_bytes);
-  EXPECT_EQ(a.final_live_bytes, b.final_live_bytes);
-  EXPECT_EQ(a.remset_entries, b.remset_entries);
-  EXPECT_EQ(a.bytes_allocated, b.bytes_allocated);
-  EXPECT_EQ(a.pointer_overwrites, b.pointer_overwrites);
-  EXPECT_EQ(a.estimated_device_time_ms, b.estimated_device_time_ms);
-  EXPECT_EQ(a.heap_stats.collections, b.heap_stats.collections);
-  EXPECT_EQ(a.heap_stats.full_collections, b.heap_stats.full_collections);
-  EXPECT_EQ(a.heap_stats.pointer_stores, b.heap_stats.pointer_stores);
-  EXPECT_EQ(a.heap_stats.objects_allocated, b.heap_stats.objects_allocated);
-  EXPECT_EQ(a.heap_stats.garbage_bytes_reclaimed,
-            b.heap_stats.garbage_bytes_reclaimed);
-  EXPECT_EQ(a.heap_stats.live_bytes_copied, b.heap_stats.live_bytes_copied);
-  EXPECT_EQ(a.heap_stats.max_total_bytes, b.heap_stats.max_total_bytes);
-  EXPECT_EQ(a.buffer_stats.hits, b.buffer_stats.hits);
-  EXPECT_EQ(a.buffer_stats.misses, b.buffer_stats.misses);
-  EXPECT_EQ(a.buffer_stats.reads_app, b.buffer_stats.reads_app);
-  EXPECT_EQ(a.buffer_stats.reads_gc, b.buffer_stats.reads_gc);
-  EXPECT_EQ(a.buffer_stats.writes_app, b.buffer_stats.writes_app);
-  EXPECT_EQ(a.buffer_stats.writes_gc, b.buffer_stats.writes_gc);
-  EXPECT_EQ(a.disk_stats.page_reads, b.disk_stats.page_reads);
-  EXPECT_EQ(a.disk_stats.page_writes, b.disk_stats.page_writes);
-  EXPECT_EQ(a.disk_stats.sequential_transfers,
-            b.disk_stats.sequential_transfers);
-  EXPECT_EQ(a.disk_stats.random_transfers, b.disk_stats.random_transfers);
-  ASSERT_EQ(a.metrics.size(), b.metrics.size());
-  for (size_t i = 0; i < a.metrics.size(); ++i) {
-    EXPECT_EQ(a.metrics[i].name, b.metrics[i].name) << "sample " << i;
-    EXPECT_EQ(a.metrics[i].application, b.metrics[i].application)
-        << a.metrics[i].name;
-    EXPECT_EQ(a.metrics[i].collector, b.metrics[i].collector)
-        << a.metrics[i].name;
-  }
 }
 
 class ServiceEquivalenceTest : public ::testing::TestWithParam<std::string> {};
@@ -261,16 +213,51 @@ TEST(ServiceValidationTest, RejectsMisSpecifiedServices) {
             .status()
             .ok());
   }
-  {
-    // The service is the concurrency layer; nested concurrent tenants are
-    // a specification error.
-    SimulationConfig config = SmallTenant("UpdatedPointer", 1);
-    config.mutator_threads = 2;
-    config.trace_shards = 2;
-    EXPECT_FALSE(
-        RunService(ServiceSpec::Hosting({TenantSpec::Base(config)}))
-            .status()
-            .ok());
+}
+
+// Records the run-finished events a fleet publishes (the service
+// serializes delivery, so no locking here).
+class RunFinishedRecorder : public SimObserver {
+ public:
+  void OnRunFinished(const RunFinishedEvent& event) override {
+    events.push_back(event);
+  }
+  std::vector<RunFinishedEvent> events;
+};
+
+TEST(ServiceObserverTest, ObserverSeesOneTaggedRunFinishedPerTenant) {
+  for (uint32_t threads : {1u, 3u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    RunFinishedRecorder recorder;
+    ServiceSpec spec;
+    for (size_t i = 0; i < 4; ++i) {
+      spec.tenants.push_back(
+          TenantSpec::Base(SmallTenant("UpdatedPointer", 7 + i))
+              .Named("t" + std::to_string(i)));
+    }
+    spec.threads = threads;
+    spec.observer = &recorder;
+    auto result = RunService(std::move(spec));
+    ASSERT_TRUE(result.status().ok()) << result.status().message();
+    const std::vector<SimulationResult>& tenants = result->tenants;
+    ASSERT_EQ(tenants.size(), 4u);
+    ASSERT_EQ(recorder.events.size(), 4u);
+    std::vector<bool> seen(tenants.size(), false);
+    for (const RunFinishedEvent& event : recorder.events) {
+      // The tag is the tenant index + 1.
+      ASSERT_GE(event.thread, 1u);
+      ASSERT_LE(event.thread, 4u);
+      EXPECT_FALSE(seen[event.thread - 1]) << "tag " << event.thread;
+      seen[event.thread - 1] = true;
+      const SimulationResult& tenant = tenants[event.thread - 1];
+      EXPECT_GT(event.app_events, 0u);
+      EXPECT_EQ(event.policy, tenant.policy_name);
+      EXPECT_EQ(event.seed, tenant.seed);
+      EXPECT_EQ(event.app_events, tenant.app_events);
+      EXPECT_EQ(event.app_io, tenant.app_io);
+      EXPECT_EQ(event.gc_io, tenant.gc_io);
+      EXPECT_EQ(event.garbage_reclaimed_bytes, tenant.garbage_reclaimed_bytes);
+    }
   }
 }
 

@@ -1,6 +1,6 @@
 // The shared-arena determinism contract (DESIGN.md §17):
 //
-//  1. Byte-identity — at threads == 1 with the arena never exhausted, a
+//  1. Byte-identity — at 1 and 4 threads with the arena never exhausted, a
 //     fleet over one physically shared frame arena produces per-tenant
 //     results bitwise identical to a standalone Simulator run of each
 //     tenant's config (whose pool owns its frames), for all six paper
@@ -22,6 +22,7 @@
 #include "service/heap_service.h"
 #include "sim/simulator.h"
 #include "sim/spec.h"
+#include "support/result_equality.h"
 
 namespace odbgc {
 namespace {
@@ -42,49 +43,6 @@ SimulationConfig SmallTenant(const std::string& policy_name, uint64_t seed) {
   return config;
 }
 
-/// The same deterministic-surface comparator the service equivalence
-/// suite uses: every field except wall-clock measurements.
-void ExpectResultsIdentical(const SimulationResult& a,
-                            const SimulationResult& b) {
-  EXPECT_EQ(a.policy, b.policy);
-  EXPECT_EQ(a.policy_name, b.policy_name);
-  EXPECT_EQ(a.seed, b.seed);
-  EXPECT_EQ(a.app_events, b.app_events);
-  EXPECT_EQ(a.app_io, b.app_io);
-  EXPECT_EQ(a.gc_io, b.gc_io);
-  EXPECT_EQ(a.max_storage_bytes, b.max_storage_bytes);
-  EXPECT_EQ(a.max_partitions, b.max_partitions);
-  EXPECT_EQ(a.final_partitions, b.final_partitions);
-  EXPECT_EQ(a.collections, b.collections);
-  EXPECT_EQ(a.garbage_reclaimed_bytes, b.garbage_reclaimed_bytes);
-  EXPECT_EQ(a.live_bytes_copied, b.live_bytes_copied);
-  EXPECT_EQ(a.unreclaimed_garbage_bytes, b.unreclaimed_garbage_bytes);
-  EXPECT_EQ(a.final_live_bytes, b.final_live_bytes);
-  EXPECT_EQ(a.remset_entries, b.remset_entries);
-  EXPECT_EQ(a.bytes_allocated, b.bytes_allocated);
-  EXPECT_EQ(a.pointer_overwrites, b.pointer_overwrites);
-  EXPECT_EQ(a.estimated_device_time_ms, b.estimated_device_time_ms);
-  EXPECT_EQ(a.buffer_stats.hits, b.buffer_stats.hits);
-  EXPECT_EQ(a.buffer_stats.misses, b.buffer_stats.misses);
-  EXPECT_EQ(a.buffer_stats.reads_app, b.buffer_stats.reads_app);
-  EXPECT_EQ(a.buffer_stats.reads_gc, b.buffer_stats.reads_gc);
-  EXPECT_EQ(a.buffer_stats.writes_app, b.buffer_stats.writes_app);
-  EXPECT_EQ(a.buffer_stats.writes_gc, b.buffer_stats.writes_gc);
-  EXPECT_EQ(a.disk_stats.page_reads, b.disk_stats.page_reads);
-  EXPECT_EQ(a.disk_stats.page_writes, b.disk_stats.page_writes);
-  EXPECT_EQ(a.disk_stats.sequential_transfers,
-            b.disk_stats.sequential_transfers);
-  EXPECT_EQ(a.disk_stats.random_transfers, b.disk_stats.random_transfers);
-  ASSERT_EQ(a.metrics.size(), b.metrics.size());
-  for (size_t i = 0; i < a.metrics.size(); ++i) {
-    EXPECT_EQ(a.metrics[i].name, b.metrics[i].name) << "sample " << i;
-    EXPECT_EQ(a.metrics[i].application, b.metrics[i].application)
-        << a.metrics[i].name;
-    EXPECT_EQ(a.metrics[i].collector, b.metrics[i].collector)
-        << a.metrics[i].name;
-  }
-}
-
 /// A 4-tenant single-policy fleet with distinct seeds and no watermark.
 ServiceSpec SmallFleet(const std::string& policy) {
   ServiceSpec spec;
@@ -99,22 +57,26 @@ ServiceSpec SmallFleet(const std::string& policy) {
 class SharedPoolIdentityTest : public ::testing::TestWithParam<std::string> {};
 
 // The tentpole identity: a fleet over the shared arena vs standalone runs,
-// threads == 1, bitwise-equal per-tenant results for every paper policy.
+// at 1 and 4 threads, bitwise-equal per-tenant results for every paper
+// policy.
 TEST_P(SharedPoolIdentityTest, SharedArenaMatchesPrivatePoolsByteForByte) {
-  const ServiceSpec spec = SmallFleet(GetParam());
-  auto shared = RunService(spec);
-  ASSERT_TRUE(shared.status().ok()) << shared.status().message();
+  for (uint32_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const ServiceSpec spec = SmallFleet(GetParam()).WithThreads(threads);
+    auto shared = RunService(spec);
+    ASSERT_TRUE(shared.status().ok()) << shared.status().message();
 
-  EXPECT_GT(shared->aggregate.app_events, 0u);  // Not a vacuous pass.
-  ASSERT_EQ(shared->tenants.size(), spec.tenants.size());
-  for (size_t t = 0; t < spec.tenants.size(); ++t) {
-    Simulator solo(spec.tenants[t].config);
-    ASSERT_TRUE(solo.Run().ok());
-    ExpectResultsIdentical(shared->tenants[t], solo.Finish());
+    EXPECT_GT(shared->aggregate.app_events, 0u);  // Not a vacuous pass.
+    ASSERT_EQ(shared->tenants.size(), spec.tenants.size());
+    for (size_t t = 0; t < spec.tenants.size(); ++t) {
+      Simulator solo(spec.tenants[t].config);
+      ASSERT_TRUE(solo.Run().ok());
+      ExpectResultsIdentical(shared->tenants[t], solo.Finish());
+    }
+    // No watermark and an uncapped budget: no squeezes, so the identity
+    // held unconditionally rather than by luck.
+    EXPECT_EQ(shared->squeezed_evictions, 0u);
   }
-  // No watermark and an uncapped budget: no squeezes, so the identity
-  // held unconditionally rather than by luck.
-  EXPECT_EQ(shared->squeezed_evictions, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(PaperPolicies, SharedPoolIdentityTest,

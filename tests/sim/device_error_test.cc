@@ -1,7 +1,8 @@
 // A device error ends the run and reaches the caller unchanged: through
 // the heap, the buffer pool's write-back and the simulator, out of
 // Simulator::Run and out of RunExperiment. A collection or full collection
-// that fails part-way leaves a heap that passes the invariant check.
+// that fails part-way leaves a heap that passes the invariant check, and a
+// failed collection leaves every cross-partition pointer indexed.
 
 #include <gtest/gtest.h>
 
@@ -156,6 +157,21 @@ Status RunRecorded(SimulationConfig config, uint64_t fail_at,
   return (*simulator)->Run();
 }
 
+// Pointers whose two ends occupy different partitions. Each is one
+// inter-partition index entry when the remembered sets are complete.
+size_t CrossPartitionPointers(const CollectedHeap& heap) {
+  const ObjectStore& store = heap.store();
+  size_t count = 0;
+  for (PartitionId pid = 0; pid < store.partition_count(); ++pid) {
+    for (const auto& [offset, id] : store.partition(pid).objects_by_offset()) {
+      for (ObjectId child : store.Lookup(id)->slots) {
+        if (!child.is_null() && store.PartitionOf(child) != pid) ++count;
+      }
+    }
+  }
+  return count;
+}
+
 // The first span with at least four writes, so failing its middle write
 // fails the collection after it has copied objects; none if no span has.
 std::optional<size_t> PickSpan(const std::vector<WriteSpan>& spans) {
@@ -187,7 +203,11 @@ TEST(DeviceErrorTest, FailedCollectionLeavesHeapConsistent) {
   // It had copied objects: the copy target kept them as an ordinary
   // partition, and a new empty partition was reserved.
   EXPECT_EQ(failing->heap().store().partition_count(), span.partitions + 1);
-  EXPECT_TRUE(HeapInvariantsHold(failing->heap()));
+  ASSERT_TRUE(HeapInvariantsHold(failing->heap()));
+  // The pointers between what was copied and what was not cross a
+  // partition boundary now, and the remembered sets hold them too.
+  EXPECT_EQ(CrossPartitionPointers(failing->heap()),
+            failing->heap().index().entry_count());
 }
 
 TEST(DeviceErrorTest, FailedFullCollectionLeavesHeapConsistent) {

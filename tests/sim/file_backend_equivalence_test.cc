@@ -15,11 +15,12 @@
 #include <vector>
 
 #include "observe/manifest.h"
-#include "sim/concurrent_simulator.h"
+#include "service/heap_service.h"
 #include "sim/runner.h"
 #include "sim/simulator.h"
+#include "sim/spec.h"
 #include "storage/device_registry.h"
-#include "util/time_series.h"
+#include "support/result_equality.h"
 
 namespace odbgc {
 namespace {
@@ -48,59 +49,6 @@ SimulationConfig TinyConfig(uint64_t seed) {
   return config;
 }
 
-void ExpectSameSeries(const TimeSeries& a, const TimeSeries& b) {
-  ASSERT_EQ(a.points().size(), b.points().size());
-  for (size_t i = 0; i < a.points().size(); ++i) {
-    EXPECT_EQ(a.points()[i].x, b.points()[i].x) << "point " << i;
-    EXPECT_EQ(a.points()[i].y, b.points()[i].y) << "point " << i;
-  }
-}
-
-// Every policy-relevant field — everything the paper's tables and the
-// manifests' result section draw on. `device` (the backend's identity)
-// and `measured` (real wall-clock I/O) are intentionally not compared:
-// they are exactly what the two runs legitimately differ in.
-void ExpectPolicyFieldsIdentical(const SimulationResult& file,
-                                 const SimulationResult& mem) {
-  EXPECT_EQ(file.policy, mem.policy);
-  EXPECT_EQ(file.seed, mem.seed);
-  EXPECT_EQ(file.app_events, mem.app_events);
-  EXPECT_EQ(file.app_io, mem.app_io);
-  EXPECT_EQ(file.gc_io, mem.gc_io);
-  EXPECT_EQ(file.max_storage_bytes, mem.max_storage_bytes);
-  EXPECT_EQ(file.max_partitions, mem.max_partitions);
-  EXPECT_EQ(file.final_partitions, mem.final_partitions);
-  EXPECT_EQ(file.collections, mem.collections);
-  EXPECT_EQ(file.garbage_reclaimed_bytes, mem.garbage_reclaimed_bytes);
-  EXPECT_EQ(file.live_bytes_copied, mem.live_bytes_copied);
-  EXPECT_EQ(file.unreclaimed_garbage_bytes, mem.unreclaimed_garbage_bytes);
-  EXPECT_EQ(file.final_live_bytes, mem.final_live_bytes);
-  EXPECT_EQ(file.remset_entries, mem.remset_entries);
-  EXPECT_EQ(file.bytes_allocated, mem.bytes_allocated);
-  EXPECT_EQ(file.pointer_overwrites, mem.pointer_overwrites);
-  // Same DiskCostParams surface: the estimate must match to the bit.
-  EXPECT_EQ(file.estimated_device_time_ms, mem.estimated_device_time_ms);
-  ExpectSameSeries(file.unreclaimed_garbage_kb, mem.unreclaimed_garbage_kb);
-  ExpectSameSeries(file.database_size_kb, mem.database_size_kb);
-  EXPECT_EQ(file.heap_stats.pointer_stores, mem.heap_stats.pointer_stores);
-  EXPECT_EQ(file.heap_stats.objects_allocated,
-            mem.heap_stats.objects_allocated);
-  EXPECT_EQ(file.heap_stats.full_collections,
-            mem.heap_stats.full_collections);
-  EXPECT_EQ(file.buffer_stats.hits, mem.buffer_stats.hits);
-  EXPECT_EQ(file.buffer_stats.misses, mem.buffer_stats.misses);
-  EXPECT_EQ(file.buffer_stats.reads_app, mem.buffer_stats.reads_app);
-  EXPECT_EQ(file.buffer_stats.reads_gc, mem.buffer_stats.reads_gc);
-  EXPECT_EQ(file.buffer_stats.writes_app, mem.buffer_stats.writes_app);
-  EXPECT_EQ(file.buffer_stats.writes_gc, mem.buffer_stats.writes_gc);
-  EXPECT_EQ(file.disk_stats.page_reads, mem.disk_stats.page_reads);
-  EXPECT_EQ(file.disk_stats.page_writes, mem.disk_stats.page_writes);
-  EXPECT_EQ(file.disk_stats.sequential_transfers,
-            mem.disk_stats.sequential_transfers);
-  EXPECT_EQ(file.disk_stats.random_transfers,
-            mem.disk_stats.random_transfers);
-}
-
 SimulationResult RunOne(SimulationConfig config) {
   Simulator simulator(config);
   EXPECT_TRUE(simulator.Run().ok());
@@ -120,7 +68,7 @@ TEST(FileBackendEquivalenceTest, SixPoliciesMatchInMemoryRuns) {
 
     EXPECT_EQ(file.device, DeviceKind::kFile) << policy;
     EXPECT_EQ(mem.device, DeviceKind::kSimulatedDisk);
-    ExpectPolicyFieldsIdentical(file, mem);
+    ExpectResultsIdentical(file, mem);
 
     // And the file run carries real measurements on the side.
     EXPECT_TRUE(file.measured.measured) << policy;
@@ -151,34 +99,43 @@ TEST(FileBackendEquivalenceTest, ReadAheadAndThreadsDoNotPerturbResults) {
     config.heap.file_device.readahead_pages = k.readahead;
     config.heap.file_device.io_threads = k.threads;
     config.heap.file_device.direct_io = k.direct_io;
-    ExpectPolicyFieldsIdentical(RunOne(config), reference);
+    ExpectResultsIdentical(RunOne(config), reference);
   }
   std::filesystem::remove_all(dir);
 }
 
-// A sharded run hosts its shards as one fleet: on file devices it must
-// still match the simulated disk, with every shard on its own file.
-TEST(FileBackendEquivalenceTest, ShardedRunMatchesInMemoryRun) {
-  const std::string dir = FreshDir("sharded");
-  SimulationConfig mem_config = TinyConfig(/*seed=*/3);
-  mem_config.heap.policy_name = "UpdatedPointer";
-  mem_config.mutator_threads = 2;
-  mem_config.trace_shards = 4;
-  ConcurrentSimulator mem_run(mem_config);
-  ASSERT_TRUE(mem_run.Run().ok());
-  const SimulationResult mem = mem_run.Finish();
+// A 4-tenant fleet on two threads, on file devices, must match the same
+// fleet on the simulated disk tenant for tenant, with every tenant on its
+// own file.
+TEST(FileBackendEquivalenceTest, FleetMatchesInMemoryFleet) {
+  const std::string dir = FreshDir("fleet");
+  const auto run_fleet = [](const std::string& device_spec) {
+    ServiceSpec spec;
+    for (uint64_t i = 0; i < 4; ++i) {
+      SimulationConfig config = TinyConfig(/*seed=*/3 + i);
+      config.heap.policy_name = "UpdatedPointer";
+      config.heap.device_spec = device_spec;
+      spec.tenants.push_back(
+          TenantSpec::Base(config).Named("t" + std::to_string(i)));
+    }
+    return RunService(std::move(spec).WithThreads(2));
+  };
+  auto mem = run_fleet("");
+  auto file = run_fleet("file:" + dir + "/fleet.odb");
+  ASSERT_TRUE(mem.status().ok()) << mem.status().message();
+  ASSERT_TRUE(file.status().ok()) << file.status().message();
 
-  SimulationConfig file_config = mem_config;
-  file_config.heap.device_spec = "file:" + dir + "/sharded.odb";
-  ConcurrentSimulator file_run(file_config);
-  ASSERT_TRUE(file_run.Run().ok());
-  const SimulationResult file = file_run.Finish();
-
-  EXPECT_EQ(file.device, DeviceKind::kFile);
-  EXPECT_GT(file.app_events, 0u);
-  ExpectPolicyFieldsIdentical(file, mem);
-  EXPECT_TRUE(file.measured.measured);
-  EXPECT_GT(file.measured.writes, 0u);
+  ASSERT_EQ(mem->tenants.size(), 4u);
+  ASSERT_EQ(file->tenants.size(), 4u);
+  for (size_t t = 0; t < 4; ++t) {
+    SCOPED_TRACE("tenant " + std::to_string(t));
+    const SimulationResult& on_file = file->tenants[t];
+    EXPECT_EQ(on_file.device, DeviceKind::kFile);
+    EXPECT_GT(on_file.app_events, 0u);
+    ExpectResultsIdentical(on_file, mem->tenants[t]);
+    EXPECT_TRUE(on_file.measured.measured);
+    EXPECT_GT(on_file.measured.writes, 0u);
+  }
 
   size_t files = 0;
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {

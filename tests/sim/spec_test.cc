@@ -45,14 +45,11 @@ TEST(TenantSpecTest, WorkloadKnobsLandInWorkloadAndTopLevel) {
                                       .WithTotalAllocationMb(8)
                                       .WithWarmStart()
                                       .WithSnapshotInterval(500)
-                                      .WithMutatorThreads(4, 8)
                                       .Build();
   EXPECT_EQ(config.seed, 42u);
   EXPECT_EQ(config.workload.total_alloc_bytes, 8ull << 20);
   EXPECT_TRUE(config.warm_start);
   EXPECT_EQ(config.snapshot_interval, 500u);
-  EXPECT_EQ(config.mutator_threads, 4u);
-  EXPECT_EQ(config.trace_shards, 8u);
 }
 
 TEST(TenantSpecTest, TotalAllocationScalesLiveTargetProportionally) {

@@ -9,6 +9,7 @@
 
 #include "sim/config.h"
 #include "sim/simulator.h"
+#include "support/result_equality.h"
 #include "trace/trace_reader.h"
 #include "trace/trace_writer.h"
 #include "workload/generator.h"
@@ -33,17 +34,6 @@ SimulationConfig TinyConfig(PolicyKind policy, uint64_t seed) {
   return config;
 }
 
-void ExpectIdentical(const SimulationResult& a, const SimulationResult& b) {
-  EXPECT_EQ(a.app_events, b.app_events);
-  EXPECT_EQ(a.app_io, b.app_io);
-  EXPECT_EQ(a.gc_io, b.gc_io);
-  EXPECT_EQ(a.collections, b.collections);
-  EXPECT_EQ(a.garbage_reclaimed_bytes, b.garbage_reclaimed_bytes);
-  EXPECT_EQ(a.max_storage_bytes, b.max_storage_bytes);
-  EXPECT_EQ(a.final_live_bytes, b.final_live_bytes);
-  EXPECT_EQ(a.unreclaimed_garbage_bytes, b.unreclaimed_garbage_bytes);
-}
-
 class TraceReplayEquivalenceTest
     : public ::testing::TestWithParam<PolicyKind> {};
 
@@ -66,7 +56,7 @@ TEST_P(TraceReplayEquivalenceTest, FileReplayMatchesLiveGeneration) {
   TraceReader reader(&stream);
   ASSERT_TRUE(reader.ReplayInto(&replayed).ok());
 
-  ExpectIdentical(live.Finish(), replayed.Finish());
+  ExpectResultsIdentical(live.Finish(), replayed.Finish());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -103,7 +93,7 @@ TEST(TraceReplayEquivalenceTest, OO1WorkloadRoundtripsToo) {
   TraceReader reader(&stream);
   ASSERT_TRUE(reader.ReplayInto(&replayed).ok());
 
-  ExpectIdentical(live.Finish(), replayed.Finish());
+  ExpectResultsIdentical(live.Finish(), replayed.Finish());
 }
 
 }  // namespace

@@ -81,8 +81,7 @@ TEST(MergeMetricSamplesTest, SumsByNameAcrossParts) {
 }
 
 TEST(MergeMetricSamplesTest, OrderOfPartsIsIrrelevant) {
-  // The concurrent simulator merges shard registries in whatever order
-  // workers finish; determinism of the aggregate depends on this.
+  // A fleet's aggregate must not depend on which tenant is listed first.
   const std::vector<MetricSample> a = {{"x", 1, 2}, {"y", 3, 0}};
   const std::vector<MetricSample> b = {{"y", 10, 1}, {"z", 0, 5}};
   const std::vector<MetricSample> c = {{"x", 7, 7}};

@@ -195,28 +195,6 @@ Experiment GroupByPolicy(const std::vector<LoadedManifest>& manifests) {
   return experiment;
 }
 
-/// The concurrency axis of one manifest: (mutator_threads, trace_shards),
-/// defaulting to serial for pre-axis manifests.
-std::pair<uint64_t, uint64_t> ThreadsAxis(const Json& manifest) {
-  const Json* config = manifest.Get("config");
-  if (config == nullptr || !config->is_object()) return {1, 0};
-  const uint64_t threads = UNum(*config, "mutator_threads");
-  return {threads == 0 ? 1 : threads, UNum(*config, "trace_shards")};
-}
-
-/// Distinct concurrency axes across a manifest set, in first-seen order.
-std::vector<std::pair<uint64_t, uint64_t>> ThreadsAxes(
-    const std::vector<LoadedManifest>& manifests) {
-  std::vector<std::pair<uint64_t, uint64_t>> axes;
-  for (const LoadedManifest& loaded : manifests) {
-    const auto axis = ThreadsAxis(loaded.manifest);
-    if (std::find(axes.begin(), axes.end(), axis) == axes.end()) {
-      axes.push_back(axis);
-    }
-  }
-  return axes;
-}
-
 /// Distinct config digests across a manifest set. More than one means the
 /// runs are not comparable as a single experiment.
 std::vector<uint64_t> Digests(const std::vector<LoadedManifest>& manifests) {
@@ -228,91 +206,6 @@ std::vector<uint64_t> Digests(const std::vector<LoadedManifest>& manifests) {
     }
   }
   return digests;
-}
-
-/// Scaling table: the threads axis against end-to-end throughput, from
-/// manifests that carry a "timing" section (runs recorded under
-/// ExperimentSpec::record_timing — e.g. `run_experiment --parallel-grid`).
-/// Only manifests sharing one config digest are comparable as a scaling
-/// study (digest-equal runs are the same experiment, so the only thing
-/// that varies along the axis is wall time); the table uses the first
-/// timing-carrying digest and notes how many runs it excluded. events/sec
-/// sums each axis's events over its summed wall, speedup is against the
-/// smallest axis present, and parallel efficiency divides that speedup by
-/// the thread ratio. Prints nothing when no manifest carries timing.
-void PrintScalingTable(const std::vector<LoadedManifest>& manifests,
-                       std::ostream& os) {
-  struct AxisAgg {
-    uint64_t threads = 1;
-    uint64_t runs = 0;
-    uint64_t events = 0;
-    double wall_seconds = 0;
-  };
-  std::vector<AxisAgg> axes;
-  bool have_digest = false;
-  uint64_t scaling_digest = 0;
-  uint64_t excluded = 0;
-  for (const LoadedManifest& loaded : manifests) {
-    const Json* timing = loaded.manifest.Get("timing");
-    if (timing == nullptr || !timing->is_object()) continue;
-    const uint64_t digest = UNum(loaded.manifest, "config_digest");
-    if (!have_digest) {
-      have_digest = true;
-      scaling_digest = digest;
-    } else if (digest != scaling_digest) {
-      ++excluded;
-      continue;
-    }
-    const uint64_t threads = ThreadsAxis(loaded.manifest).first;
-    AxisAgg* agg = nullptr;
-    for (AxisAgg& existing : axes) {
-      if (existing.threads == threads) agg = &existing;
-    }
-    if (agg == nullptr) {
-      axes.emplace_back();
-      agg = &axes.back();
-      agg->threads = threads;
-    }
-    ++agg->runs;
-    agg->events += UNum(*loaded.manifest.Get("result"), "app_events");
-    agg->wall_seconds += Num(*timing, "wall_seconds");
-  }
-  if (axes.empty()) return;
-  std::sort(axes.begin(), axes.end(),
-            [](const AxisAgg& a, const AxisAgg& b) {
-              return a.threads < b.threads;
-            });
-
-  const AxisAgg& base = axes.front();
-  const double base_rate =
-      base.wall_seconds > 0
-          ? static_cast<double>(base.events) / base.wall_seconds
-          : 0;
-  os << "Scaling (from manifest timing sections; baseline "
-     << base.threads << " thread" << (base.threads == 1 ? "" : "s")
-     << "):\n";
-  if (excluded > 0) {
-    os << "  note: " << excluded
-       << " timed run(s) with a different config digest excluded\n";
-  }
-  TablePrinter table({"threads", "runs", "events", "wall_s", "events_per_s",
-                      "speedup", "efficiency"});
-  for (const AxisAgg& axis : axes) {
-    const double rate =
-        axis.wall_seconds > 0
-            ? static_cast<double>(axis.events) / axis.wall_seconds
-            : 0;
-    const double speedup = base_rate > 0 ? rate / base_rate : 0;
-    const double thread_ratio =
-        static_cast<double>(axis.threads) / static_cast<double>(base.threads);
-    table.AddRow({std::to_string(axis.threads), std::to_string(axis.runs),
-                  FormatCount(axis.events),
-                  FormatDouble(axis.wall_seconds, 3), FormatCount(rate),
-                  FormatDouble(speedup, 2),
-                  FormatDouble(thread_ratio > 0 ? speedup / thread_ratio : 0,
-                               2)});
-  }
-  table.Print(os);
 }
 
 // ---------------------------------------------------------------------------
@@ -435,18 +328,6 @@ int RunTables(const std::string& dir) {
   std::printf("%zu manifests, %zu policies (config digest %llu)\n",
               runs, experiment.sets.size(),
               static_cast<unsigned long long>(digests.front()));
-  // The concurrency axis is digest-excluded (thread-count-invariant
-  // results), so mixed-axis sets are legitimate — but worth surfacing.
-  const auto axes = ThreadsAxes(*manifests);
-  if (axes.size() > 1 || axes.front().first > 1) {
-    std::printf("threads axis:");
-    for (const auto& [threads, shards] : axes) {
-      std::printf(" %llux%llu", static_cast<unsigned long long>(threads),
-                  static_cast<unsigned long long>(
-                      shards == 0 ? threads : shards));
-    }
-    std::printf(" (mutator_threads x trace_shards)\n");
-  }
   std::printf("\n");
 
   const auto summaries = Summarize(experiment);
@@ -459,9 +340,6 @@ int RunTables(const std::string& dir) {
   // Shows estimated model time; when the manifests carry a `measured`
   // section (file backend), measured wall-clock I/O appears beside it.
   PrintDeviceTimeTable(summaries, std::cout);
-  // Threads axis -> throughput, when any manifest recorded wall time.
-  std::cout << '\n';
-  PrintScalingTable(*manifests, std::cout);
   return 0;
 }
 
@@ -591,19 +469,7 @@ int RunDiff(const std::string& dir_a, const std::string& dir_b,
                    static_cast<unsigned long long>(key.second));
       return 2;
     }
-    if (ThreadsAxis(*manifest_a) != ThreadsAxis(*manifest_b)) {
-      // Legitimate (the axis is digest-excluded): this is exactly the
-      // serial-vs-concurrent equivalence comparison. Surface it so a
-      // reader knows why the documents cannot be byte-identical.
-      std::printf("note     %s-s%llu compared across thread counts "
-                  "(%llu vs %llu)\n",
-                  key.first.c_str(),
-                  static_cast<unsigned long long>(key.second),
-                  static_cast<unsigned long long>(
-                      ThreadsAxis(*manifest_a).first),
-                  static_cast<unsigned long long>(
-                      ThreadsAxis(*manifest_b).first));
-    } else if (manifest_a->Dump() == manifest_b->Dump()) {
+    if (manifest_a->Dump() == manifest_b->Dump()) {
       ++identical;
       continue;
     }
