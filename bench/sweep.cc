@@ -13,7 +13,6 @@
 //   ODBGC_FAST=1            quarter-size workloads, 2 seeds
 //   ODBGC_MANIFEST_DIR=<d>  one run manifest per (point, policy, seed) in
 //                           <d>/<sweep>/<point>/, which odbgc-report reads
-//                           (the two sweeps with their own loop write none)
 
 #include <algorithm>
 #include <cctype>
@@ -28,6 +27,7 @@
 
 #include "bench/bench_common.h"
 #include "core/reachability.h"
+#include "observe/manifest.h"
 #include "sim/report.h"
 #include "sim/runner.h"
 #include "sim/simulator.h"
@@ -250,23 +250,25 @@ TablePrinter Table(const Sweep& sweep, const Grid& grid,
   return table;
 }
 
-/// A point's manifest subdirectory: its first label with each run of
-/// characters outside [A-Za-z0-9.-] made one '_' ("C = 1.167" ->
-/// "C_1.167"); "base" for a sweep's one unlabelled point.
-std::string PointDir(const Point& point) {
+/// Where a point's run manifests go: <ODBGC_MANIFEST_DIR>/<sweep>/<dir>,
+/// <dir> being the point's label with each run of characters outside
+/// [A-Za-z0-9.-] made one '_' ("C = 1.167" -> "C_1.167"), or "base" for a
+/// sweep's one unlabelled point. Empty when ODBGC_MANIFEST_DIR is unset.
+std::string ManifestDir(const Sweep& sweep, const std::string& label) {
+  const char* root = std::getenv("ODBGC_MANIFEST_DIR");
+  if (root == nullptr) return "";
   std::string dir;
-  for (const char c : point.labels.empty() ? "base" : point.labels[0]) {
+  for (const char c : label.empty() ? "base" : label) {
     const bool keep = std::isalnum(static_cast<unsigned char>(c)) ||
                       c == '.' || c == '-';
     if (keep || (!dir.empty() && dir.back() != '_')) dir += keep ? c : '_';
   }
   if (!dir.empty() && dir.back() == '_') dir.pop_back();
-  return dir;
+  return std::string(root) + "/" + sweep.name + "/" + dir;
 }
 
 void RunGrid(const Sweep& sweep) {
   const int seeds = sweep.seeds == 0 ? 1 : SeedsOrDefault(sweep.seeds);
-  const char* manifest_root = std::getenv("ODBGC_MANIFEST_DIR");
   std::vector<Point> points = sweep.points;
   if (points.empty()) points.push_back({{}, [](SimulationConfig&) {}});
   std::printf("running %zu point(s) x %zu policies x %d seeds...\n\n",
@@ -276,14 +278,12 @@ void RunGrid(const Sweep& sweep) {
   for (const Point& point : points) {
     SimulationConfig config = BaseConfig();
     point.apply(config);
-    ExperimentSpec spec = ExperimentSpec::Base(config)
-                              .WithPolicies(sweep.policies)
-                              .WithSeeds(seeds);
-    if (manifest_root != nullptr) {
-      spec.manifest_dir = std::string(manifest_root) + "/" + sweep.name +
-                          "/" + PointDir(point);
-    }
-    auto experiment = RunExperiment(spec);
+    auto experiment = RunExperiment(
+        ExperimentSpec::Base(config)
+            .WithPolicies(sweep.policies)
+            .WithSeeds(seeds)
+            .WithManifestDir(ManifestDir(
+                sweep, point.labels.empty() ? "" : point.labels[0])));
     if (!experiment.ok()) Fail(experiment.status(), sweep.name);
     grid.push_back({std::move(config), std::move(experiment).value()});
   }
@@ -370,21 +370,29 @@ void PlotFigure6(const Sweep& sweep, const Grid& grid) {
 // ---- Sweeps with their own loop --------------------------------------------
 
 // The garbage anatomy needs the run's heap, which RunExperiment does not
-// keep: one UpdatedPointer run per connectivity.
+// keep: one UpdatedPointer run per connectivity, writing its manifest
+// itself.
 void RunCycles(const Sweep& sweep) {
   TablePrinter table({"Connectivity", kUnreclaimed.header,
                       "Locally collectable (KB)", "Nepotism (KB)",
                       "Cross-partition cycles (KB)", "% reclaimed"});
   for (double connectivity : {1.005, 1.040, 1.083, 1.167, 1.30}) {
+    const std::string label = FormatDouble(connectivity, 3);
     SimulationConfig config = BaseConfig();
     config.workload = config.workload.WithConnectivity(connectivity);
     config.heap.policy = PolicyKind::kUpdatedPointer;
     Simulator simulator(config);
     if (Status status = simulator.Run(); !status.ok()) Fail(status, sweep.name);
     const SimulationResult run = simulator.Finish();
+    if (const std::string dir = ManifestDir(sweep, label); !dir.empty()) {
+      const Status written = WriteManifestFile(
+          dir + "/" + ManifestFileName(run.policy_name, run.seed),
+          BuildManifest(config, run));
+      if (!written.ok()) Fail(written, sweep.name);
+    }
     const GarbageAnatomy anatomy =
         ComputeGarbageAnatomy(simulator.heap().store());
-    table.AddRow({FormatDouble(connectivity, 3),
+    table.AddRow({label,
                   Format(kUnreclaimed, kUnreclaimed.of(config, run)),
                   FormatCount(Kb(anatomy.locally_collectable_bytes)),
                   FormatCount(Kb(anatomy.nepotism_bytes)),
@@ -396,8 +404,9 @@ void RunCycles(const Sweep& sweep) {
 }
 
 // OO1Generator drives each run in place of the configured tree workload,
-// so the grid runs through RunExperimentWith, and writes no manifests
-// (their workload section would describe the tree workload).
+// so the grid runs through RunExperimentWith. Its manifests carry the
+// configured tree workload's `workload` section, which these runs do not
+// use; only their `result` is gated.
 void RunOo1(const Sweep& sweep) {
   OO1Config workload;
   workload.target_live_bytes = (4ull << 20) / (FastMode() ? 4 : 1);
@@ -411,7 +420,8 @@ void RunOo1(const Sweep& sweep) {
   auto experiment = RunExperimentWith(
       ExperimentSpec::Base(grid[0].config)
           .WithPolicies(sweep.policies)
-          .WithSeeds(SeedsOrDefault(sweep.seeds)),
+          .WithSeeds(SeedsOrDefault(sweep.seeds))
+          .WithManifestDir(ManifestDir(sweep, "")),
       [&workload](const SimulationConfig& config) -> Result<SimulationResult> {
         Simulator simulator(config);
         ODBGC_RETURN_IF_ERROR(
