@@ -18,7 +18,9 @@ The output is the change's last run (its per-phase wall times and memory
 marks), with each probe's events_per_sec replaced by the spread over all of
 the change's runs, and a "parent" spread beside it measured the same way:
 the median of the runs' medians, the lowest min and the highest max. Each
-spread also lists every run's median, in the order the runs were made.
+spread also lists every run's median, in the order the runs were made. A
+probe the parent's binary does not have gets "parent": null and prints as
+new.
 Run it from any directory; the binaries write their own files into a
 temporary one.
 """
@@ -47,8 +49,11 @@ def run_once(binary, workdir, name):
 
 
 def spread(runs, name):
-    rates = [next(p for p in run["probes"] if p["name"] == name)
-             ["events_per_sec"] for run in runs]
+    """The probe's spread over `runs`, or None if they lack the probe."""
+    rates = [p["events_per_sec"] for run in runs for p in run["probes"]
+             if p["name"] == name]
+    if not rates:
+        return None
     return {"median": statistics.median(r["median"] for r in rates),
             "min": min(r["min"] for r in rates),
             "max": max(r["max"] for r in rates),
@@ -81,12 +86,17 @@ def main():
     result["change_label"] = args.change_label
     for probe in result["probes"]:
         probe["events_per_sec"] = spread(sides["change"], probe["name"])
-        probe["parent"] = {"events_per_sec":
-                           spread(sides["parent"], probe["name"])}
         change = probe["events_per_sec"]["median"]
-        parent = probe["parent"]["events_per_sec"]["median"]
-        print("%-16s parent %12.0f  change %12.0f  (%+.1f%%)"
-              % (probe["name"], parent, change, 100 * (change / parent - 1)))
+        parent = spread(sides["parent"], probe["name"])
+        if parent is None:
+            probe["parent"] = None
+            print("%-17s parent %12s  change %12.0f  (new)"
+                  % (probe["name"], "-", change))
+            continue
+        probe["parent"] = {"events_per_sec": parent}
+        print("%-17s parent %12.0f  change %12.0f  (%+.1f%%)"
+              % (probe["name"], parent["median"], change,
+                 100 * (change / parent["median"] - 1)))
     with open(args.out, "w") as f:
         json.dump(result, f, indent=2)
         f.write("\n")

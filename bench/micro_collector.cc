@@ -24,7 +24,7 @@ int main() {
     HeapOptions options;
     options.store.pages_per_partition = 48;
     options.buffer_pages = 48;
-    options.policy = PolicyKind::kUpdatedPointer;
+    options.policy_name = "UpdatedPointer";
     options.overwrite_trigger = 0;  // Manual collection.
     CollectedHeap heap(options);
 

@@ -380,7 +380,7 @@ void RunCycles(const Sweep& sweep) {
     const std::string label = FormatDouble(connectivity, 3);
     SimulationConfig config = BaseConfig();
     config.workload = config.workload.WithConnectivity(connectivity);
-    config.heap.policy = PolicyKind::kUpdatedPointer;
+    config.heap.policy_name = "UpdatedPointer";
     Simulator simulator(config);
     if (Status status = simulator.Run(); !status.ok()) Fail(status, sweep.name);
     const SimulationResult run = simulator.Finish();

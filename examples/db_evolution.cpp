@@ -63,7 +63,7 @@ int main() {
   config.heap.store.pages_per_partition = 16;
   config.heap.buffer_pages = 16;
   config.heap.overwrite_trigger = 100;
-  config.heap.policy = PolicyKind::kUpdatedPointer;
+  config.heap.policy_name = "UpdatedPointer";
 
   Simulator simulator(config);
   WorkloadGenerator generator(config.workload, config.seed);

@@ -36,7 +36,7 @@ int main() {
   HeapOptions options;
   options.store.pages_per_partition = 8;
   options.buffer_pages = 8;
-  options.policy = PolicyKind::kUpdatedPointer;
+  options.policy_name = "UpdatedPointer";
   options.overwrite_trigger = 16;
   CollectedHeap heap(options);
 

@@ -8,6 +8,23 @@
 
 namespace odbgc {
 
+void IndexSplitEvacuation(const ObjectStore& store, InterPartitionIndex* index,
+                          PartitionId victim, PartitionId target,
+                          const std::function<bool(ObjectId)>& indexed) {
+  for (const auto& [from, to] :
+       {std::pair{target, victim}, std::pair{victim, target}}) {
+    for (const auto& [offset, id] : store.partition(from).objects_by_offset()) {
+      if (!indexed(id)) continue;
+      const std::vector<ObjectId>& slots = store.Lookup(id)->slots;
+      for (uint32_t slot = 0; slot < slots.size(); ++slot) {
+        if (!slots[slot].is_null() && store.PartitionOf(slots[slot]) == to) {
+          index->AddReference(id, from, slot, slots[slot], to);
+        }
+      }
+    }
+  }
+}
+
 CopyingCollector::CopyingCollector(ObjectStore* store, BufferPool* buffer,
                                    InterPartitionIndex* index,
                                    WeightTracker* weights,
@@ -150,23 +167,9 @@ Result<CollectionResult> CopyingCollector::Collect(
       victim, target, [&](ObjectId id) { return store_->PartitionOf(id); });
   if (!evacuated.ok()) {
     store_->AbandonEvacuation(victim);
-    // What was copied stays in the copy target and the rest stays in the
-    // victim, so a pointer between the two now crosses a partition
-    // boundary. Both its ends were in the victim before, so the index
-    // holds none of these pointers yet.
-    for (const auto& [from, to] :
-         {std::pair{target, victim}, std::pair{victim, target}}) {
-      for (const auto& [offset, id] :
-           store_->partition(from).objects_by_offset()) {
-        const std::vector<ObjectId>& slots = store_->Lookup(id)->slots;
-        for (uint32_t slot = 0; slot < slots.size(); ++slot) {
-          if (!slots[slot].is_null() &&
-              store_->PartitionOf(slots[slot]) == to) {
-            index_->AddReference(id, from, slot, slots[slot], to);
-          }
-        }
-      }
-    }
+    // Garbage keeps its out-pointers indexed until it is dropped.
+    IndexSplitEvacuation(*store_, index_, victim, target,
+                         [](ObjectId) { return true; });
     return evacuated;
   }
   ODBGC_RETURN_IF_ERROR(store_->SwapEmptyPartition(victim));

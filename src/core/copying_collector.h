@@ -2,6 +2,7 @@
 #define ODBGC_CORE_COPYING_COLLECTOR_H_
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "core/remembered_set.h"
@@ -33,6 +34,16 @@ struct CollectionResult {
   uint64_t page_reads = 0;
   uint64_t page_writes = 0;
 };
+
+/// After an evacuation of `victim` into `target` failed part-way, what was
+/// copied sits in `target` and the rest in `victim`, so a pointer between
+/// the two now crosses a partition boundary. Both its ends were in the
+/// victim before, so the index holds none of these pointers yet: adds each
+/// one whose source `indexed` accepts. Both collectors' failure paths call
+/// it.
+void IndexSplitEvacuation(const ObjectStore& store, InterPartitionIndex* index,
+                          PartitionId victim, PartitionId target,
+                          const std::function<bool(ObjectId)>& indexed);
 
 /// The partitioned copying garbage collector (paper, Section 4.1).
 ///

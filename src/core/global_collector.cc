@@ -3,6 +3,7 @@
 #include <cassert>
 #include <vector>
 
+#include "core/copying_collector.h"
 #include "core/reachability.h"
 
 namespace odbgc {
@@ -114,6 +115,10 @@ Result<GlobalCollectionResult> GlobalMarkCollector::CollectAll(
         victim, target, [&](ObjectId id) { return store_->PartitionOf(id); });
     if (!swept.ok()) {
       store_->AbandonEvacuation(victim);
+      // The dead set's out-pointers were retired before the sweep.
+      IndexSplitEvacuation(*store_, index_, victim, target, [&](ObjectId id) {
+        return live.count(id) > 0;
+      });
       return swept;
     }
     ODBGC_RETURN_IF_ERROR(store_->SwapEmptyPartition(victim));

@@ -12,10 +12,10 @@ namespace odbgc {
 
 namespace {
 
-// Builds the configured backend through the device registry; `device_spec`
-// wins over the `device` kind enum. Like an unregistered policy name, a
-// bad spec is a configuration error and fails loudly.
-std::unique_ptr<PageDevice> MakeConfiguredDevice(HeapOptions& options,
+// Builds the configured backend through the device registry. Like an
+// unregistered policy name, a bad spec is a configuration error and fails
+// loudly.
+std::unique_ptr<PageDevice> MakeConfiguredDevice(const HeapOptions& options,
                                                  MetricsRegistry* registry) {
   DeviceContext context;
   context.page_size = options.store.page_size;
@@ -26,19 +26,12 @@ std::unique_ptr<PageDevice> MakeConfiguredDevice(HeapOptions& options,
   // The file backend's estimated-time surface uses the paper's disk model
   // unless the caller overrode it explicitly.
   context.file.cost = options.disk_cost;
-  const std::string spec = options.device_spec.empty()
-                               ? DeviceKindName(options.device)
-                               : options.device_spec;
-  auto made = MakeDeviceFromSpec(spec, context);
+  auto made = MakeDeviceFromSpec(options.device_spec, context);
   if (!made.ok()) {
     std::fprintf(stderr, "odbgc: %s\n", made.status().ToString().c_str());
     std::abort();
   }
-  std::unique_ptr<PageDevice> device = std::move(made).value();
-  // Both identity surfaces now reflect the instantiated backend.
-  options.device = device->kind();
-  options.device_spec = spec;
-  return device;
+  return std::move(made).value();
 }
 
 // Phase-event publication: the clock is only read when a run is observed.
@@ -72,34 +65,22 @@ CollectedHeap::CollectedHeap(const HeapOptions& options) : options_(options) {
   wall_metrics_ = std::make_unique<MetricsRegistry>();
   wall_timers_ = std::make_unique<WallPhaseTimers>(wall_metrics_.get());
   policy_store_view_ = store_.get();
-  if (options_.policy_factory) {
-    policy_ = options_.policy_factory();
-  } else if (!options_.policy_name.empty()) {
-    PolicyContext context;
-    context.seed = options_.seed;
-    context.store = &policy_store_view_;
-    auto made = MakePolicy(context, options_.policy_name);
-    if (!made.ok()) {
-      // Configuration error, not a runtime condition: the registry is
-      // fixed by the time a heap is built, so fail loudly. Callers that
-      // take untrusted names validate with IsPolicyRegistered first.
-      std::fprintf(stderr, "odbgc: %s\n",
-                   made.status().ToString().c_str());
-      std::abort();
-    }
-    policy_ = std::move(made).value();
-  } else {
-    policy_ = MakePolicy(options_.policy, options_.seed);
+  PolicyContext context;
+  context.seed = options_.seed;
+  context.store = &policy_store_view_;
+  auto made = MakePolicy(context, options_.policy_name);
+  if (!made.ok()) {
+    // Configuration error, not a runtime condition: the registry is fixed
+    // by the time a heap is built, so fail loudly. Callers that take
+    // untrusted names validate with IsPolicyRegistered first.
+    std::fprintf(stderr, "odbgc: %s\n", made.status().ToString().c_str());
+    std::abort();
   }
-  // Whichever path built the policy, both identity surfaces now reflect it.
-  options_.policy = policy_->kind();
+  policy_ = std::move(made).value();
+  policy_kind_ = policy_->kind();
   options_.policy_name = policy_->name();
   device_->set_observer(options_.observer);
-  const bool want_weights =
-      options_.weights == WeightMode::kOn ||
-      (options_.weights == WeightMode::kAuto &&
-       options_.policy == PolicyKind::kWeightedPointer);
-  if (want_weights) {
+  if (policy_kind_ == PolicyKind::kWeightedPointer) {
     weights_ = std::make_unique<WeightTracker>(store_.get());
   }
   barrier_ = std::make_unique<WriteBarrier>(options_.barrier, store_.get(),
@@ -201,7 +182,7 @@ void CollectedHeap::OnSlotWrite(const SlotWriteEvent& event) {
 }
 
 void CollectedHeap::CheckTriggers() {
-  if (in_collection_ || options_.policy == PolicyKind::kNoCollection) {
+  if (in_collection_ || policy_kind_ == PolicyKind::kNoCollection) {
     return;
   }
   switch (options_.trigger) {
@@ -264,7 +245,7 @@ const SelectionContext& CollectedHeap::MakeSelectionContext() const {
   selection_scratch_.candidates.clear();
   AppendCollectionCandidates(&selection_scratch_.candidates);
   selection_scratch_.garbage_bytes_per_partition.clear();
-  if (options_.policy == PolicyKind::kMostGarbage) {
+  if (policy_kind_ == PolicyKind::kMostGarbage) {
     // The oracle ranks partitions by garbage a collection would actually
     // reclaim now (excluding remembered-set-protected garbage) — ranking
     // by raw garbage would keep re-selecting protected partitions.

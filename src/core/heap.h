@@ -2,7 +2,6 @@
 #define ODBGC_CORE_HEAP_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -25,14 +24,6 @@
 #include "util/status.h"
 
 namespace odbgc {
-
-/// Whether the heap maintains root-distance weights (needed only by the
-/// WeightedPointer policy, and costing header writes to maintain).
-enum class WeightMode {
-  kAuto,  ///< On iff the policy is WeightedPointer.
-  kOn,
-  kOff,
-};
 
 /// When to perform collection (Table 1's "when to collect" axis). The
 /// paper fixes kPointerOverwrites ("garbage is created by overwrites, so
@@ -66,44 +57,32 @@ struct HeapOptions {
   /// arena, with `buffer_pages` as this heap's logical quota; residency
   /// stays in the heap's own pool. See DESIGN.md §17.
   SharedFrameArena* shared_arena = nullptr;
-  /// Storage backend the heap runs on. The default reproduces the paper's
-  /// seek/rotation/transfer disk.
-  DeviceKind device = DeviceKind::kSimulatedDisk;
-  /// Storage backend by registry spec — "disk", "ssd", "file:<path>", or
-  /// any name added with RegisterDevice — the open-world twin of
-  /// `policy_name`. Takes precedence over `device`; after construction it
-  /// always names the instantiated backend. An unknown name aborts —
-  /// validate untrusted specs with IsDeviceRegistered at the config
-  /// boundary. A "file" spec runs the identical simulated workload against
-  /// a real partition file: simulated counters stay bit-identical to the
-  /// in-memory backends, and measured wall-clock I/O is reported
-  /// separately (PageDevice::MeasuredStats).
-  std::string device_spec;
-  /// Timing model for DeviceKind::kSimulatedDisk.
+  /// Storage backend by registry spec: "disk" (the default, the paper's
+  /// seek/rotation/transfer disk), "ssd", "file:<path>", or any name added
+  /// with RegisterDevice. An unknown name aborts — validate untrusted
+  /// specs with IsDeviceRegistered at the config boundary. A "file" spec
+  /// runs the identical simulated workload against a real partition file:
+  /// simulated counters stay bit-identical to the in-memory backends, and
+  /// measured wall-clock I/O is reported separately
+  /// (PageDevice::MeasuredStats).
+  std::string device_spec = "disk";
+  /// Timing model for the "disk" backend.
   DiskCostParams disk_cost;
-  /// Geometry/timing model for DeviceKind::kSsd.
+  /// Geometry/timing model for the "ssd" backend.
   SsdCostParams ssd_cost;
   /// Options for the "file" backend (direct I/O, fsync barriers,
   /// read-ahead depth, batch executors; the path may instead come from
   /// the spec argument, which wins).
   FileDeviceOptions file_device;
-  /// Partition selection policy, as a behaviour-class enum (the paper's
-  /// six). Used only when `policy_name` and `policy_factory` are unset;
-  /// after construction it reflects the instantiated policy's kind().
-  PolicyKind policy = PolicyKind::kUpdatedPointer;
-  /// Partition selection policy, by registry name (see RegisterPolicy) —
-  /// the open-world identity surface: any registered policy, including
-  /// the extension policies and application-registered ones. Takes
-  /// precedence over `policy`; after construction it always holds the
-  /// instantiated policy's name(). An unregistered name aborts — validate
-  /// with IsPolicyRegistered at the config boundary.
-  std::string policy_name;
-  /// Optional: construct a custom SelectionPolicy directly, bypassing the
-  /// registry (strongest precedence). The factory's policy still receives
-  /// every write-barrier notification and the trigger behaves according
-  /// to its kind() (a kind() of kNoCollection disables the trigger;
-  /// kMostGarbage enables the oracle census).
-  std::function<std::unique_ptr<SelectionPolicy>()> policy_factory;
+  /// Partition selection policy, by registry name (see RegisterPolicy):
+  /// one of the paper's six, an extension policy or an
+  /// application-registered one. After construction it holds the
+  /// instantiated policy's name(). The policy's kind() sets the heap's
+  /// behaviour: kNoCollection disables the trigger, kMostGarbage runs the
+  /// oracle census, kWeightedPointer maintains root-distance weights. An
+  /// unregistered name aborts — validate with IsPolicyRegistered at the
+  /// config boundary.
+  std::string policy_name = "UpdatedPointer";
   /// What causes a collection (see TriggerKind).
   TriggerKind trigger = TriggerKind::kPointerOverwrites;
   /// Collect after this many pointer overwrites; 0 disables the automatic
@@ -122,8 +101,6 @@ struct HeapOptions {
   /// also reclaims cross-partition cyclic garbage — the paper's Section
   /// 6.5 future work) after every this-many partition collections.
   uint32_t full_collection_interval = 0;
-  /// Weight maintenance.
-  WeightMode weights = WeightMode::kAuto;
   /// How the remembered sets are maintained (exact / store buffer / card
   /// marking). Exact is what the paper assumes.
   BarrierMode barrier = BarrierMode::kExact;
@@ -240,6 +217,7 @@ class CollectedHeap : private SlotWriteObserver {
   WallPhaseTimers* wall_timers() const { return wall_timers_.get(); }
   const InterPartitionIndex& index() const { return index_; }
   const WriteBarrier& barrier() const { return *barrier_; }
+  /// Root-distance weights; null unless the policy is WeightedPointer.
   const WeightTracker* weights() const { return weights_.get(); }
   SelectionPolicy& policy() { return *policy_; }
   const HeapStats& stats() const { return stats_; }
@@ -297,6 +275,9 @@ class CollectedHeap : private SlotWriteObserver {
   std::unique_ptr<WriteBarrier> barrier_;
   std::unique_ptr<WeightTracker> weights_;  // Null when weights are off.
   std::unique_ptr<SelectionPolicy> policy_;
+  // policy_->kind(), read once: the trigger check runs on every pointer
+  // store and must not make a virtual call.
+  PolicyKind policy_kind_;
   // Stable slot handed to registry factories via PolicyContext::store, so
   // a registered policy (e.g. CostBenefit) can observe partition occupancy.
   const ObjectStore* policy_store_view_ = nullptr;

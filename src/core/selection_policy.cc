@@ -39,13 +39,6 @@ const char* PolicyName(PolicyKind kind) {
   return "Unknown";
 }
 
-Result<PolicyKind> ParsePolicyName(const std::string& name) {
-  for (PolicyKind kind : AllPolicyKinds()) {
-    if (name == PolicyName(kind)) return kind;
-  }
-  return Status::InvalidArgument("unknown policy name: " + name);
-}
-
 // ------------------------------------------------------------ Registry
 
 namespace {

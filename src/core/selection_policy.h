@@ -20,11 +20,11 @@ class ObjectStore;  // Bound into registry-built policies that need it.
 ///
 /// This enum is the *behaviour class* of a policy, not its identity:
 /// policies are identified by their registry `name()` (see RegisterPolicy
-/// below), and several distinct named policies may share one kind — the
-/// heap consults `kind()` only for the two behavioural special cases
-/// (kNoCollection disables the trigger, kMostGarbage runs the oracle
-/// census). The enum is kept as a thin alias layer so the paper's six
-/// policies remain configurable by kind.
+/// below), and several distinct named policies may share one kind. A
+/// config names its policy only by registry name; the heap reads `kind()`
+/// once, for the three behavioural special cases (kNoCollection disables
+/// the trigger, kMostGarbage runs the oracle census, kWeightedPointer
+/// maintains root-distance weights).
 enum class PolicyKind {
   /// Never collect; grow the database instead (upper space bound).
   kNoCollection,
@@ -54,9 +54,6 @@ const std::vector<std::string>& PaperPolicyNames();
 /// "UpdatedPointer", "MostGarbage", ...
 const char* PolicyName(PolicyKind kind);
 
-/// Parses a policy name (exact match); InvalidArgument if unknown.
-Result<PolicyKind> ParsePolicyName(const std::string& name);
-
 /// Everything a policy may consult when choosing a victim partition.
 struct SelectionContext {
   /// Partitions eligible for collection: every non-empty partition except
@@ -80,7 +77,8 @@ class SelectionPolicy {
   virtual ~SelectionPolicy() = default;
 
   /// The behaviour class (see PolicyKind). Policies outside the paper's
-  /// six return the kind whose trigger/census behaviour they want.
+  /// six return the kind whose trigger, census and weight behaviour they
+  /// want.
   virtual PolicyKind kind() const = 0;
 
   /// The policy's identity: the registry name manifests and reports key

@@ -61,15 +61,13 @@ Json ConfigJson(const SimulationConfig& config) {
   // spec's path is per-run (the runner uniquifies it), and config digests
   // must stay identical across the runs of one experiment. The full spec
   // is recorded in the manifest's `measured` section instead.
-  heap_json.Set("device", Json::Str(heap.device_spec.empty()
-                                        ? DeviceKindName(heap.device)
-                                        : DeviceSpecName(heap.device_spec)));
+  heap_json.Set("device", Json::Str(DeviceSpecName(heap.device_spec)));
   heap_json.Set("disk_cost", std::move(disk_cost));
   heap_json.Set("ssd_cost", std::move(ssd_cost));
-  // The buffer is always strict LRU; the key stays because config and
-  // result digests hash it.
+  // The buffer is always strict LRU, and weights are maintained exactly
+  // when the policy is WeightedPointer (the old "auto" mode, 0); both keys
+  // stay because config and result digests hash them.
   heap_json.Set("replacement", Json::Str("lru"));
-  heap_json.Set("policy_kind", Json::Str(PolicyName(heap.policy)));
   heap_json.Set("policy_name", Json::Str(heap.policy_name));
   heap_json.Set("trigger", Json::UInt(static_cast<uint64_t>(heap.trigger)));
   heap_json.Set("overwrite_trigger", Json::UInt(heap.overwrite_trigger));
@@ -80,7 +78,7 @@ Json ConfigJson(const SimulationConfig& config) {
   heap_json.Set("traversal", Json::UInt(static_cast<uint64_t>(heap.traversal)));
   heap_json.Set("full_collection_interval",
                 Json::UInt(heap.full_collection_interval));
-  heap_json.Set("weights", Json::UInt(static_cast<uint64_t>(heap.weights)));
+  heap_json.Set("weights", Json::UInt(0));
   heap_json.Set("barrier", Json::Str(BarrierModeName(heap.barrier)));
   heap_json.Set("card_size", Json::UInt(heap.card_size));
 
@@ -198,9 +196,7 @@ uint32_t ConfigDigest(const SimulationConfig& config) {
   // run of one experiment shares a digest and cross-policy tables and
   // diffs can verify comparability.
   Json json = ConfigJson(config);
-  Json& heap = json.object().at("heap");
-  heap.object().erase("policy_kind");
-  heap.object().erase("policy_name");
+  json.object().at("heap").object().erase("policy_name");
   return Crc32(json.Dump());
 }
 
@@ -214,8 +210,8 @@ Json BuildManifest(const SimulationConfig& config,
                    const ManifestServiceInfo* service) {
   Json manifest = Json::Obj();
   manifest.Set("schema_version", Json::UInt(kManifestSchemaVersion));
-  // The kind the run instantiated: a policy chosen by registry name leaves
-  // `config.heap.policy` at its default (the digest ignores both).
+  // The kind the run instantiated, which the config names only through
+  // `policy_name` (the digest ignores both).
   Json config_json = ConfigJson(config);
   config_json.object().at("heap").Set("policy_kind",
                                       Json::Str(PolicyName(result.policy)));

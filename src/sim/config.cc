@@ -15,14 +15,14 @@ Status Validate(const SimulationConfig& config) {
   if (heap.buffer_pages == 0) {
     return Status::InvalidArgument("heap.buffer_pages must be >= 1");
   }
-  // A policy factory takes precedence over the name, which it leaves
-  // unused.
-  if (!heap.policy_factory && !heap.policy_name.empty() &&
-      !IsPolicyRegistered(heap.policy_name)) {
+  if (heap.policy_name.empty()) {
+    return Status::InvalidArgument("heap.policy_name must not be empty");
+  }
+  if (!IsPolicyRegistered(heap.policy_name)) {
     return Status::InvalidArgument("unknown policy name: " +
                                    heap.policy_name);
   }
-  if (!heap.device_spec.empty() && !IsDeviceRegistered(heap.device_spec)) {
+  if (!IsDeviceRegistered(heap.device_spec)) {
     return Status::InvalidArgument("unknown device spec: " +
                                    heap.device_spec);
   }

@@ -25,7 +25,7 @@ struct SimulationResult {
   std::string policy_name;
   uint64_t seed = 0;
 
-  /// I/O subsystem configuration the run used.
+  /// Kind of the storage backend the run used.
   DeviceKind device = DeviceKind::kSimulatedDisk;
 
   /// Application events replayed (the paper's time axis).

@@ -23,18 +23,12 @@ std::string RelativeStddev(const RunningStat& stat, int precision) {
 
 std::vector<PolicySummary> Summarize(const Experiment& experiment) {
   const PolicyRuns* baseline =
-      experiment.Find(std::string(PolicyName(PolicyKind::kMostGarbage)));
-  // Hand-built experiments may key sets only by kind.
-  if (baseline == nullptr) {
-    baseline = experiment.Find(PolicyKind::kMostGarbage);
-  }
+      experiment.Find(PolicyName(PolicyKind::kMostGarbage));
 
   std::vector<PolicySummary> summaries;
   for (const PolicyRuns& set : experiment.sets) {
     PolicySummary s;
-    // Hand-built sets may carry only the kind; fall back to its name.
-    s.name = set.name.empty() ? PolicyName(set.policy) : set.name;
-    s.policy = set.policy;
+    s.name = set.name;
     for (size_t i = 0; i < set.runs.size(); ++i) {
       const SimulationResult& run = set.runs[i];
       s.app_io.Add(static_cast<double>(run.app_io));

@@ -16,7 +16,6 @@ namespace odbgc {
 struct PolicySummary {
   /// Registry name of the summarized policy (the row label).
   std::string name;
-  PolicyKind policy = PolicyKind::kUpdatedPointer;
   RunningStat app_io;
   RunningStat gc_io;
   RunningStat total_io;

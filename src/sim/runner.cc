@@ -19,13 +19,6 @@ const PolicyRuns* Experiment::Find(const std::string& name) const {
   return nullptr;
 }
 
-const PolicyRuns* Experiment::Find(PolicyKind policy) const {
-  for (const auto& set : sets) {
-    if (set.policy == policy) return &set;
-  }
-  return nullptr;
-}
-
 Result<Experiment> RunExperiment(const ExperimentSpec& spec) {
   return RunExperimentWith(
       spec, [](const SimulationConfig& config) -> Result<SimulationResult> {
@@ -136,12 +129,6 @@ Result<Experiment> RunExperimentWith(const ExperimentSpec& spec,
 
   if (!first_error.ok()) return first_error;
   if (!complete_error.ok()) return complete_error;
-
-  // Stamp each set's behaviour class from its runs (every run of a set
-  // uses the same policy, so the first is representative).
-  for (PolicyRuns& set : experiment.sets) {
-    if (!set.runs.empty()) set.policy = set.runs.front().policy;
-  }
   return experiment;
 }
 

@@ -73,12 +73,6 @@ struct ExperimentSpec {
     policies = std::move(names);
     return std::move(*this);
   }
-  /// Behaviour-class convenience for the paper's six.
-  ExperimentSpec&& WithPolicyKinds(const std::vector<PolicyKind>& kinds) && {
-    policies.clear();
-    for (PolicyKind kind : kinds) policies.emplace_back(PolicyName(kind));
-    return std::move(*this);
-  }
   ExperimentSpec&& WithSeeds(int count, uint64_t first = 1) && {
     num_seeds = count;
     first_seed = first;
@@ -106,8 +100,6 @@ struct ExperimentSpec {
 struct PolicyRuns {
   /// Registry name — the set's identity.
   std::string name;
-  /// Behaviour class of the instantiated policy (kind()).
-  PolicyKind policy = PolicyKind::kUpdatedPointer;
   std::vector<SimulationResult> runs;
 };
 
@@ -116,9 +108,6 @@ struct Experiment {
 
   /// Runs of the named policy, or nullptr if it was not in the experiment.
   const PolicyRuns* Find(const std::string& name) const;
-  /// First set whose behaviour class is `policy` (exact identity for the
-  /// paper's six; extension policies share kinds — prefer Find-by-name).
-  const PolicyRuns* Find(PolicyKind policy) const;
 };
 
 /// Executes the experiment (parallel across runs). Returns the first

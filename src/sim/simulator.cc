@@ -184,10 +184,10 @@ Status Simulator::Run() {
 
 SimulationResult Simulator::Finish() {
   SimulationResult result;
-  result.policy = heap_->options().policy;
+  result.policy = heap_->policy().kind();
   result.policy_name = heap_->options().policy_name;
   result.seed = config_.seed;
-  result.device = heap_->options().device;
+  result.device = heap_->device().kind();
   result.app_events = events_;
 
   const BufferStats buffer = heap_->buffer().stats();

@@ -77,6 +77,7 @@ Status RegisterDevice(const std::string& name, DeviceFactory factory) {
 }
 
 std::string DeviceSpecName(const std::string& spec) {
+  if (spec.empty()) return "disk";
   const size_t colon = spec.find(':');
   return colon == std::string::npos ? spec : spec.substr(0, colon);
 }

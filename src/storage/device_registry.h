@@ -50,7 +50,9 @@ bool IsDeviceRegistered(const std::string& spec);
 /// Every registered name, sorted.
 std::vector<std::string> RegisteredDeviceNames();
 
-/// The name portion of a spec ("file:/tmp/x" -> "file").
+/// The name portion of a spec ("file:/tmp/x" -> "file"). An empty spec
+/// names "disk": the benchmark harness (perfbench/main.cc) still builds
+/// its simulated-disk reference run from one.
 std::string DeviceSpecName(const std::string& spec);
 
 /// The argument portion of a spec ("file:/tmp/x" -> "/tmp/x"; "" if none).

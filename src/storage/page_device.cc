@@ -2,9 +2,6 @@
 
 #include <string>
 
-#include "storage/disk.h"
-#include "storage/ssd_device.h"
-
 namespace odbgc {
 
 const char* DeviceKindName(DeviceKind kind) {
@@ -91,24 +88,6 @@ void PageDevice::NoteAccess(PageId page) {
     registry_->Count(random_);
   }
   last_accessed_ = page;
-}
-
-std::unique_ptr<PageDevice> MakePageDevice(DeviceKind kind, size_t page_size,
-                                           MetricsRegistry* registry,
-                                           const DiskCostParams& disk_cost,
-                                           const SsdCostParams& ssd_cost) {
-  switch (kind) {
-    case DeviceKind::kSimulatedDisk:
-      return std::make_unique<SimulatedDisk>(page_size, registry, disk_cost);
-    case DeviceKind::kSsd:
-      return std::make_unique<SsdDevice>(page_size, registry, ssd_cost);
-    case DeviceKind::kFile:
-      // A file backend needs FileDeviceOptions (at least a path), which
-      // this kind-keyed factory cannot carry; build it through the device
-      // registry ("file:<path>") instead. Fall back to the paper's disk.
-      break;
-  }
-  return std::make_unique<SimulatedDisk>(page_size, registry, disk_cost);
 }
 
 }  // namespace odbgc

@@ -17,10 +17,11 @@ namespace odbgc {
 
 class SimObserver;
 
-/// The simulated storage backends. The paper fixes one device model (a
-/// seek/rotation/transfer magnetic disk, Section 4.2); device economics
-/// invert policy rankings on other media, so the backend is a first-class
-/// experiment axis.
+/// The storage backends, as PageDevice::kind() reports them (a config
+/// names its backend by registry spec, HeapOptions::device_spec). The paper
+/// fixes one device model (a seek/rotation/transfer magnetic disk, Section
+/// 4.2); device economics invert policy rankings on other media, so the
+/// backend is a first-class experiment axis.
 enum class DeviceKind : uint8_t {
   kSimulatedDisk = 0,  ///< Seek + rotation + transfer (the paper's model).
   kSsd = 1,            ///< Flash with erase-block GC amplification.
@@ -194,16 +195,6 @@ class PageDevice {
 
   SimObserver* observer_ = nullptr;
 };
-
-struct DiskCostParams;
-struct SsdCostParams;
-
-/// Constructs the configured backend. `registry` may be nullptr (the
-/// device then owns a private registry).
-std::unique_ptr<PageDevice> MakePageDevice(DeviceKind kind, size_t page_size,
-                                           MetricsRegistry* registry,
-                                           const DiskCostParams& disk_cost,
-                                           const SsdCostParams& ssd_cost);
 
 }  // namespace odbgc
 

@@ -16,7 +16,7 @@ HeapOptions ColdHeap() {
   options.store.page_size = 256;
   options.store.pages_per_partition = 16;  // 4 KB partitions.
   options.buffer_pages = 64;
-  options.policy = PolicyKind::kUpdatedPointer;
+  options.policy_name = "UpdatedPointer";
   options.overwrite_trigger = 0;
   return options;
 }

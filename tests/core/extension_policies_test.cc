@@ -127,17 +127,13 @@ TEST_F(CostBenefitTest, ResetOnCollection) {
 }
 
 TEST_F(CostBenefitTest, WorksEndToEndThroughFactory) {
-  static const ObjectStore* bound = nullptr;
   HeapOptions options;
   options.store.page_size = 256;
   options.store.pages_per_partition = 8;
   options.buffer_pages = 16;
   options.overwrite_trigger = 4;
-  options.policy_factory = [] {
-    return std::make_unique<CostBenefitPolicy>(&bound, 100.0);
-  };
+  options.policy_name = "CostBenefit";  // The registry binds the store.
   CollectedHeap heap(options);
-  bound = &heap.store();
 
   auto root = heap.Allocate(100, 2);
   ASSERT_TRUE(root.ok());
@@ -150,7 +146,6 @@ TEST_F(CostBenefitTest, WorksEndToEndThroughFactory) {
     ASSERT_TRUE(heap.WriteSlot(*root, 0, i % 2 ? *a : *b).ok());
   }
   EXPECT_GE(heap.stats().collections, 2u);
-  bound = nullptr;
 }
 
 }  // namespace

@@ -15,7 +15,7 @@ HeapOptions SmallHeap() {
   options.store.page_size = 256;
   options.store.pages_per_partition = 8;
   options.buffer_pages = 16;
-  options.policy = PolicyKind::kUpdatedPointer;
+  options.policy_name = "UpdatedPointer";
   options.overwrite_trigger = 0;  // Manual collections only.
   return options;
 }

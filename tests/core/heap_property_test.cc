@@ -28,7 +28,7 @@ SimulationConfig TinyConfig(PolicyKind policy, uint64_t seed) {
   config.heap.store.page_size = 1024;
   config.heap.store.pages_per_partition = 16;  // 16 KB partitions.
   config.heap.buffer_pages = 16;
-  config.heap.policy = policy;
+  config.heap.policy_name = PolicyName(policy);
   config.heap.overwrite_trigger = 25;
   config.seed = seed;
 

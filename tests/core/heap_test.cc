@@ -10,7 +10,7 @@ HeapOptions SmallHeap(PolicyKind policy, uint32_t trigger) {
   options.store.page_size = 256;
   options.store.pages_per_partition = 8;
   options.buffer_pages = 16;
-  options.policy = policy;
+  options.policy_name = PolicyName(policy);
   options.overwrite_trigger = trigger;
   return options;
 }
@@ -136,11 +136,6 @@ TEST(HeapTest, WeightsAutoEnabledOnlyForWeightedPointer) {
   EXPECT_NE(weighted.weights(), nullptr);
   CollectedHeap updated(SmallHeap(PolicyKind::kUpdatedPointer, 0));
   EXPECT_EQ(updated.weights(), nullptr);
-
-  HeapOptions forced = SmallHeap(PolicyKind::kUpdatedPointer, 0);
-  forced.weights = WeightMode::kOn;
-  CollectedHeap on(forced);
-  EXPECT_NE(on.weights(), nullptr);
 }
 
 TEST(HeapTest, RootWeightTracked) {
@@ -197,12 +192,13 @@ TEST(HeapTest, NewbornSurvivesCollectionUntilLinked) {
 }
 
 TEST(HeapTest, PolicyFactoryInstallsCustomPolicy) {
-  // A user-supplied policy must receive the write-barrier notifications
-  // and drive victim selection.
+  // A policy registered by the application must receive the write-barrier
+  // notifications and drive victim selection.
   struct CountingPolicy : SelectionPolicy {
     int stores = 0;
     int selects = 0;
     PolicyKind kind() const override { return PolicyKind::kUpdatedPointer; }
+    std::string name() const override { return "HeapTestCounting"; }
     void OnPointerStore(const SlotWriteEvent&, uint8_t) override {
       ++stores;
     }
@@ -212,15 +208,20 @@ TEST(HeapTest, PolicyFactoryInstallsCustomPolicy) {
                                         : context.candidates.front();
     }
   };
-  auto* counting = new CountingPolicy;  // Owned by the heap via factory.
+  // The heap owns the policy; the factory leaves a view of it here.
+  static CountingPolicy* counting = nullptr;
+  static const bool registered =
+      RegisterPolicy("HeapTestCounting", [](const PolicyContext&) {
+        auto policy = std::make_unique<CountingPolicy>();
+        counting = policy.get();
+        return std::unique_ptr<SelectionPolicy>(std::move(policy));
+      }).ok();
+  ASSERT_TRUE(registered);
   HeapOptions options = SmallHeap(PolicyKind::kRandom, 2);
-  options.policy_factory = [counting] {
-    return std::unique_ptr<SelectionPolicy>(counting);
-  };
+  options.policy_name = "HeapTestCounting";
   CollectedHeap heap(options);
   EXPECT_EQ(heap.policy().kind(), PolicyKind::kUpdatedPointer);
-  EXPECT_EQ(heap.options().policy, PolicyKind::kUpdatedPointer)
-      << "heap adopts the factory policy's kind";
+  EXPECT_EQ(&heap.policy(), counting);
 
   auto root = heap.Allocate(100, 2);
   ASSERT_TRUE(root.ok());

@@ -34,13 +34,14 @@ SelectionContext Candidates(std::vector<PartitionId> parts) {
   return context;
 }
 
+// A kind's name builds, through the registry, a policy of that kind.
 TEST(PolicyNamesTest, RoundtripAllKinds) {
   for (PolicyKind kind : AllPolicyKinds()) {
-    auto parsed = ParsePolicyName(PolicyName(kind));
-    ASSERT_TRUE(parsed.ok());
-    EXPECT_EQ(*parsed, kind);
+    auto policy = MakePolicy(std::string(PolicyName(kind)), 1);
+    ASSERT_TRUE(policy.ok());
+    EXPECT_EQ((*policy)->kind(), kind);
   }
-  EXPECT_FALSE(ParsePolicyName("NotAPolicy").ok());
+  EXPECT_FALSE(IsPolicyRegistered("NotAPolicy"));
   EXPECT_EQ(AllPolicyKinds().size(), 6u);
 }
 

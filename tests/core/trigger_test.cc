@@ -12,7 +12,7 @@ HeapOptions Base() {
   options.store.page_size = 256;
   options.store.pages_per_partition = 8;  // 2 KB partitions.
   options.buffer_pages = 16;
-  options.policy = PolicyKind::kRandom;
+  options.policy_name = "Random";
   options.overwrite_trigger = 0;
   return options;
 }
@@ -85,7 +85,7 @@ TEST(TriggerTest, NoCollectionPolicyOverridesAllTriggers) {
        {TriggerKind::kPointerOverwrites, TriggerKind::kAllocatedBytes,
         TriggerKind::kDatabaseGrowth}) {
     HeapOptions options = Base();
-    options.policy = PolicyKind::kNoCollection;
+    options.policy_name = "NoCollection";
     options.trigger = kind;
     options.overwrite_trigger = 1;
     options.allocation_trigger_bytes = 100;

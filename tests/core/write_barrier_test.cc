@@ -15,7 +15,7 @@ HeapOptions BarrierHeap(BarrierMode mode) {
   options.store.page_size = 256;
   options.store.pages_per_partition = 8;
   options.buffer_pages = 32;
-  options.policy = PolicyKind::kUpdatedPointer;
+  options.policy_name = "UpdatedPointer";
   options.overwrite_trigger = 0;
   options.barrier = mode;
   options.card_size = 128;

@@ -116,7 +116,6 @@ TEST(ManifestTest, DigestIgnoresExperimentAxesAndDurabilityKnobs) {
   SimulationConfig variant = config;
   variant.seed = 99;
   variant.heap.policy_name = "Random";
-  variant.heap.policy = PolicyKind::kRandom;
   variant.heap.profile_hot_paths = true;
   EXPECT_EQ(ConfigDigest(variant), digest);
 

@@ -106,13 +106,11 @@ TEST(PolicyRegistryTest, HeapResolvesPolicyNameAndReflectsIt) {
   config.workload.tree_nodes_min = 40;
   config.workload.tree_nodes_max = 120;
   config.workload.large_object_size = 4096;
-  // kind() precedence is irrelevant once a name is given: the name wins.
-  config.heap.policy = PolicyKind::kNoCollection;
   config.heap.policy_name = "Random";
 
   Simulator simulator(config);
   ASSERT_TRUE(simulator.Run().ok());
-  EXPECT_EQ(simulator.heap().options().policy, PolicyKind::kRandom);
+  EXPECT_EQ(simulator.heap().policy().kind(), PolicyKind::kRandom);
   EXPECT_EQ(simulator.heap().options().policy_name, "Random");
   EXPECT_EQ(simulator.Finish().policy_name, "Random");
 }

@@ -70,6 +70,18 @@ TEST(ConfigValidationTest, RejectsUnknownPolicyName) {
   EXPECT_EQ(experiment.status().code(), StatusCode::kInvalidArgument);
 }
 
+// A policy is chosen by name only, so no name is no policy.
+TEST(ConfigValidationTest, RejectsEmptyPolicyName) {
+  SimulationConfig config = SmallConfig();
+  config.heap.policy_name.clear();
+  const Status status = Validate(config);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(status.message(), "heap.policy_name must not be empty");
+  auto experiment =
+      RunExperiment(ExperimentSpec::Base(SmallConfig()).WithPolicies({""}));
+  EXPECT_EQ(experiment.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(ConfigValidationTest, RejectsUnknownDeviceSpec) {
   SimulationConfig config = SmallConfig();
   config.heap.device_spec = "tape:/dev/st0";

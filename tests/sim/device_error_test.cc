@@ -1,8 +1,8 @@
 // A device error ends the run and reaches the caller unchanged: through
 // the heap, the buffer pool's write-back and the simulator, out of
 // Simulator::Run and out of RunExperiment. A collection or full collection
-// that fails part-way leaves a heap that passes the invariant check, and a
-// failed collection leaves every cross-partition pointer indexed.
+// that fails part-way leaves a heap that passes the invariant check and
+// leaves every cross-partition pointer it must keep indexed.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@
 #include <string_view>
 #include <vector>
 
+#include "core/reachability.h"
 #include "sim/runner.h"
 #include "sim/simulator.h"
 #include "storage/device_registry.h"
@@ -157,13 +158,16 @@ Status RunRecorded(SimulationConfig config, uint64_t fail_at,
   return (*simulator)->Run();
 }
 
-// Pointers whose two ends occupy different partitions. Each is one
-// inter-partition index entry when the remembered sets are complete.
-size_t CrossPartitionPointers(const CollectedHeap& heap) {
+// Pointers whose two ends occupy different partitions, from the sources
+// `counts` accepts. Each is one inter-partition index entry when the
+// remembered sets are complete.
+template <typename Counts>
+size_t CrossPartitionPointers(const CollectedHeap& heap, Counts counts) {
   const ObjectStore& store = heap.store();
   size_t count = 0;
   for (PartitionId pid = 0; pid < store.partition_count(); ++pid) {
     for (const auto& [offset, id] : store.partition(pid).objects_by_offset()) {
+      if (!counts(id)) continue;
       for (ObjectId child : store.Lookup(id)->slots) {
         if (!child.is_null() && store.PartitionOf(child) != pid) ++count;
       }
@@ -206,7 +210,9 @@ TEST(DeviceErrorTest, FailedCollectionLeavesHeapConsistent) {
   ASSERT_TRUE(HeapInvariantsHold(failing->heap()));
   // The pointers between what was copied and what was not cross a
   // partition boundary now, and the remembered sets hold them too.
-  EXPECT_EQ(CrossPartitionPointers(failing->heap()),
+  EXPECT_EQ(CrossPartitionPointers(failing->heap(), [](ObjectId) {
+              return true;
+            }),
             failing->heap().index().entry_count());
 }
 
@@ -233,7 +239,15 @@ TEST(DeviceErrorTest, FailedFullCollectionLeavesHeapConsistent) {
   EXPECT_EQ(failing->heap().stats().full_collections, k);
   EXPECT_EQ(spans.full_collections.size(), k + 1);
   EXPECT_EQ(failing->heap().store().partition_count(), span.partitions + 1);
-  EXPECT_TRUE(HeapInvariantsHold(failing->heap()));
+  ASSERT_TRUE(HeapInvariantsHold(failing->heap()));
+  // A full collection retires the dead set's out-pointers before it
+  // sweeps, so what the index must still hold are the reachable objects'
+  // cross-partition pointers, the split victim's among them.
+  const auto live = ComputeLiveSet(failing->heap().store());
+  EXPECT_EQ(CrossPartitionPointers(
+                failing->heap(),
+                [&live](ObjectId id) { return live.count(id) > 0; }),
+            failing->heap().index().entry_count());
 }
 
 }  // namespace

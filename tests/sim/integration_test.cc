@@ -16,7 +16,7 @@ SimulationConfig SmallPaperConfig(PolicyKind policy, uint64_t seed) {
   config.heap.store.pages_per_partition = 16;  // 32 KB partitions.
   config.heap.buffer_pages = 16;
   config.heap.overwrite_trigger = 40;
-  config.heap.policy = policy;
+  config.heap.policy_name = PolicyName(policy);
   config.seed = seed;
   config.workload.target_live_bytes = 160ull << 10;
   config.workload.total_alloc_bytes = 420ull << 10;

@@ -16,7 +16,7 @@ SimulationConfig SmallHeapConfig(PolicyKind policy) {
   config.heap.store.page_size = 1024;
   config.heap.store.pages_per_partition = 16;
   config.heap.buffer_pages = 16;
-  config.heap.policy = policy;
+  config.heap.policy_name = PolicyName(policy);
   config.heap.overwrite_trigger = 60;
   return config;
 }

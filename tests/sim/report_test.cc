@@ -28,13 +28,13 @@ SimulationResult FakeRun(PolicyKind policy, uint64_t seed, uint64_t app_io,
 Experiment FakeExperiment() {
   Experiment e;
   PolicyRuns most;
-  most.policy = PolicyKind::kMostGarbage;
+  most.name = "MostGarbage";
   most.runs = {FakeRun(PolicyKind::kMostGarbage, 1, 32000, 1500,
                        7000ull << 10, 4700ull << 10, 2300ull << 10),
                FakeRun(PolicyKind::kMostGarbage, 2, 34000, 1600,
                        7400ull << 10, 4800ull << 10, 2200ull << 10)};
   PolicyRuns updated;
-  updated.policy = PolicyKind::kUpdatedPointer;
+  updated.name = "UpdatedPointer";
   updated.runs = {FakeRun(PolicyKind::kUpdatedPointer, 1, 33000, 1650,
                           7700ull << 10, 4300ull << 10, 2700ull << 10),
                   FakeRun(PolicyKind::kUpdatedPointer, 2, 35000, 1750,
@@ -47,7 +47,7 @@ TEST(ReportTest, SummarizeComputesAggregates) {
   const auto summaries = Summarize(FakeExperiment());
   ASSERT_EQ(summaries.size(), 2u);
   const PolicySummary& most = summaries[0];
-  EXPECT_EQ(most.policy, PolicyKind::kMostGarbage);
+  EXPECT_EQ(most.name, "MostGarbage");
   EXPECT_DOUBLE_EQ(most.app_io.mean(), 33000.0);
   EXPECT_DOUBLE_EQ(most.gc_io.mean(), 1550.0);
   EXPECT_DOUBLE_EQ(most.total_io.mean(), 34550.0);

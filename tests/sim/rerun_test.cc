@@ -158,12 +158,12 @@ class DenseLayoutRoundTrip
 TEST_P(DenseLayoutRoundTrip, SnapshotRestoresBitIdentical) {
   SimulationConfig config = TinyConfig(11);
   config.heap.policy_name = GetParam().policy_name;
-  config.heap.policy = GetParam().policy;
 
   PartialRun original = RunPartway(config, 40);
   ASSERT_EQ(original.generator->rounds_run(), 40u);
   ASSERT_EQ(original.simulator->heap().policy().name(),
             GetParam().policy_name);
+  ASSERT_EQ(original.simulator->heap().policy().kind(), GetParam().policy);
   // The policy has chosen victims, so its state has a history to match.
   ASSERT_GT(original.simulator->heap().stats().collections, 0u);
 

@@ -41,7 +41,7 @@ void ExpectExperimentsIdentical(const ExperimentSpec& spec) {
   ASSERT_TRUE(b.ok()) << b.status().ToString();
   ASSERT_EQ(a->sets.size(), b->sets.size());
   for (size_t s = 0; s < a->sets.size(); ++s) {
-    ASSERT_EQ(a->sets[s].policy, b->sets[s].policy);
+    ASSERT_EQ(a->sets[s].name, b->sets[s].name);
     ASSERT_EQ(a->sets[s].runs.size(), b->sets[s].runs.size());
     for (size_t r = 0; r < a->sets[s].runs.size(); ++r) {
       SCOPED_TRACE("policy set " + std::to_string(s) + " run " +
@@ -57,7 +57,7 @@ TEST(RunnerDeterminismTest, ParallelMatchesSerialFieldForField) {
 
 TEST(RunnerDeterminismTest, ParallelMatchesSerialOnSsd) {
   ExperimentSpec spec = TinySpec();
-  spec.base.heap.device = DeviceKind::kSsd;
+  spec.base.heap.device_spec = "ssd";
   spec.base.heap.ssd_cost.pages_per_block = 8;
   ExpectExperimentsIdentical(spec);
 }

@@ -29,7 +29,7 @@ TEST(RunnerTest, RunsAllPoliciesAndSeeds) {
   for (const PolicyRuns& set : experiment->sets) {
     ASSERT_EQ(set.runs.size(), 3u);
     for (size_t i = 0; i < set.runs.size(); ++i) {
-      EXPECT_EQ(set.runs[i].policy, set.policy);
+      EXPECT_EQ(set.runs[i].policy_name, set.name);
       EXPECT_EQ(set.runs[i].seed, 10 + i);
       EXPECT_GT(set.runs[i].app_events, 0u);
     }
@@ -39,15 +39,15 @@ TEST(RunnerTest, RunsAllPoliciesAndSeeds) {
 TEST(RunnerTest, FindLocatesPolicy) {
   auto experiment = RunExperiment(TinySpec());
   ASSERT_TRUE(experiment.ok());
-  EXPECT_NE(experiment->Find(PolicyKind::kRandom), nullptr);
-  EXPECT_EQ(experiment->Find(PolicyKind::kUpdatedPointer), nullptr);
+  EXPECT_NE(experiment->Find("Random"), nullptr);
+  EXPECT_EQ(experiment->Find("UpdatedPointer"), nullptr);
 }
 
 TEST(RunnerTest, SeedsSeeTheSameTraceAcrossPolicies) {
   auto experiment = RunExperiment(TinySpec());
   ASSERT_TRUE(experiment.ok());
-  const PolicyRuns* a = experiment->Find(PolicyKind::kMostGarbage);
-  const PolicyRuns* b = experiment->Find(PolicyKind::kNoCollection);
+  const PolicyRuns* a = experiment->Find("MostGarbage");
+  const PolicyRuns* b = experiment->Find("NoCollection");
   ASSERT_NE(a, nullptr);
   ASSERT_NE(b, nullptr);
   for (size_t i = 0; i < a->runs.size(); ++i) {

@@ -23,7 +23,7 @@ SimulationConfig TinyConfig(PolicyKind policy, uint64_t seed) {
   config.heap.store.page_size = 1024;
   config.heap.store.pages_per_partition = 16;
   config.heap.buffer_pages = 16;
-  config.heap.policy = policy;
+  config.heap.policy_name = PolicyName(policy);
   config.heap.overwrite_trigger = 30;
   config.seed = seed;
   config.workload.target_live_bytes = 96ull << 10;

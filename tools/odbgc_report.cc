@@ -124,10 +124,6 @@ SimulationResult ResultFromManifest(const Json& manifest) {
   const Json& r = *manifest.Get("result");
   SimulationResult result;
   result.policy_name = r.Get("policy")->string_value();
-  if (auto kind = ParsePolicyName(r.Get("policy_kind")->string_value());
-      kind.ok()) {
-    result.policy = *kind;
-  }
   result.seed = UNum(r, "seed");
   result.app_events = UNum(r, "app_events");
   result.app_io = UNum(r, "app_io");
@@ -190,7 +186,6 @@ Experiment GroupByPolicy(const std::vector<LoadedManifest>& manifests) {
               [](const SimulationResult& a, const SimulationResult& b) {
                 return a.seed < b.seed;
               });
-    set.policy = set.runs.front().policy;
   }
   return experiment;
 }
